@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .quiver import Quiver, RelationSet, Word, validate_relations
+from .toric import MAX_WEIGHT
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -153,6 +154,14 @@ class _Parser:
             raise self.fail(tok.span, f"keyword {tok.text!r} cannot be used as {what}")
         return self.advance()
 
+    def expect_weight(self) -> int:
+        tok = self.expect("int", what="an integer weight")
+        # compare digit counts first: int() refuses literals over 4300 digits
+        digits = tok.text.lstrip("-").lstrip("0")
+        if len(digits) > len(str(MAX_WEIGHT)) or int(digits or "0") > MAX_WEIGHT:
+            raise self.fail(tok.span, f"weight magnitude exceeds the cap {MAX_WEIGHT}")
+        return int(tok.text)
+
 
 def parse(text: str) -> QuiverDocument:
     """Parse document text; raises ParseError with spanned diagnostics."""
@@ -218,13 +227,11 @@ def parse(text: str) -> QuiverDocument:
             while True:
                 name_tok = parser.expect_ident("an arrow id")
                 parser.expect("punct", "(")
-                mu_tok = parser.expect("int", what="an integer weight")
+                m = parser.expect_weight()
                 parser.expect("punct", ",")
-                nu_tok = parser.expect("int", what="an integer weight")
+                n = parser.expect_weight()
                 parser.expect("punct", ")")
-                weight_entries.append(
-                    (name_tok.text, int(mu_tok.text), int(nu_tok.text), name_tok.span)
-                )
+                weight_entries.append((name_tok.text, m, n, name_tok.span))
                 nxt = parser.peek()
                 if nxt.kind != "ident" or nxt.text in KEYWORDS:
                     break

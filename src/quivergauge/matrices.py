@@ -105,34 +105,30 @@ class PolarFactors:
     p: np.ndarray
 
 
-def _hermitian_eig(h, tol: float = TOL_EQ) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_functions(h, *fns, tol: float | None = TOL_EQ, positive: bool = False) -> list[np.ndarray]:
+    """f(h) for each f from one eigendecomposition; tol=None skips the Hermitian test."""
     a = as_matrix(h)
-    if not is_hermitian(a, tol):
+    if tol is not None and not is_hermitian(a, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
+    if positive and np.min(vals) <= 0:
+        raise ValueError("matrix is not positive definite")
+    return [(vecs * f(vals)) @ vecs.conj().T for f in fns]
 
 
 def hermitian_power(h, s: float, tol: float = TOL_EQ) -> np.ndarray:
     """Fractional power of a Hermitian positive-definite matrix."""
-    vals, vecs = _hermitian_eig(h, tol)
-    if np.min(vals) <= 0:
-        raise ValueError("matrix is not positive definite")
-    return (vecs * np.power(vals, s)) @ vecs.conj().T
+    return _hermitian_functions(h, lambda x: np.power(x, s), tol=tol, positive=True)[0]
 
 
 def hermitian_log(h, tol: float = TOL_EQ) -> np.ndarray:
     """Logarithm of a Hermitian positive-definite matrix."""
-    vals, vecs = _hermitian_eig(h, tol)
-    if np.min(vals) <= 0:
-        raise ValueError("matrix is not positive definite")
-    return (vecs * np.log(vals)) @ vecs.conj().T
+    return _hermitian_functions(h, np.log, tol=tol, positive=True)[0]
 
 
 def hermitian_exp(h, tol: float = TOL_EQ) -> np.ndarray:
     """Exponential of a Hermitian matrix via its eigendecomposition."""
-    vals, vecs = _hermitian_eig(h, tol)
-    return (vecs * np.exp(vals)) @ vecs.conj().T
+    return _hermitian_functions(h, np.exp, tol=tol)[0]
 
 
 def polar_decompose(gm, tol: float = TOL_MEMBERSHIP) -> PolarFactors:
@@ -145,9 +141,7 @@ def polar_decompose(gm, tol: float = TOL_MEMBERSHIP) -> PolarFactors:
     if abs(np.linalg.det(g)) <= tol:
         raise ValueError("polar decomposition needs an invertible matrix")
     gram = g.conj().T @ g
-    vals, vecs = np.linalg.eigh(gram)
-    if np.min(vals) <= 0:
-        raise ValueError("polar decomposition needs an invertible matrix")
-    inv_sqrt = (vecs * np.power(vals, -0.5)) @ vecs.conj().T
-    log_half = (vecs * (0.5 * np.log(vals))) @ vecs.conj().T
+    inv_sqrt, log_half = _hermitian_functions(
+        gram, lambda x: np.power(x, -0.5), lambda x: 0.5 * np.log(x), tol=None, positive=True
+    )
     return PolarFactors(k=g @ inv_sqrt, p=log_half)

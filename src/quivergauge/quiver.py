@@ -8,7 +8,7 @@ lexicographic id, so all derived structures are deterministic and replayable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
@@ -38,6 +38,7 @@ class Quiver:
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -50,9 +51,10 @@ class Quiver:
             raise ValueError("a quiver needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
+        by_name = {a.name: a for a in self.arrows}
+        if len(by_name) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
+        object.__setattr__(self, "_by_name", by_name)
         vset = set(self.vertices)
         for a in self.arrows:
             if a.tail not in vset or a.head not in vset:
@@ -67,13 +69,13 @@ class Quiver:
         return len(self.arrows)
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise ValueError(f"unknown arrow id {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown arrow id {name!r}") from None
 
     def has_arrow(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrows)
+        return name in self._by_name
 
     def check_vertex(self, v: str) -> str:
         if v not in self.vertices:
@@ -412,7 +414,8 @@ class SpanningForest:
 
     ``parent`` maps each non-root vertex to (parent vertex, arrow id,
     forward) where ``forward`` is True when the arrow points parent to
-    child.  ``tree_arrows`` lists tree arrow ids in BFS discovery order.
+    child.  ``tree_arrows`` lists tree arrow ids in BFS discovery order,
+    and ``parent`` is filled in that same order.
     """
 
     roots: tuple[str, ...]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .matrices import TOL_EQ, TOL_MEMBERSHIP, as_matrix, identity, in_group
 from .quiver import (
+    Arrow,
     GroupSpec,
     Quiver,
     RelationSet,
@@ -26,7 +27,7 @@ from .quiver import (
     validate_relations,
     word_endpoints,
 )
-from .rewrites import ReductionTrace, apply_step
+from .rewrites import ReductionTrace
 
 
 def _validated_markings(
@@ -202,28 +203,43 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
     marking at its tail and the identity elsewhere; the collapsed arrow is
     then marked I and is dropped when the endpoints merge.  Evaluations of
     surviving cycle words change only by conjugation, so traces and
-    relation satisfaction are preserved.
+    relation satisfaction are preserved.  The step gauges compose into one
+    gauge per source vertex, applied to the surviving arrows at the end.
+    Raises ValueError when the steps do not apply in turn or do not end at
+    ``trace.final``.
     """
-    if f.quiver != trace.source:
+    q, names = trace.source, trace.source.vertices
+    if f.quiver != q:
         raise ValueError("representation does not live on the trace's source quiver")
-    current = trace.source
-    markings = dict(f.markings)
+    index = {v: i for i, v in enumerate(names)}
+    block = np.arange(q.n_vertices)  # source vertex -> row of its block's vertex
+    gauge = np.array([identity(f.group.n)] * q.n_vertices)
     for step in trace.steps:
-        f0 = markings[step.arrow]
-        f0_inv = np.linalg.inv(f0)
-        new: dict[str, np.ndarray] = {}
-        for a in current.arrows:
-            if a.name == step.arrow:
-                continue
-            m = markings[a.name]
-            if a.head == step.tail:
-                m = f0 @ m
-            if a.tail == step.tail:
-                m = m @ f0_inv
-            new[a.name] = m
-        markings = new
-        current = apply_step(current, step)
-    return Representation(current, f.group, markings, membership_tol=f.membership_tol)
+        a = q.arrow(step.arrow)
+        t, h = block[index[a.tail]], block[index[a.head]]
+        ends = (names[t], names[h])
+        if ends != (step.tail, step.head) or t == h or step.merged != min(ends):
+            raise ValueError("step does not match the quiver it is applied to")
+        f0 = gauge[index[a.head]] @ f.markings[a.name] @ np.linalg.inv(gauge[index[a.tail]])
+        rows = block == t
+        gauge[rows] = f0 @ gauge[rows]
+        block[rows | (block == h)] = index[step.merged]
+    collapsed = {step.arrow for step in trace.steps}
+    kept = [a for a in q.arrows if a.name not in collapsed]
+    image = {v: names[b] for v, b in zip(names, block)}
+    final = Quiver(
+        tuple(names[b] for b in np.unique(block)),
+        tuple(Arrow(a.name, image[a.tail], image[a.head]) for a in kept),
+    )
+    if final != trace.final:
+        raise ValueError("trace steps do not end at the trace's final quiver")
+    heads = np.array([index[a.head] for a in kept], dtype=int)
+    tails = np.array([index[a.tail] for a in kept], dtype=int)
+    n = f.group.n
+    stack = np.array([f.markings[a.name] for a in kept], dtype=complex).reshape(-1, n, n)
+    moved = gauge[heads] @ stack @ np.linalg.inv(gauge)[tails]
+    markings = {a.name: m for a, m in zip(kept, moved)}
+    return Representation(final, f.group, markings, membership_tol=f.membership_tol)
 
 
 def induced_gauge(g: GaugeElement, trace: ReductionTrace) -> GaugeElement:
@@ -254,11 +270,8 @@ def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representat
     if not is_connected(q):
         raise ValueError("tree normal form requires a connected quiver")
     forest = spanning_forest(q)
-    child_of_arrow = {name: child for child, (_, name, _) in forest.parent.items()}
     vals: dict[str, np.ndarray] = {forest.roots[0]: identity(f.group.n)}
-    for name in forest.tree_arrows:
-        child = child_of_arrow[name]
-        parent, _, forward = forest.parent[child]
+    for child, (parent, name, forward) in forest.parent.items():
         m = f.matrix(name)
         if forward:
             # arrow parent -> child: want g(child) m g(parent)^(-1) = I

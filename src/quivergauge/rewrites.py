@@ -17,22 +17,21 @@ from .quiver import (
     Quiver,
     RelationSet,
     Word,
-    betti_number,
     is_connected,
     spanning_forest,
     validate_relations,
 )
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class CollapseStep:
-    """One collapse: the removed arrow, its endpoints, and the vertex merge.
+    """One collapse: the removed arrow, its endpoints, and the merged vertex.
 
-    ``vertex_map`` sends every vertex of the pre-step quiver to the
-    corresponding vertex afterwards.  The marking of ``arrow`` at the time
-    of the step is the conjugator attached to the merged vertex when a
+    ``tail`` and ``head`` both map to ``merged`` (the smaller id) and every
+    other vertex to itself.  The marking of ``arrow`` at the time of the
+    step is the conjugator attached to the merged vertex when a
     representation is pushed through the step.
     """
 
@@ -40,18 +39,17 @@ class CollapseStep:
     tail: str
     head: str
     merged: str
-    vertex_map: tuple[tuple[str, str], ...]
 
     def map_vertex(self, v: str) -> str:
-        for old, new in self.vertex_map:
-            if old == v:
-                return new
-        raise ValueError(f"vertex {v!r} not in step map")
+        return self.merged if v in (self.tail, self.head) else v
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Replayable record of a collapse sequence from ``source`` to ``final``."""
+    """Replayable record of a collapse sequence from ``source`` to ``final``.
+
+    Trace format 2 stores no vertex maps: they follow from the steps.
+    """
 
     source: Quiver
     steps: tuple[CollapseStep, ...]
@@ -60,21 +58,18 @@ class ReductionTrace:
 
     def map_vertex(self, v: str) -> str:
         """Image of a source vertex in the final quiver."""
+        self.source.check_vertex(v)
         for step in self.steps:
             v = step.map_vertex(v)
         return v
 
     def replay(self, rels: RelationSet | None = None) -> tuple[Quiver, RelationSet]:
-        """Re-run the steps on the source quiver; must reproduce ``final``."""
+        """Re-run the steps one collapse at a time; must reproduce ``final``."""
         q = self.source
         r = rels if rels is not None else RelationSet()
         for step in self.steps:
             q, r, replayed = collapse(q, r, step.arrow)
-            if (replayed.tail, replayed.head, replayed.merged) != (
-                step.tail,
-                step.head,
-                step.merged,
-            ):
+            if replayed != step:
                 raise ValueError("trace does not replay on its source quiver")
         return q, r
 
@@ -124,12 +119,10 @@ def clip(q: Quiver, arrow: str) -> Quiver:
     return Quiver(q.vertices, tuple(a for a in q.arrows if a.name != arrow))
 
 
-def _translate_relations(rels: RelationSet, removed: str) -> RelationSet:
-    translated = []
-    for w in rels.relations:
-        letters = tuple(l for l in w.letters if l[0] != removed)
-        translated.append(Word(letters))
-    return RelationSet(tuple(translated))
+def _translate_relations(rels: RelationSet, removed: set[str]) -> RelationSet:
+    return RelationSet(
+        tuple(Word(tuple(l for l in w.letters if l[0] not in removed)) for w in rels.relations)
+    )
 
 
 def collapse(q: Quiver, rels: RelationSet, arrow: str) -> tuple[Quiver, RelationSet, CollapseStep]:
@@ -141,27 +134,11 @@ def collapse(q: Quiver, rels: RelationSet, arrow: str) -> tuple[Quiver, Relation
     a = q.arrow(arrow)
     if a.is_loop:
         raise ValueError(f"cannot collapse loop {arrow!r}")
-    clipped = clip(q, arrow)
-    merged, mapping = _merge_vertices(clipped, a.tail, a.head)
-    new_rels = _translate_relations(rels, arrow)
+    merged, _ = _merge_vertices(clip(q, arrow), a.tail, a.head)
+    new_rels = _translate_relations(rels, {arrow})
     if validate_relations(merged, new_rels):
         raise ValueError("translated relations fail to validate after collapse")
-    step = CollapseStep(
-        arrow=arrow,
-        tail=a.tail,
-        head=a.head,
-        merged=min(a.tail, a.head),
-        vertex_map=mapping,
-    )
-    return merged, new_rels, step
-
-
-def apply_step(q: Quiver, step: CollapseStep) -> Quiver:
-    """Apply a recorded collapse step to a quiver (structure only)."""
-    merged, _, replayed = collapse(q, RelationSet(), step.arrow)
-    if (replayed.tail, replayed.head) != (step.tail, step.head):
-        raise ValueError("step does not match the quiver it is applied to")
-    return merged
+    return merged, new_rels, CollapseStep(arrow, a.tail, a.head, min(a.tail, a.head))
 
 
 def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, RelationSet, ReductionTrace]:
@@ -169,7 +146,10 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
 
     The result is a rose with exactly betti_number(q) loops; the translated
     relations present the fundamental group of the quiver relative to those
-    loops.  Tree arrows are collapsed in BFS discovery order.
+    loops.  Tree arrows are collapsed in BFS discovery order, so each step
+    merges a newly discovered vertex into the root's block, which keeps the
+    root's (smallest) id; everything is read off the spanning forest in one
+    pass and equals the stepwise ``ReductionTrace.replay``.
     """
     if not is_connected(q):
         raise ValueError("rose reduction requires a connected quiver")
@@ -178,15 +158,17 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
     if bad:
         raise ValueError(f"invalid relation set: {bad[0].message}")
     forest = spanning_forest(q)
-    current, current_rels = q, rels
-    steps = []
-    for name in forest.tree_arrows:
-        current, current_rels, step = collapse(current, current_rels, name)
-        steps.append(step)
-    trace = ReductionTrace(q, tuple(steps), current, current_rels)
-    if current.n_vertices != 1 or current.n_arrows != betti_number(q):
-        raise AssertionError("rose reduction left the wrong skeleton")
-    return current, current_rels, trace
+    (root,) = forest.roots
+    steps = tuple(
+        CollapseStep(name, root, child, root) if forward else CollapseStep(name, child, root, root)
+        for child, (_, name, forward) in forest.parent.items()
+    )
+    tree = set(forest.tree_arrows)
+    rose = Quiver((root,), tuple(Arrow(a.name, root, root) for a in q.arrows if a.name not in tree))
+    rose_rels = _translate_relations(rels, tree)
+    if validate_relations(rose, rose_rels):
+        raise ValueError("translated relations fail to validate after collapse")
+    return rose, rose_rels, ReductionTrace(q, steps, rose, rose_rels)
 
 
 def reverse_arrows(q: Quiver, subset: Iterable[str]) -> Quiver:

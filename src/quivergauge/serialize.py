@@ -118,13 +118,7 @@ def additive_from_json(data, q: Quiver) -> AdditiveRep:
 
 
 def step_to_json(s: CollapseStep) -> dict:
-    return {
-        "arrow": s.arrow,
-        "tail": s.tail,
-        "head": s.head,
-        "merged": s.merged,
-        "vertex_map": {old: new for old, new in s.vertex_map},
-    }
+    return {"arrow": s.arrow, "tail": s.tail, "head": s.head, "merged": s.merged}
 
 
 def trace_to_json(t: ReductionTrace) -> dict:

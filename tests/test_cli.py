@@ -255,6 +255,15 @@ def test_exit_code_parse_diagnostics(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_code_weight_over_cap(capsys, tmp_path):
+    bad = tmp_path / "big.quiver"
+    for weight in ("2000000", "9" * 5000):
+        bad.write_text(f"quiver {{ vertices: v0; arrows: x: v0 -> v0;\n weights: x({weight},1); }}")
+        code, _, err = run(capsys, "toric", str(bad))
+        assert code == 2
+        assert "2:13: weight magnitude exceeds the cap" in err
+
+
 def test_exit_code_numeric_precondition(capsys, tmp_path):
     code, _, err = run(capsys, "collapse", fx("one_loop.quiver"), "--arrow", "l0")
     assert code == 3

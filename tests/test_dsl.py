@@ -88,6 +88,20 @@ def test_parse_negative_weight_rejected():
     assert any("non-negative" in d.message for d in err.value.diagnostics)
 
 
+def test_parse_weight_over_cap_rejected_with_span():
+    from quivergauge.toric import MAX_WEIGHT
+
+    # a literal past Python's 4300-digit int() limit, and one just over the cap
+    for literal in ("9" * 5000, str(MAX_WEIGHT + 1)):
+        with pytest.raises(ParseError) as err:
+            parse(f"quiver {{ vertices: v0; arrows: l: v0 -> v0; weights: l(1,{literal}); }}")
+        (d,) = err.value.diagnostics
+        assert d.span == Span(1, 58)
+        assert "cap" in d.message
+    doc = parse(f"quiver {{ vertices: v0; arrows: l: v0 -> v0; weights: l(00{MAX_WEIGHT},0); }}")
+    assert doc.mu == {"l": MAX_WEIGHT}
+
+
 def test_parse_comments_and_whitespace():
     doc = parse(
         "# heading\nquiver X {  # trailing\n  vertices: v0;\n  arrows: l: v0 -> v0;\n}\n"

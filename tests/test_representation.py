@@ -291,6 +291,17 @@ def test_pushforward_wrong_quiver_errors():
         pushforward_collapse(f, trace)
 
 
+def test_pushforward_rejects_mismatched_trace():
+    q = long_loop(4)
+    f = random_representation(q, GL2, 3)
+    _, _, trace = reduce_to_rose(q)
+    first, second, last = trace.steps
+    for steps in ((last, first, second), (first, first, second, last), (first, second)):
+        bad = ReductionTrace(q, steps, trace.final, trace.final_relations)
+        with pytest.raises(ValueError):
+            pushforward_collapse(f, bad)
+
+
 def test_normal_form_one_arrow():
     f = random_representation(one_arrow(), GL3, 4)
     gauge, normal = normal_form_tree_gauge(f)

@@ -115,7 +115,7 @@ def test_pinch_clip_equals_collapse_either_order():
         pinched, vmap2 = pinch(q, a.tail, a.head)
         via_pinch_then_clip = clip(pinched, a.name)
         assert collapsed == via_clip_then_pinch == via_pinch_then_clip
-        assert dict(step.vertex_map) == vmap1.as_dict() == vmap2.as_dict()
+        assert {v: step.map_vertex(v) for v in q.vertices} == vmap1.as_dict() == vmap2.as_dict()
 
 
 def test_reduce_to_rose_long_loop():
@@ -136,14 +136,35 @@ def test_reduce_to_rose_tree_and_theta_and_comet():
 
 
 def test_reduce_to_rose_randomized_and_replay():
+    from quivergauge import directed_path
+
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        q = random_connected_quiver(rng)
-        rose_q, rels, trace = reduce_to_rose(q)
-        assert rose_q.n_arrows == betti_number(q)
-        replay_q, replay_rels = trace.replay()
-        assert replay_q == trace.final
-        assert replay_rels == trace.final_relations == rels
+    for max_vertices, max_arrows in ((8, 14), (100, 200)):
+        for _ in range(20):
+            q = random_connected_quiver(rng, max_vertices, max_arrows)
+            # positive cycle relations: an arrow plus a directed return path
+            words = []
+            for i in rng.permutation(q.n_arrows)[:10]:
+                a = q.arrows[i]
+                back = directed_path(q, a.head, a.tail)
+                if back is not None:
+                    words.append(Word.from_application_order([(a.name, 1)] + [(n, 1) for n in back]))
+            rels = RelationSet(tuple(words))
+            rose_q, rose_rels, trace = reduce_to_rose(q, rels)
+            assert rose_q.n_arrows == betti_number(q)
+            # the one-pass reduction against one collapse at a time
+            current, current_rels = q, rels
+            for step in trace.steps:
+                current, current_rels, replayed = collapse(current, current_rels, step.arrow)
+                assert (replayed.arrow, replayed.tail, replayed.head, replayed.merged) == (
+                    step.arrow,
+                    step.tail,
+                    step.head,
+                    step.merged,
+                )
+            assert current == rose_q == trace.final
+            assert current_rels == rose_rels == trace.final_relations
+            assert trace.replay(rels) == (rose_q, rose_rels)
 
 
 def test_reduce_to_rose_translates_relations_closed():

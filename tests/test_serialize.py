@@ -57,7 +57,7 @@ def test_quiver_relations_word_roundtrip():
 def test_trace_is_versioned_and_ordered():
     _, _, trace = reduce_to_rose(comet())
     payload = sz.trace_to_json(trace)
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert [s["arrow"] for s in payload["steps"]] == [s.arrow for s in trace.steps]
     assert payload["final"]["vertices"] == list(trace.final.vertices)
 
