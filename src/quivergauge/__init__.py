@@ -72,6 +72,7 @@ from .quiver import (
     spanning_forest,
     strongly_connected_components,
     validate_relations,
+    vertex_classes,
     word_endpoints,
 )
 from .representation import (

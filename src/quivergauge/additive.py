@@ -17,7 +17,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import as_matrix
 from .quiver import (
     GroupSpec,
     Quiver,
@@ -27,7 +26,7 @@ from .quiver import (
     is_connected,
     is_strongly_connected,
 )
-from .representation import GaugeElement, Representation
+from .representation import GaugeElement, Representation, _Stacked, act_on_stack
 
 ALL_INVERTIBLE_ORBITS_CLOSED = "all_invertible_orbits_closed"
 ENDS_OBSTRUCT = "ends_obstruct"
@@ -37,7 +36,7 @@ _EMBEDDABLE = ("GL", "SL", "TORUS")
 
 
 @dataclass(frozen=True, eq=False)
-class AdditiveRep:
+class AdditiveRep(_Stacked):
     """Arrow markings by arbitrary (possibly singular) n x n matrices."""
 
     quiver: Quiver
@@ -45,23 +44,9 @@ class AdditiveRep:
     markings: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.quiver.arrows]
-        missing = [k for k in names if k not in self.markings]
-        if missing:
-            raise ValueError(f"missing marking for {missing[0]!r}")
-        extra = [k for k in self.markings if k not in set(names)]
-        if extra:
-            raise ValueError(f"unexpected marking for {extra[0]!r}")
-        object.__setattr__(
-            self,
-            "markings",
-            {k: as_matrix(self.markings[k], self.n) for k in names},
-        )
+        self._validate(self.n, None, 0.0)
 
-    def matrix(self, arrow: str) -> np.ndarray:
-        if arrow not in self.markings:
-            raise ValueError(f"unknown arrow id {arrow!r}")
-        return self.markings[arrow]
+    matrix = _Stacked._row
 
 
 def embed_additive(f: Representation) -> AdditiveRep:
@@ -72,7 +57,7 @@ def embed_additive(f: Representation) -> AdditiveRep:
     """
     if f.group.family not in _EMBEDDABLE:
         raise ValueError("additive embedding applies to GL/SL/TORUS representations")
-    return AdditiveRep(f.quiver, f.group.n, dict(f.markings))
+    return AdditiveRep(f.quiver, f.group.n, f.stack)
 
 
 def to_representation(x: AdditiveRep, group: GroupSpec) -> Representation:
@@ -82,7 +67,7 @@ def to_representation(x: AdditiveRep, group: GroupSpec) -> Representation:
     """
     if group.n != x.n:
         raise ValueError("size mismatch")
-    return Representation(x.quiver, group, dict(x.markings))
+    return Representation(x.quiver, group, x.stack)
 
 
 def act_additive(g: GaugeElement, x: AdditiveRep) -> AdditiveRep:
@@ -91,12 +76,8 @@ def act_additive(g: GaugeElement, x: AdditiveRep) -> AdditiveRep:
         raise ValueError("quiver mismatch")
     if g.group.n != x.n:
         raise ValueError("size mismatch")
-    inverses = {v: np.linalg.inv(g.values[v]) for v in x.quiver.vertices}
-    markings = {
-        a.name: g.values[a.head] @ x.markings[a.name] @ inverses[a.tail]
-        for a in x.quiver.arrows
-    }
-    return AdditiveRep(x.quiver, x.n, markings)
+    q = x.quiver
+    return AdditiveRep(q, x.n, act_on_stack(g.stack, x.stack, q.tails, q.heads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +101,9 @@ class DegenerationWitness:
     degenerated_arrows: tuple[str, ...]
 
 
-def _scale_at_vertex(x: AdditiveRep, v: str, t: float, direction: str) -> AdditiveRep:
-    markings = {}
-    for a in x.quiver.arrows:
-        m = x.markings[a.name]
-        if direction == "sink" and a.head == v:
-            m = t * m
-        if direction == "source" and a.tail == v:
-            m = m / t
-        markings[a.name] = m
+def _scale_rows(x: AdditiveRep, rows: np.ndarray, t: float, direction: str) -> AdditiveRep:
+    markings = x.stack.copy()
+    markings[rows] = t * markings[rows] if direction == "sink" else markings[rows] / t
     return AdditiveRep(x.quiver, x.n, markings)
 
 
@@ -137,32 +112,24 @@ def sink_source_witness(x: AdditiveRep, v: str) -> DegenerationWitness:
     kind = classify_vertex(x.quiver, v)
     if kind not in ("sink", "source"):
         raise ValueError(f"vertex {v!r} is {kind}, not a sink or source")
-    incident = [
-        a.name
-        for a in x.quiver.arrows
-        if (a.head == v if kind == "sink" else a.tail == v)
-    ]
-    if all(np.allclose(x.markings[name], 0.0) for name in incident):
+    rows = (x.quiver.heads if kind == "sink" else x.quiver.tails) == x.quiver._vertex_row[v]
+    if np.allclose(x.stack[rows], 0.0):
         raise ValueError(f"all markings incident to {v!r} are already zero")
 
     parameters = (1.0, 0.5, 0.125, 1.0 / 64.0)
     if kind == "source":
         parameters = tuple(1.0 / t for t in parameters)
-    samples = tuple(_scale_at_vertex(x, v, t, kind) for t in parameters)
+    samples = tuple(_scale_rows(x, rows, t, kind) for t in parameters)
 
-    zero = np.zeros((x.n, x.n), dtype=complex)
-    limit_markings = {
-        a.name: (zero if a.name in incident else x.markings[a.name])
-        for a in x.quiver.arrows
-    }
-    limit = AdditiveRep(x.quiver, x.n, limit_markings)
+    limit_markings = x.stack.copy()
+    limit_markings[rows] = 0.0
     return DegenerationWitness(
         vertex=v,
         direction=kind,
         parameters=parameters,
         samples=samples,
-        limit=limit,
-        degenerated_arrows=tuple(incident),
+        limit=AdditiveRep(x.quiver, x.n, limit_markings),
+        degenerated_arrows=tuple(a.name for a, hit in zip(x.quiver.arrows, rows) if hit),
     )
 
 
@@ -305,25 +272,24 @@ def unimodular_rescale(
     n = x.n
     if g.group.n != n or x_prime.n != n:
         raise ValueError("size mismatch")
+    arrows = x.quiver.arrows
     for rep, label in ((x, "x"), (x_prime, "x_prime")):
-        for name, m in rep.markings.items():
-            if abs(np.linalg.det(m) - 1.0) > tol:
-                raise ValueError(f"{label} is not unimodular at arrow {name!r}")
-    acted = act_additive(g, x)
-    for name in acted.markings:
-        gap = float(np.linalg.norm(acted.markings[name] - x_prime.markings[name]))
-        if gap > tol:
-            raise ValueError(f"gauge does not carry x to x_prime at arrow {name!r} (gap {gap:.3e})")
+        bad = np.flatnonzero(np.abs(np.linalg.det(rep.stack) - 1.0) > tol)
+        if bad.size:
+            raise ValueError(f"{label} is not unimodular at arrow {arrows[bad[0]].name!r}")
+    gaps = np.linalg.norm(act_additive(g, x).stack - x_prime.stack, axis=(1, 2))
+    bad = np.flatnonzero(gaps > tol)
+    if bad.size:
+        name, gap = arrows[bad[0]].name, gaps[bad[0]]
+        raise ValueError(f"gauge does not carry x to x_prime at arrow {name!r} (gap {gap:.3e})")
 
-    dets = {v: complex(np.linalg.det(g.values[v])) for v in g.quiver.vertices}
-    reference = dets[min(dets)]
-    for v, d in dets.items():
-        if abs(d - reference) > tol:
-            raise ValueError(
-                f"gauge determinants disagree at vertex {v!r}: {d} vs {reference}"
-            )
+    dets = np.linalg.det(g.stack)
+    reference = complex(dets[g.quiver._vertex_row[min(g.quiver.vertices)]])
+    bad = np.flatnonzero(np.abs(dets - reference) > tol)
+    if bad.size:
+        v, d = g.quiver.vertices[bad[0]], complex(dets[bad[0]])
+        raise ValueError(f"gauge determinants disagree at vertex {v!r}: {d} vs {reference}")
     root = np.exp(np.log(reference) / n)
-    values = {v: g.values[v] / root for v in g.quiver.vertices}
     return GaugeElement(
-        g.quiver, GroupSpec("SL", n), values, membership_tol=max(10.0 * tol, 1e-12)
+        g.quiver, GroupSpec("SL", n), g.stack / root, membership_tol=max(10.0 * tol, 1e-12)
     )

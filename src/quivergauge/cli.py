@@ -29,13 +29,12 @@ from .matrices import TOL_EQ
 from .quiver import (
     GroupSpec,
     betti_number,
-    classify_vertex,
     connected_components,
     ends,
     euler_characteristic,
     is_strongly_connected,
-    is_super_cyclic,
     moduli_dimension,
+    vertex_classes,
 )
 from .representation import gauge_act, random_representation, satisfies_relations
 from .rewrites import clip, collapse, pinch, reduce_to_rose, reverse_arrows
@@ -235,14 +234,15 @@ def _drop_relations_mentioning(relations, names: set[str]):
 def _cmd_info(args) -> int:
     doc = _load_document(args.quiver_file)
     q = doc.quiver
-    classes = {v: classify_vertex(q, v) for v in q.vertices}
+    classes = vertex_classes(q)
+    end_vertices = ends(q)
     payload = {
         "betti_number": betti_number(q),
         "euler_characteristic": euler_characteristic(q),
         "components": len(connected_components(q)),
         "vertex_classes": classes,
-        "ends": list(ends(q)),
-        "super_cyclic": is_super_cyclic(q),
+        "ends": list(end_vertices),
+        "super_cyclic": not end_vertices,
         "strongly_connected": is_strongly_connected(q),
     }
     lines = [

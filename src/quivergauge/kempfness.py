@@ -19,10 +19,13 @@ import numpy as np
 from .matrices import (
     TOL_MEMBERSHIP,
     as_matrix,
+    as_stack,
     hermitian_exp,
     hermitian_power,
+    in_group_rows,
 )
-from .representation import GaugeElement, Representation, gauge_act
+from .quiver import GroupSpec
+from .representation import GaugeElement, Representation, RowView, gauge_act
 
 _MAX_BACKTRACKS = 60
 _MAX_STEP = 1e12
@@ -34,17 +37,18 @@ def polar_retract(gm, t: float) -> np.ndarray:
     """g (g* g)^(-t/2): the straight path from g to its unitary factor.
 
     t=0 returns g unchanged; t=1 returns the unitary polar factor; unitary
-    inputs are fixed for every t.  Requires an invertible matrix and
-    t in [0, 1].
+    inputs are fixed for every t.  Requires t in [0, 1] and an invertible
+    matrix (the relative GL test at ``TOL_MEMBERSHIP``).  A (k, n, n) stack
+    is retracted matrix by matrix in one batched pass.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("retraction time must lie in [0, 1]")
-    g = as_matrix(gm)
+    g = as_stack(gm)
     if t == 0.0:
         return g
-    if abs(np.linalg.det(g)) <= TOL_MEMBERSHIP:
+    if not in_group_rows(g, GroupSpec("GL", g.shape[-1]), TOL_MEMBERSHIP).all():
         raise ValueError("retraction needs an invertible matrix")
-    gram = g.conj().T @ g
+    gram = g.conj().swapaxes(-1, -2) @ g
     return g @ hermitian_power(gram, -t / 2.0)
 
 
@@ -63,13 +67,8 @@ def retract_representation(f: Representation, t: float) -> Representation:
         return f
     if t == 0.0:
         return f
-    markings = {name: polar_retract(m, t) for name, m in f.markings.items()}
+    markings = polar_retract(f.stack, t)
     return Representation(f.quiver, f.group, markings, membership_tol=f.membership_tol)
-
-
-def _traceless(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return m - (np.trace(m) / n) * np.eye(n, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -94,20 +93,22 @@ class KNResidual:
 
 def kn_moment(f: Representation) -> KNResidual:
     """Moment matrices of a representation under the unitary gauge group."""
-    n = f.group.n
-    moments = {v: np.zeros((n, n), dtype=complex) for v in f.quiver.vertices}
-    for a in f.quiver.arrows:
-        m = f.markings[a.name]
-        moments[a.tail] = moments[a.tail] + m.conj().T @ m
-        moments[a.head] = moments[a.head] - m @ m.conj().T
-    projected = {v: _traceless(m) for v, m in moments.items()}
-    aggregate = float(np.sqrt(sum(np.linalg.norm(p) ** 2 for p in projected.values())))
-    return KNResidual(per_vertex=moments, projected=projected, aggregate=aggregate)
+    q, m, n = f.quiver, f.stack, f.group.n
+    adjoint = m.conj().swapaxes(1, 2)
+    # tail and head terms interleave in arrow order; add.at also sums the
+    # repeated rows of parallel arrows and loops
+    terms = np.stack((adjoint @ m, -(m @ adjoint)), axis=1).reshape(-1, n, n)
+    moments = np.zeros((q.n_vertices, n, n), dtype=complex)
+    np.add.at(moments, np.stack((q.tails, q.heads), axis=1).ravel(), terms)
+    trace = np.trace(moments, axis1=1, axis2=2)
+    projected = moments - (trace / n)[:, None, None] * np.eye(n, dtype=complex)
+    rows = q._vertex_row
+    return KNResidual(RowView(rows, moments), RowView(rows, projected), float(np.linalg.norm(projected)))
 
 
 def orbit_norm(f: Representation) -> float:
     """Sum of squared Frobenius norms of the markings."""
-    return float(sum(np.linalg.norm(m) ** 2 for m in f.markings.values()))
+    return float(np.vdot(f.stack, f.stack).real)
 
 
 def infinitesimal_action(u: Mapping[str, np.ndarray], f: Representation) -> dict[str, np.ndarray]:
@@ -115,11 +116,9 @@ def infinitesimal_action(u: Mapping[str, np.ndarray], f: Representation) -> dict
 
     Per arrow this is marking u(tail) - u(head) marking.
     """
-    out = {}
-    for a in f.quiver.arrows:
-        m = f.markings[a.name]
-        out[a.name] = m @ as_matrix(u[a.tail], f.group.n) - as_matrix(u[a.head], f.group.n) @ m
-    return out
+    q, m = f.quiver, f.stack
+    us = np.array([as_matrix(u[v], f.group.n) for v in q.vertices])
+    return dict(zip(f.markings, m @ us[q.tails] - us[q.heads] @ m))
 
 
 def action_pairing(u: Mapping[str, np.ndarray], f: Representation) -> complex:
@@ -130,16 +129,12 @@ def action_pairing(u: Mapping[str, np.ndarray], f: Representation) -> complex:
     gauge path exp(-t u).
     """
     df = infinitesimal_action(u, f)
-    return complex(
-        sum(np.trace(df[a.name] @ f.markings[a.name].conj().T) for a in f.quiver.arrows)
-    )
+    return complex(sum(np.vdot(m, df[name]) for name, m in f.markings.items()))
 
 
 def moment_contraction(u: Mapping[str, np.ndarray], residual: KNResidual) -> complex:
     """Sum over vertices of tr(u_v M_v)."""
-    return complex(
-        sum(np.trace(as_matrix(u[v]) @ m) for v, m in residual.per_vertex.items())
-    )
+    return complex(sum(np.trace(as_matrix(u[v]) @ m) for v, m in residual.per_vertex.items()))
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,7 @@ def kn_flow(
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
 
-    current = Representation(f.quiver, f.group, dict(f.markings), membership_tol=0.0)
+    current = Representation(f.quiver, f.group, f.stack, membership_tol=0.0)
     residual = kn_moment(current)
     norms = [orbit_norm(current)]
     residuals = [residual.aggregate]
@@ -194,14 +189,13 @@ def kn_flow(
     iterations = 0
 
     while residuals[-1] > tol and iterations < max_iter:
-        direction = {
-            v: 0.5 * (m + m.conj().T) for v, m in residual.projected.items()
-        }
+        projected = residual.projected.stack
+        direction = 0.5 * (projected + projected.conj().swapaxes(1, 2))
         accepted = None
         trial = eps
         for _ in range(_MAX_BACKTRACKS + 1):
             try:
-                values = {v: hermitian_exp(trial * d) for v, d in direction.items()}
+                values = hermitian_exp(trial * direction)
                 gauge = GaugeElement(current.quiver, current.group, values, membership_tol=0.0)
                 candidate = gauge_act(gauge, current)
                 candidate_norm = orbit_norm(candidate)

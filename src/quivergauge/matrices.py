@@ -19,15 +19,23 @@ TOL_MEMBERSHIP = 1e-9
 TOL_EQ = 1e-8
 
 
+def as_stack(m, n: int | None = None) -> np.ndarray:
+    """Coerce to a finite square complex matrix or (k, n, n) stack (optionally of size n)."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if n is not None and a.shape[-1] != n:
+        raise ValueError(f"expected size {n}, got {a.shape[-1]}")
+    return a
+
+
 def as_matrix(m, n: int | None = None) -> np.ndarray:
     """Coerce to a finite square complex matrix (optionally of size n)."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_stack(m, n)
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix has non-finite entries")
-    if n is not None and a.shape[0] != n:
-        raise ValueError(f"expected size {n}, got {a.shape[0]}")
     return a
 
 
@@ -40,33 +48,29 @@ def cartan_involution(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def frobenius_distance(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> np.ndarray:
+    """Membership of a finite matrix, or of each matrix of a stack, at tolerance ``tol``.
 
-
-def is_hermitian(m, tol: float = TOL_EQ) -> bool:
-    a = as_matrix(m)
-    return frobenius_distance(a, a.conj().T) <= tol
-
-
-def in_group(m, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> bool:
-    """Membership test at tolerance ``tol``.
-
-    GL/TORUS: |det| > tol.  SL: |det - 1| <= tol.  U: ||m m* - I||_F <= tol.
-    SU: both of the last two.
+    GL/TORUS: sigma_min > tol * sigma_max, so the test does not depend on
+    scale.  SL: |det - 1| <= tol.  U: ||m m* - I||_F <= tol.  SU: both of
+    the last two.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    a = as_matrix(m, group.n)
-    det = np.linalg.det(a)
     if group.family in ("GL", "TORUS"):
-        return bool(abs(det) > tol)
+        sv = np.linalg.svd(stack, compute_uv=False)
+        return sv[..., -1] > tol * sv[..., 0]
+    unimodular = np.abs(np.linalg.det(stack) - 1.0) <= tol
     if group.family == "SL":
-        return bool(abs(det - 1.0) <= tol)
-    unitary = frobenius_distance(a @ a.conj().T, identity(group.n)) <= tol
-    if group.family == "U":
-        return unitary
-    return unitary and bool(abs(det - 1.0) <= tol)
+        return unimodular
+    gram = stack @ stack.conj().swapaxes(-1, -2)
+    unitary = np.linalg.norm(gram - identity(group.n), axis=(-2, -1)) <= tol
+    return unitary if group.family == "U" else unitary & unimodular
+
+
+def in_group(m, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> bool:
+    """Membership test of one matrix at tolerance ``tol``; see ``in_group_rows``."""
+    return bool(in_group_rows(as_matrix(m, group.n), group, tol))
 
 
 def random_element(group: GroupSpec, seed: int) -> np.ndarray:
@@ -106,28 +110,32 @@ class PolarFactors:
 
 
 def _hermitian_functions(h, *fns, tol: float | None = TOL_EQ, positive: bool = False) -> list[np.ndarray]:
-    """f(h) for each f from one eigendecomposition; tol=None skips the Hermitian test."""
-    a = as_matrix(h)
-    if tol is not None and not is_hermitian(a, tol):
+    """f(h) for each f from one eigendecomposition; tol=None skips the Hermitian test.
+
+    ``h`` is one matrix or a (k, n, n) stack, decomposed by one batched eigh.
+    """
+    a = as_stack(h)
+    if tol is not None and np.any(np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) > tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
-    if positive and np.min(vals) <= 0:
+    if positive and np.any(vals <= 0):
         raise ValueError("matrix is not positive definite")
-    return [(vecs * f(vals)) @ vecs.conj().T for f in fns]
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    return [(vecs * f(vals)[..., None, :]) @ adjoint for f in fns]
 
 
 def hermitian_power(h, s: float, tol: float = TOL_EQ) -> np.ndarray:
-    """Fractional power of a Hermitian positive-definite matrix."""
+    """Fractional power of a Hermitian positive-definite matrix (or stack)."""
     return _hermitian_functions(h, lambda x: np.power(x, s), tol=tol, positive=True)[0]
 
 
 def hermitian_log(h, tol: float = TOL_EQ) -> np.ndarray:
-    """Logarithm of a Hermitian positive-definite matrix."""
+    """Logarithm of a Hermitian positive-definite matrix (or stack)."""
     return _hermitian_functions(h, np.log, tol=tol, positive=True)[0]
 
 
 def hermitian_exp(h, tol: float = TOL_EQ) -> np.ndarray:
-    """Exponential of a Hermitian matrix via its eigendecomposition."""
+    """Exponential of a Hermitian matrix (or stack) via its eigendecomposition."""
     return _hermitian_functions(h, np.exp, tol=tol)[0]
 
 
@@ -135,10 +143,11 @@ def polar_decompose(gm, tol: float = TOL_MEMBERSHIP) -> PolarFactors:
     """Unique polar factors of an invertible matrix.
 
     k = g (g* g)^(-1/2) is unitary and p = log(g* g) / 2 is Hermitian; the
-    pair reconstructs g as k e^p.
+    pair reconstructs g as k e^p.  Invertibility is the relative GL test of
+    ``in_group_rows`` at ``tol``.
     """
     g = as_matrix(gm)
-    if abs(np.linalg.det(g)) <= tol:
+    if not in_group(g, GroupSpec("GL", g.shape[0]), tol):
         raise ValueError("polar decomposition needs an invertible matrix")
     gram = g.conj().T @ g
     inv_sqrt, log_half = _hermitian_functions(

@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
 COMPACT_FAMILIES = ("U", "SU")
 
@@ -33,12 +35,17 @@ class Quiver:
     """Finite directed multigraph with named vertices and arrows.
 
     Parallel arrows and loops are permitted.  At least one vertex is
-    required; arrows may be empty.
+    required; arrows may be empty.  ``tails`` and ``heads`` hold, per arrow
+    in order, the row of its tail and head vertex in ``vertices``: stacks of
+    per-vertex values index with them directly.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    _arrow_row: dict[str, int] = field(init=False, repr=False, compare=False)
+    _vertex_row: dict[str, int] = field(init=False, repr=False, compare=False)
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -49,16 +56,21 @@ class Quiver:
         )
         if not self.vertices:
             raise ValueError("a quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        rows = {v: i for i, v in enumerate(self.vertices)}
+        if len(rows) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        by_name = {a.name: a for a in self.arrows}
-        if len(by_name) != len(self.arrows):
+        arrow_rows = {a.name: i for i, a in enumerate(self.arrows)}
+        if len(arrow_rows) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
-        object.__setattr__(self, "_by_name", by_name)
-        vset = set(self.vertices)
         for a in self.arrows:
-            if a.tail not in vset or a.head not in vset:
+            if a.tail not in rows or a.head not in rows:
                 raise ValueError(f"arrow {a.name!r} references undeclared vertex")
+        object.__setattr__(self, "_vertex_row", rows)
+        object.__setattr__(self, "_arrow_row", arrow_rows)
+        for name, end in (("tails", "tail"), ("heads", "head")):
+            index = np.array([rows[getattr(a, end)] for a in self.arrows], dtype=np.intp)
+            index.flags.writeable = False
+            object.__setattr__(self, name, index)
 
     @property
     def n_vertices(self) -> int:
@@ -70,26 +82,17 @@ class Quiver:
 
     def arrow(self, name: str) -> Arrow:
         try:
-            return self._by_name[name]
+            return self.arrows[self._arrow_row[name]]
         except KeyError:
             raise ValueError(f"unknown arrow id {name!r}") from None
 
     def has_arrow(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._arrow_row
 
     def check_vertex(self, v: str) -> str:
-        if v not in self.vertices:
+        if v not in self._vertex_row:
             raise ValueError(f"unknown vertex id {v!r}")
         return v
-
-    def out_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.tail == v)
-
-    def in_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.head == v)
-
-    def incident_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if v in (a.tail, a.head))
 
 
 @dataclass(frozen=True)
@@ -315,27 +318,27 @@ def euler_characteristic(q: Quiver) -> int:
     return q.n_vertices - q.n_arrows
 
 
-def classify_vertex(q: Quiver, v: str) -> str:
-    """One of 'source', 'sink', 'internal', 'isolated'.
+def vertex_classes(q: Quiver) -> dict[str, str]:
+    """Class of every vertex, in vertex order, from one pass over the arrows.
 
-    A loop counts as both incoming and outgoing, so a vertex carrying only
-    a loop is internal.
+    Each class is one of 'source', 'sink', 'internal', 'isolated'.  A loop
+    counts as both incoming and outgoing, so a vertex carrying only a loop
+    is internal.
     """
-    q.check_vertex(v)
-    outs = sum(1 for a in q.arrows if a.tail == v)
-    ins = sum(1 for a in q.arrows if a.head == v)
-    if outs == 0 and ins == 0:
-        return "isolated"
-    if ins == 0:
-        return "source"
-    if outs == 0:
-        return "sink"
-    return "internal"
+    no_out = np.bincount(q.tails, minlength=q.n_vertices) == 0
+    no_in = np.bincount(q.heads, minlength=q.n_vertices) == 0
+    names = ("internal", "sink", "source", "isolated")
+    return {v: names[c] for v, c in zip(q.vertices, (2 * no_in + no_out).tolist())}
+
+
+def classify_vertex(q: Quiver, v: str) -> str:
+    """Class of one vertex; see ``vertex_classes``."""
+    return vertex_classes(q)[q.check_vertex(v)]
 
 
 def ends(q: Quiver) -> tuple[str, ...]:
     """Vertices classified as source or sink, in vertex order."""
-    return tuple(v for v in q.vertices if classify_vertex(q, v) in ("source", "sink"))
+    return tuple(v for v, c in vertex_classes(q).items() if c in ("source", "sink"))
 
 
 def is_super_cyclic(q: Quiver) -> bool:

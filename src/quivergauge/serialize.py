@@ -37,10 +37,6 @@ def matrix_from_json(data) -> np.ndarray:
     return np.asarray(rows, dtype=complex)
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def group_to_json(g: GroupSpec) -> dict:
     return {"family": g.family, "n": g.n}
 

@@ -67,6 +67,19 @@ def test_polar_retract_errors():
         polar_retract(np.diag([1.0, 0.0]), 0.5)
 
 
+def test_polar_retract_is_scale_independent():
+    small = 1e-4 * np.eye(3)
+    assert np.linalg.norm(polar_retract(small, 1.0) - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(polar_retract(small, 0.5) - 1e-2 * np.eye(3)) <= 1e-14
+    with pytest.raises(ValueError, match="invertible"):
+        polar_retract(np.diag([1e6, 1e-12, 1e6]), 0.5)
+    # a stack retracts matrix by matrix
+    stack = np.array([mg.random_element(GL3, s) for s in range(4)])
+    batched = polar_retract(stack, 0.3)
+    for g, got in zip(stack, batched):
+        assert np.linalg.norm(got - polar_retract(g, 0.3)) <= 1e-12
+
+
 def test_retract_representation_unitary_at_one():
     rng = np.random.default_rng(1)
     for _ in range(20):

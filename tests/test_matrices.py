@@ -101,6 +101,37 @@ def test_polar_decompose_singular():
         mg.polar_decompose(np.diag([1.0, 0.0]))
 
 
+def test_gl_membership_is_relative():
+    # invertibility is sigma_min > tol * sigma_max: small but well-conditioned
+    # matrices are members, large but numerically singular ones are not
+    small = 1e-4 * np.eye(3)
+    skewed = np.diag([1e6, 1e-12, 1e6])
+    assert mg.in_group(small, GL3)
+    assert not mg.in_group(skewed, GL3)
+    assert mg.in_group(np.array([[1e-12]]), GroupSpec("TORUS", 1))
+    assert not mg.in_group(np.zeros((1, 1)), GroupSpec("TORUS", 1))
+    stack = np.array([small, skewed, np.eye(3)])
+    assert mg.in_group_rows(stack, GL3).tolist() == [True, False, True]
+    pf = mg.polar_decompose(small)
+    assert np.linalg.norm(pf.k - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(pf.p - np.log(1e-4) * np.eye(3)) <= 1e-12
+    with pytest.raises(ValueError, match="invertible"):
+        mg.polar_decompose(skewed)
+
+
+def test_hermitian_functions_batch_over_stacks():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h = z @ z.conj().transpose(0, 2, 1) + np.eye(3)
+    for fn in (mg.hermitian_exp, mg.hermitian_log, lambda m: mg.hermitian_power(m, -0.5)):
+        batched = fn(h)
+        for i in range(len(h)):
+            assert np.linalg.norm(batched[i] - fn(h[i])) <= 1e-12 * np.linalg.norm(fn(h[i]))
+    h[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        mg.hermitian_exp(h)
+
+
 def test_hermitian_power_examples():
     h = np.diag([16.0, 1.0])
     assert np.allclose(mg.hermitian_power(h, -0.25), np.diag([0.5, 1.0]), atol=1e-12)

@@ -1,0 +1,201 @@
+"""Property tests of the stacked core against per-arrow reference loops.
+
+Representations, gauge elements and additive representations store one
+(k, n, n) stack in quiver order.  The batched gauge action, moment maps,
+orbit norm and pushforward are checked here against plain Python loops over
+arrows and vertices, on random connected quivers with up to 100 vertices,
+loops and parallel arrows.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quivergauge import (
+    AdditiveRep,
+    Arrow,
+    GaugeElement,
+    GroupSpec,
+    Quiver,
+    Representation,
+    act_additive,
+    gauge_act,
+    kn_moment,
+    orbit_norm,
+    pushforward_collapse,
+    random_gauge,
+    random_representation,
+    reduce_to_rose,
+)
+from quivergauge.quiver import RelationSet
+
+REL = 1e-12
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def quivers(draw, max_vertices: int = 100) -> Quiver:
+    """Connected quiver: random tree, extra arrows, a loop and a parallel pair.
+
+    Vertices and arrows are listed in shuffled order, so quiver order is not
+    the order of the ids.
+    """
+    nv = draw(st.integers(1, max_vertices))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vs = [f"v{i}" for i in range(nv)]
+    ends = []
+    for i in range(1, nv):
+        j = int(rng.integers(i))
+        ends.append((vs[i], vs[j]) if rng.integers(2) else (vs[j], vs[i]))
+    for _ in range(draw(st.integers(0, nv))):
+        ends.append((vs[int(rng.integers(nv))], vs[int(rng.integers(nv))]))
+    ends.append((vs[int(rng.integers(nv))],) * 2)
+    ends.append(ends[int(rng.integers(len(ends)))])
+    arrows = [Arrow(f"a{i}", t, h) for i, (t, h) in enumerate(ends)]
+    return Quiver(
+        tuple(vs[i] for i in rng.permutation(nv)),
+        tuple(arrows[i] for i in rng.permutation(len(arrows))),
+    )
+
+
+groups = st.sampled_from([GroupSpec("GL", 1), GroupSpec("GL", 2), GroupSpec("GL", 3), GroupSpec("U", 2)])
+seeds = st.integers(0, 2**31 - 1)
+
+
+def close(got, want, scale) -> bool:
+    return np.linalg.norm(np.asarray(got) - np.asarray(want)) <= REL * scale
+
+
+def reference_action(g_values, markings, q) -> dict:
+    out = {}
+    for a in q.arrows:
+        left, m, right = g_values[a.head], markings[a.name], np.linalg.inv(g_values[a.tail])
+        out[a.name] = (left @ m @ right, np.linalg.norm(left) * np.linalg.norm(m) * np.linalg.norm(right))
+    return out
+
+
+@PROPERTY
+@given(quivers(), groups, seeds)
+def test_gauge_act_matches_arrow_loop(q, group, seed):
+    f = random_representation(q, group, seed)
+    g = random_gauge(q, group, seed + 1)
+    acted = gauge_act(g, f)
+    for name, (want, scale) in reference_action(g.values, f.markings, q).items():
+        assert close(acted.markings[name], want, scale)
+
+
+@PROPERTY
+@given(quivers(), groups, seeds)
+def test_act_additive_matches_arrow_loop(q, group, seed):
+    # zero out one marking: additive representations may be singular
+    f = random_representation(q, group, seed)
+    markings = dict(f.markings)
+    markings[q.arrows[0].name] = np.zeros((group.n, group.n))
+    x = AdditiveRep(q, group.n, markings)
+    g = random_gauge(q, group, seed + 1)
+    acted = act_additive(g, x)
+    for name, (want, scale) in reference_action(g.values, x.markings, q).items():
+        assert close(acted.markings[name], want, scale)
+
+
+@PROPERTY
+@given(quivers(), groups, seeds)
+def test_moments_and_norm_match_loops(q, group, seed):
+    f = random_representation(q, group, seed)
+    n = group.n
+    moments = {v: np.zeros((n, n), dtype=complex) for v in q.vertices}
+    norm = 0.0
+    for a in q.arrows:
+        m = f.markings[a.name]
+        moments[a.tail] = moments[a.tail] + m.conj().T @ m
+        moments[a.head] = moments[a.head] - m @ m.conj().T
+        norm += float(np.linalg.norm(m) ** 2)
+    projected = {v: m - np.trace(m) / n * np.eye(n) for v, m in moments.items()}
+    aggregate = float(np.sqrt(sum(np.linalg.norm(p) ** 2 for p in projected.values())))
+
+    residual = kn_moment(f)
+    assert list(residual.per_vertex) == list(q.vertices)
+    for v in q.vertices:
+        assert close(residual.per_vertex[v], moments[v], norm)
+        assert close(residual.projected[v], projected[v], norm)
+    assert abs(residual.aggregate - aggregate) <= REL * norm
+    assert abs(orbit_norm(f) - norm) <= REL * norm
+
+
+@PROPERTY
+@given(quivers(max_vertices=40), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds)
+def test_pushforward_matches_collapse_loop(q, group, seed):
+    # unitary markings keep every product of unit norm, so one relative
+    # tolerance holds however long the tree paths are
+    f = random_representation(q, group, seed)
+    _, _, trace = reduce_to_rose(q, RelationSet())
+    markings = dict(f.markings)
+    current = q
+    for step in trace.steps:
+        f0 = markings.pop(step.arrow)
+        gauge = {v: np.eye(group.n) for v in current.vertices}
+        gauge[step.tail] = f0
+        markings = {
+            a.name: gauge[a.head] @ markings[a.name] @ np.linalg.inv(gauge[a.tail])
+            for a in current.arrows
+            if a.name != step.arrow
+        }
+        current = Quiver(
+            tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
+            tuple(
+                Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
+                for a in current.arrows
+                if a.name != step.arrow
+            ),
+        )
+    pushed = pushforward_collapse(f, trace)
+    assert pushed.quiver == current == trace.final
+    assert list(pushed.markings) == list(markings)
+    for name, want in markings.items():
+        assert close(pushed.markings[name], want, group.n)
+
+
+@PROPERTY
+@given(quivers(max_vertices=30), groups, seeds)
+def test_views_follow_quiver_order_and_are_read_only(q, group, seed):
+    f = random_representation(q, group, seed)
+    g = random_gauge(q, group, seed)
+    x = AdditiveRep(q, group.n, f.stack)
+    for view, ids in ((f.markings, q.arrows), (x.markings, q.arrows), (g.values, q.vertices)):
+        assert list(view) == [getattr(i, "name", i) for i in ids]
+    assert f.stack.shape == (q.n_arrows, group.n, group.n)
+    assert g.stack.shape == (q.n_vertices, group.n, group.n)
+    for view in (f.markings, x.markings, g.values):
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = np.eye(group.n)
+        with pytest.raises(ValueError):
+            view[key][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        f.stack[0, 0, 0] = 2.0
+
+
+def test_stack_constructors_and_empty_quiver():
+    q = Quiver(("p", "q"), ())
+    group = GroupSpec("GL", 3)
+    f = Representation(q, group, {})
+    assert f.stack.shape == (0, 3, 3) and dict(f.markings) == {}
+    assert kn_moment(f).aggregate == 0.0 and orbit_norm(f) == 0.0
+    assert AdditiveRep(q, 2, {}).stack.shape == (0, 2, 2)
+    assert gauge_act(random_gauge(q, group, 0), f).stack.shape == (0, 3, 3)
+
+    two = Quiver(("v0", "v1"), (("b", "v1", "v0"), ("a", "v0", "v1")))
+    stack = np.array([2.0 * np.eye(2), 3.0 * np.eye(2)])
+    f = Representation(two, GroupSpec("GL", 2), stack)
+    assert np.array_equal(f.matrix("b"), stack[0]) and np.array_equal(f.matrix("a"), stack[1])
+    stack[0] = 0.0  # the representation keeps its own copy
+    assert np.array_equal(f.matrix("b"), 2.0 * np.eye(2))
+    with pytest.raises(ValueError, match=r"expected a \(2, 2, 2\) stack"):
+        Representation(two, GroupSpec("GL", 2), stack[:1])
+    with pytest.raises(ValueError, match="marking at 'b' is not in GL"):
+        Representation(two, GroupSpec("GL", 2), stack)
+    with pytest.raises(ValueError, match="gauge value at 'v1'"):
+        GaugeElement(two, GroupSpec("GL", 2), {"v0": np.eye(2), "v1": np.diag([1.0, 0.0])})
+    with pytest.raises(ValueError, match="unknown vertex id"):
+        GaugeElement(two, GroupSpec("GL", 2), np.array([np.eye(2)] * 2)).value("zz")
