@@ -267,6 +267,8 @@ def unimodular_rescale(
     common determinant: its determinants are 1 within 10 tol and, because
     the scalar cancels across each arrow, it still carries x to x_prime.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     if g.quiver != x.quiver or x.quiver != x_prime.quiver:
         raise ValueError("quiver mismatch")
     n = x.n

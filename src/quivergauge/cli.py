@@ -1,11 +1,19 @@
 """Subcommand CLI over the library.
 
-Structural commands (info, reduce, collapse, pinch, clip, reverse,
-certificate, check-relations) print text by default and JSON with
-``--json``; numeric commands always emit the module JSON encodings.
+Every command takes the same path: ``main`` parses the arguments, reads and
+parses the quiver document once, and calls the command's handler as
+``handler(args, doc) -> (payload, text)``.  It then writes ``text``, or the
+canonical JSON of ``payload`` when the handler has no text or ``--json`` is
+given.  Handlers compute only: they read no file except their own payload
+flags (``--rep``, ``--gauge``, ``--x``, ``--x-prime``) and never write.
 
-Exit codes: 0 success, 1 usage, 2 parse diagnostics, 3 numeric
-precondition failure.
+Structural commands (info, reduce, collapse, pinch, clip, reverse,
+certificate, check-relations) print text and take ``--json``; numeric
+commands always print the module JSON encodings.  ``--seed`` belongs to
+sample; ``--tol`` to kn-flow, rescale and check-relations.
+
+Exit codes: 0 success, 1 usage, 2 parse diagnostics or a malformed payload
+file, 3 numeric precondition failure.
 """
 
 from __future__ import annotations
@@ -17,17 +25,12 @@ import sys
 import numpy as np
 
 from . import dsl, serialize
-from .additive import (
-    AdditiveRep,
-    closed_orbit_certificate,
-    embed_additive,
-    sink_source_witness,
-    unimodular_rescale,
-)
+from .additive import closed_orbit_certificate, embed_additive, sink_source_witness, unimodular_rescale
 from .kempfness import kn_flow, kn_moment, retract_representation
 from .matrices import TOL_EQ
 from .quiver import (
     GroupSpec,
+    RelationSet,
     betti_number,
     connected_components,
     ends,
@@ -41,6 +44,7 @@ from .rewrites import clip, collapse, pinch, reduce_to_rose, reverse_arrows
 from .toric import invariant_monomial_basis, weight_matrix
 
 MAX_MATRIX_SIZE = 16
+GROUPS = ("GL", "SL", "U", "SU", "TORUS")
 
 
 class _UsageError(Exception):
@@ -56,96 +60,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> _ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
-
-    parser = _ArgumentParser(prog="quivergauge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
-        p.add_argument("quiver_file", help="quiver document file")
-        return p
-
-    p = add("info", "topological invariants, vertex classes, moduli dimension")
-    p.add_argument("--group", choices=("GL", "SL", "U", "SU", "TORUS"))
-    p.add_argument("--n", type=int, default=2)
-
-    add("reduce", "collapse the spanning tree down to a rose")
-
-    p = add("collapse", "collapse one non-loop arrow")
-    p.add_argument("--arrow", required=True)
-
-    p = add("pinch", "identify two vertices")
-    p.add_argument("--v1", required=True)
-    p.add_argument("--v2", required=True)
-
-    p = add("clip", "remove one arrow")
-    p.add_argument("--arrow", required=True)
-
-    p = add("reverse", "reverse the listed arrows")
-    p.add_argument("--arrows", nargs="+", required=True)
-
-    p = add("sample", "random representation")
-    p.add_argument("--group", choices=("GL", "SL", "U", "SU", "TORUS"), default="GL")
-    p.add_argument("--n", type=int, default=2)
-
-    p = add("act", "apply a gauge element to a representation")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--gauge", required=True)
-
-    p = add("retract", "polar retraction of every marking")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = add("kn-residual", "per-vertex moment matrices and aggregate residual")
-    p.add_argument("--rep", required=True)
-
-    p = add("kn-flow", "norm-minimizing gauge flow")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--max-iter", type=int, default=1000)
-
-    p = add("witness", "sink/source degeneration witness")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--vertex", required=True)
-
-    add("certificate", "orbit-closure certificate for the quiver")
-
-    p = add("rescale", "rescale an equal-determinant gauge to unit determinant")
-    p.add_argument("--gauge", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-prime", required=True)
-
-    add("toric", "invariant monomial basis of the weighted scalar action")
-
-    p = add("check-relations", "evaluate the relation words on a representation")
-    p.add_argument("--rep", required=True)
-
-    return parser
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_document(path: str) -> dsl.QuiverDocument:
-    return dsl.parse(_read_file(path))
-
-
-def _load_json(path: str):
-    text = _read_file(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _check_size(n: int) -> int:
@@ -156,57 +78,35 @@ def _check_size(n: int) -> int:
     return n
 
 
-def _load_representation(path: str, quiver):
-    data = _load_json(path)
+def _load(path: str, decode, quiver):
+    """Decode a JSON payload file; malformed JSON or payload shape is an _InputError."""
     try:
-        rep = serialize.representation_from_json(data, quiver)
-    except (KeyError, TypeError) as exc:
-        raise _InputError(f"{path}: bad representation payload: {exc}") from exc
-    _check_size(rep.group.n)
-    return rep
-
-
-def _load_gauge(path: str, quiver):
-    data = _load_json(path)
+        data = json.loads(_read_file(path))
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        gauge = serialize.gauge_from_json(data, quiver)
+        value = decode(data, quiver)
     except (KeyError, TypeError) as exc:
-        raise _InputError(f"{path}: bad gauge payload: {exc}") from exc
-    _check_size(gauge.group.n)
-    return gauge
+        raise _InputError(f"{path}: bad payload: {exc}") from exc
+    _check_size(value.stack.shape[-1])
+    return value
 
 
-def _load_additive(path: str, quiver) -> AdditiveRep:
-    data = _load_json(path)
-    try:
-        if "group" in data:
-            return embed_additive(serialize.representation_from_json(data, quiver))
-        return serialize.additive_from_json(data, quiver)
-    except (KeyError, TypeError) as exc:
-        raise _InputError(f"{path}: bad additive payload: {exc}") from exc
+def _additive_from_json(data, quiver):
+    """An additive payload, or a GL/SL/TORUS representation payload embedded."""
+    if "group" in data:
+        return embed_additive(serialize.representation_from_json(data, quiver))
+    return serialize.additive_from_json(data, quiver)
 
 
-def _document_payload(doc: dsl.QuiverDocument, extra: dict | None = None) -> dict:
+def _document_payload(doc: dsl.QuiverDocument, extra: dict) -> dict:
     payload = {
         "quiver": serialize.quiver_to_json(doc.quiver),
         "relations": serialize.relations_to_json(doc.relations),
     }
     if doc.mu is not None:
         payload["weights"] = {a: [doc.mu[a], doc.nu[a]] for a in doc.mu}
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        sys.stdout.write(serialize.dumps(payload))
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(serialize.dumps(payload))
+    return {**payload, **extra}
 
 
 def _surviving_weights(doc: dsl.QuiverDocument, quiver) -> tuple[dict | None, dict | None]:
@@ -219,20 +119,12 @@ def _surviving_weights(doc: dsl.QuiverDocument, quiver) -> tuple[dict | None, di
     )
 
 
-def _drop_relations_mentioning(relations, names: set[str]):
-    kept, dropped = [], 0
-    for w in relations.relations:
-        if any(n in names for n in w.arrow_names()):
-            dropped += 1
-        else:
-            kept.append(w)
-    from .quiver import RelationSet
-
-    return RelationSet(tuple(kept)), dropped
+def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple[RelationSet, int]:
+    kept = tuple(w for w in relations.relations if names.isdisjoint(w.arrow_names()))
+    return RelationSet(kept), len(relations.relations) - len(kept)
 
 
-def _cmd_info(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_info(args, doc):
     q = doc.quiver
     classes = vertex_classes(q)
     end_vertices = ends(q)
@@ -250,8 +142,7 @@ def _cmd_info(args) -> int:
         f"euler characteristic = {payload['euler_characteristic']}",
         f"components = {payload['components']}",
     ]
-    for v in q.vertices:
-        lines.append(f"vertex {v}: {classes[v]}")
+    lines += [f"vertex {v}: {classes[v]}" for v in q.vertices]
     lines.append("ends: " + (" ".join(payload["ends"]) if payload["ends"] else "(none)"))
     lines.append(f"super-cyclic: {'yes' if payload['super_cyclic'] else 'no'}")
     lines.append(f"strongly connected: {'yes' if payload['strongly_connected'] else 'no'}")
@@ -261,12 +152,10 @@ def _cmd_info(args) -> int:
         payload["group"] = serialize.group_to_json(group)
         payload["moduli_dimension"] = dim
         lines.append(f"moduli dimension for {args.group}({args.n}) = {dim}")
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return 0
+    return payload, "\n".join(lines) + "\n"
 
 
-def _cmd_reduce(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_reduce(args, doc):
     rose, rels, trace = reduce_to_rose(doc.quiver, doc.relations)
     r = betti_number(doc.quiver)
     payload = {
@@ -279,177 +168,183 @@ def _cmd_reduce(args) -> int:
     if r == 0:
         payload["message"] = "moduli is a point"
         notes.append("# moduli is a point")
-    text = "\n".join(notes) + "\n" + dsl.print_document(dsl.document_for(rose, rels))
-    _emit(args, payload, text)
-    return 0
+    return payload, "\n".join(notes) + "\n" + dsl.print_document(dsl.document_for(rose, rels))
 
 
-def _cmd_collapse(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_collapse(args, doc):
     new_q, new_rels, step = collapse(doc.quiver, doc.relations, args.arrow)
     mu, nu = _surviving_weights(doc, new_q)
     out = dsl.document_for(new_q, new_rels, mu, nu, name=doc.name)
-    payload = _document_payload(out, {"step": serialize.step_to_json(step)})
-    _emit(args, payload, dsl.print_document(out))
-    return 0
+    return _document_payload(out, {"step": serialize.step_to_json(step)}), dsl.print_document(out)
 
 
-def _cmd_pinch(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_pinch(args, doc):
     new_q, vmap = pinch(doc.quiver, args.v1, args.v2)
     out = dsl.document_for(new_q, doc.relations, doc.mu, doc.nu, name=doc.name)
-    payload = _document_payload(out, {"vertex_map": vmap.as_dict()})
-    _emit(args, payload, dsl.print_document(out))
-    return 0
+    return _document_payload(out, {"vertex_map": vmap.as_dict()}), dsl.print_document(out)
 
 
-def _cmd_clip(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_clip(args, doc):
     new_q = clip(doc.quiver, args.arrow)
     rels, dropped = _drop_relations_mentioning(doc.relations, {args.arrow})
     mu, nu = _surviving_weights(doc, new_q)
     out = dsl.document_for(new_q, rels, mu, nu, name=doc.name)
-    payload = _document_payload(out, {"dropped_relations": dropped})
     note = f"# dropped {dropped} relation(s) mentioning {args.arrow}\n" if dropped else ""
-    _emit(args, payload, note + dsl.print_document(out))
-    return 0
+    return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)
 
 
-def _cmd_reverse(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_reverse(args, doc):
     new_q = reverse_arrows(doc.quiver, args.arrows)
     rels, dropped = _drop_relations_mentioning(doc.relations, set(args.arrows))
     out = dsl.document_for(new_q, rels, doc.mu, doc.nu, name=doc.name)
-    payload = _document_payload(out, {"dropped_relations": dropped})
     note = f"# dropped {dropped} relation(s) mentioning reversed arrows\n" if dropped else ""
-    _emit(args, payload, note + dsl.print_document(out))
-    return 0
+    return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)
 
 
-def _cmd_sample(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_sample(args, doc):
     group = GroupSpec(args.group, _check_size(args.n))
-    rep = random_representation(doc.quiver, group, args.seed)
-    _emit_json(serialize.representation_to_json(rep))
-    return 0
+    return serialize.representation_to_json(random_representation(doc.quiver, group, args.seed)), None
 
 
-def _cmd_act(args) -> int:
-    doc = _load_document(args.quiver_file)
-    rep = _load_representation(args.rep, doc.quiver)
-    gauge = _load_gauge(args.gauge, doc.quiver)
-    _emit_json(serialize.representation_to_json(gauge_act(gauge, rep)))
-    return 0
+def _cmd_act(args, doc):
+    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
+    gauge = _load(args.gauge, serialize.gauge_from_json, doc.quiver)
+    return serialize.representation_to_json(gauge_act(gauge, rep)), None
 
 
-def _cmd_retract(args) -> int:
-    doc = _load_document(args.quiver_file)
-    rep = _load_representation(args.rep, doc.quiver)
-    _emit_json(serialize.representation_to_json(retract_representation(rep, args.t)))
-    return 0
+def _cmd_retract(args, doc):
+    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
+    return serialize.representation_to_json(retract_representation(rep, args.t)), None
 
 
-def _cmd_kn_residual(args) -> int:
-    doc = _load_document(args.quiver_file)
-    rep = _load_representation(args.rep, doc.quiver)
-    _emit_json(serialize.residual_to_json(kn_moment(rep)))
-    return 0
+def _cmd_kn_residual(args, doc):
+    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
+    return serialize.residual_to_json(kn_moment(rep)), None
 
 
-def _cmd_kn_flow(args) -> int:
-    doc = _load_document(args.quiver_file)
-    rep = _load_representation(args.rep, doc.quiver)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = kn_flow(rep, step0=args.step, max_iter=args.max_iter, tol=tol)
-    _emit_json(serialize.flow_report_to_json(report))
-    return 0
+def _cmd_kn_flow(args, doc):
+    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
+    report = kn_flow(rep, step0=args.step, max_iter=args.max_iter, tol=args.tol)
+    return serialize.flow_report_to_json(report), None
 
 
-def _cmd_witness(args) -> int:
-    doc = _load_document(args.quiver_file)
-    x = _load_additive(args.rep, doc.quiver)
-    _check_size(x.n)
-    witness = sink_source_witness(x, args.vertex)
-    _emit_json(serialize.witness_to_json(witness))
-    return 0
+def _cmd_witness(args, doc):
+    x = _load(args.rep, _additive_from_json, doc.quiver)
+    return serialize.witness_to_json(sink_source_witness(x, args.vertex)), None
 
 
-def _cmd_certificate(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_certificate(args, doc):
     cert = closed_orbit_certificate(doc.quiver)
-    payload = serialize.certificate_to_json(cert)
     lines = [f"verdict: {cert.verdict}"]
     if cert.ends:
         lines.append("ends: " + " ".join(cert.ends))
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return 0
+    return serialize.certificate_to_json(cert), "\n".join(lines) + "\n"
 
 
-def _cmd_rescale(args) -> int:
-    doc = _load_document(args.quiver_file)
-    gauge = _load_gauge(args.gauge, doc.quiver)
-    x = _load_additive(args.x, doc.quiver)
-    x_prime = _load_additive(args.x_prime, doc.quiver)
-    tol = args.tol if args.tol is not None else 1e-9
-    rescaled = unimodular_rescale(gauge, x, x_prime, tol=tol)
-    _emit_json(serialize.gauge_to_json(rescaled))
-    return 0
+def _cmd_rescale(args, doc):
+    gauge = _load(args.gauge, serialize.gauge_from_json, doc.quiver)
+    x = _load(args.x, _additive_from_json, doc.quiver)
+    x_prime = _load(args.x_prime, _additive_from_json, doc.quiver)
+    return serialize.gauge_to_json(unimodular_rescale(gauge, x, x_prime, tol=args.tol)), None
 
 
-def _cmd_toric(args) -> int:
-    doc = _load_document(args.quiver_file)
+def _cmd_toric(args, doc):
     mu, nu = doc.effective_weights()
     basis = invariant_monomial_basis(weight_matrix(doc.quiver, mu, nu))
-    _emit_json(serialize.monomial_basis_to_json(basis))
-    return 0
+    return serialize.monomial_basis_to_json(basis), None
 
 
-def _cmd_check_relations(args) -> int:
-    doc = _load_document(args.quiver_file)
-    rep = _load_representation(args.rep, doc.quiver)
-    tol = args.tol if args.tol is not None else TOL_EQ
-    ok = satisfies_relations(rep, doc.relations, tol=tol)
-    payload = {"satisfied": ok, "tol": tol, "relations": len(doc.relations)}
-    text = (
-        f"{len(doc.relations)} relation(s) "
-        + ("satisfied" if ok else "NOT satisfied")
-        + f" within {tol}\n"
+def _cmd_check_relations(args, doc):
+    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
+    ok = satisfies_relations(rep, doc.relations, tol=args.tol)
+    payload = {"satisfied": ok, "tol": args.tol, "relations": len(doc.relations)}
+    verdict = "satisfied" if ok else "NOT satisfied"
+    return payload, f"{len(doc.relations)} relation(s) {verdict} within {args.tol}\n"
+
+
+def _build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(prog="quivergauge", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+
+    def add(name, handler, help_text, text=False, tol=None):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("quiver_file", help="quiver document file")
+        p.set_defaults(handler=handler, json=False)
+        if text:
+            p.add_argument("--json", action="store_true", help="emit JSON output")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="numeric tolerance (default %(default)g)")
+        return p
+
+    p = add("info", _cmd_info, "topological invariants, vertex classes, moduli dimension", text=True)
+    p.add_argument("--group", choices=GROUPS)
+    p.add_argument("--n", type=int, default=2)
+
+    add("reduce", _cmd_reduce, "collapse the spanning tree down to a rose", text=True)
+
+    p = add("collapse", _cmd_collapse, "collapse one non-loop arrow", text=True)
+    p.add_argument("--arrow", required=True)
+
+    p = add("pinch", _cmd_pinch, "identify two vertices", text=True)
+    p.add_argument("--v1", required=True)
+    p.add_argument("--v2", required=True)
+
+    p = add("clip", _cmd_clip, "remove one arrow", text=True)
+    p.add_argument("--arrow", required=True)
+
+    p = add("reverse", _cmd_reverse, "reverse the listed arrows", text=True)
+    p.add_argument("--arrows", nargs="+", required=True)
+
+    p = add("sample", _cmd_sample, "random representation")
+    p.add_argument("--group", choices=GROUPS, default="GL")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+
+    p = add("act", _cmd_act, "apply a gauge element to a representation")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--gauge", required=True)
+
+    p = add("retract", _cmd_retract, "polar retraction of every marking")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--t", type=float, required=True)
+
+    p = add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual")
+    p.add_argument("--rep", required=True)
+
+    p = add("kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow", tol=1e-8)
+    p.add_argument("--rep", required=True)
+    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--max-iter", type=int, default=1000)
+
+    p = add("witness", _cmd_witness, "sink/source degeneration witness")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--vertex", required=True)
+
+    add("certificate", _cmd_certificate, "orbit-closure certificate for the quiver", text=True)
+
+    p = add("rescale", _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9)
+    p.add_argument("--gauge", required=True)
+    p.add_argument("--x", required=True)
+    p.add_argument("--x-prime", required=True)
+
+    add("toric", _cmd_toric, "invariant monomial basis of the weighted scalar action")
+
+    p = add(
+        "check-relations", _cmd_check_relations, "evaluate the relation words on a representation",
+        text=True, tol=TOL_EQ,
     )
-    _emit(args, payload, text)
-    return 0
+    p.add_argument("--rep", required=True)
 
-
-_COMMANDS = {
-    "info": _cmd_info,
-    "reduce": _cmd_reduce,
-    "collapse": _cmd_collapse,
-    "pinch": _cmd_pinch,
-    "clip": _cmd_clip,
-    "reverse": _cmd_reverse,
-    "sample": _cmd_sample,
-    "act": _cmd_act,
-    "retract": _cmd_retract,
-    "kn-residual": _cmd_kn_residual,
-    "kn-flow": _cmd_kn_flow,
-    "witness": _cmd_witness,
-    "certificate": _cmd_certificate,
-    "rescale": _cmd_rescale,
-    "toric": _cmd_toric,
-    "check-relations": _cmd_check_relations,
-}
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse arguments, load the document, run the handler, write stdout once."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        payload, text = args.handler(args, dsl.parse(_read_file(args.quiver_file)))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -463,6 +358,8 @@ def main(argv=None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(serialize.dumps(payload) if text is None or args.json else text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ residual is small.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -176,8 +177,10 @@ def kn_flow(
     """
     if f.group.family not in _NONCOMPACT:
         raise ValueError("flow applies to GL/SL/TORUS representations")
-    if step0 <= 0:
-        raise ValueError("step0 must be positive")
+    if not (0 < step0 < math.inf):
+        raise ValueError(f"step0 must be positive and finite, got {step0}")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
 

@@ -190,6 +190,8 @@ def evaluate_word(f: Representation, w: Word) -> np.ndarray:
 
 def satisfies_relations(f: Representation, rels: RelationSet, tol: float = TOL_EQ) -> bool:
     """True when every relation word evaluates to I within ``tol``."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     bad = validate_relations(f.quiver, rels)
     if bad:
         raise ValueError(f"invalid relation set: {bad[0].message}")

@@ -31,10 +31,39 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(float(re), float(im)) for re, im in row])
-    return np.asarray(rows, dtype=complex)
+    """Decode a list of equally long rows of [re, im] number pairs.
+
+    Any other shape, or an entry that is not a pair of JSON numbers in float
+    range, raises TypeError.
+    """
+    if not isinstance(data, list) or any(
+        not isinstance(row, list) or len(row) != len(data[0]) for row in data
+    ):
+        raise TypeError("a matrix must be a list of equally long rows")
+    return np.array([[_complex_from_json(entry) for entry in row] for row in data], dtype=complex)
+
+
+def _complex_from_json(entry) -> complex:
+    if isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry):
+        try:
+            return complex(float(entry[0]), float(entry[1]))
+        except OverflowError:
+            pass
+    raise TypeError("matrix entries must be [re, im] pairs of numbers in float range")
+
+
+def _matrices_from_json(data, key: str) -> dict[str, np.ndarray]:
+    """The object of matrices under ``key``; a TypeError names the bad entry."""
+    entries = data[key]
+    if not isinstance(entries, dict):
+        raise TypeError(f"{key!r} must be an object of matrices")
+    out = {}
+    for name, m in entries.items():
+        try:
+            out[name] = matrix_from_json(m)
+        except TypeError as exc:
+            raise TypeError(f"{key}[{name!r}]: {exc}") from None
+    return out
 
 
 def group_to_json(g: GroupSpec) -> dict:
@@ -84,8 +113,7 @@ def representation_to_json(f: Representation) -> dict:
 
 def representation_from_json(data, q: Quiver) -> Representation:
     group = group_from_json(data["group"])
-    markings = {name: matrix_from_json(m) for name, m in data["markings"].items()}
-    return Representation(q, group, markings)
+    return Representation(q, group, _matrices_from_json(data, "markings"))
 
 
 def gauge_to_json(g: GaugeElement) -> dict:
@@ -97,8 +125,7 @@ def gauge_to_json(g: GaugeElement) -> dict:
 
 def gauge_from_json(data, q: Quiver) -> GaugeElement:
     group = group_from_json(data["group"])
-    values = {v: matrix_from_json(m) for v, m in data["values"].items()}
-    return GaugeElement(q, group, values)
+    return GaugeElement(q, group, _matrices_from_json(data, "values"))
 
 
 def additive_to_json(x: AdditiveRep) -> dict:
@@ -109,8 +136,7 @@ def additive_to_json(x: AdditiveRep) -> dict:
 
 
 def additive_from_json(data, q: Quiver) -> AdditiveRep:
-    markings = {name: matrix_from_json(m) for name, m in data["markings"].items()}
-    return AdditiveRep(q, int(data["n"]), markings)
+    return AdditiveRep(q, int(data["n"]), _matrices_from_json(data, "markings"))
 
 
 def step_to_json(s: CollapseStep) -> dict:

@@ -1,8 +1,14 @@
-"""Shared quiver builders and randomized generators for the test suite."""
+"""Shared quiver builders, randomized generators and hypothesis tooling."""
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from quivergauge import GroupSpec, Quiver, RelationSet
+from quivergauge import Arrow, GroupSpec, Quiver, RelationSet
+
+# Property tests are deterministic (same examples every run) and untimed;
+# modules with costly examples derive from it: settings(PROPERTY, max_examples=...).
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def one_arrow() -> Quiver:
@@ -148,6 +154,31 @@ def random_quiver_with_ends(rng: np.random.Generator) -> Quiver:
     vertices = q.vertices + ("pend",)
     arrows = tuple((a.name, a.tail, a.head) for a in q.arrows) + (("pendarrow", q.vertices[0], "pend"),)
     return Quiver(vertices, arrows)
+
+
+@st.composite
+def quivers(draw, max_vertices: int = 100) -> Quiver:
+    """Connected quiver: random tree, extra arrows, a loop and a parallel pair.
+
+    Vertices and arrows are listed in shuffled order, so quiver order is not
+    the order of the ids.
+    """
+    nv = draw(st.integers(1, max_vertices))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vs = [f"v{i}" for i in range(nv)]
+    ends = []
+    for i in range(1, nv):
+        j = int(rng.integers(i))
+        ends.append((vs[i], vs[j]) if rng.integers(2) else (vs[j], vs[i]))
+    for _ in range(draw(st.integers(0, nv))):
+        ends.append((vs[int(rng.integers(nv))], vs[int(rng.integers(nv))]))
+    ends.append((vs[int(rng.integers(nv))],) * 2)
+    ends.append(ends[int(rng.integers(len(ends)))])
+    arrows = [Arrow(f"a{i}", t, h) for i, (t, h) in enumerate(ends)]
+    return Quiver(
+        tuple(vs[i] for i in rng.permutation(nv)),
+        tuple(arrows[i] for i in rng.permutation(len(arrows))),
+    )
 
 
 GL2 = GroupSpec("GL", 2)

@@ -296,3 +296,13 @@ def test_witnesses_on_random_quivers_with_ends():
             for a in q.arrows:
                 if a.name not in w.degenerated_arrows:
                     assert np.array_equal(w.limit.markings[a.name], x.markings[a.name])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_unimodular_rescale_rejects_nan_or_negative_tol(tol):
+    # at the NaN tolerance every "> tol" test is false, so a non-unimodular x passed
+    q = one_loop()
+    x = AdditiveRep(q, 2, {"l0": 3.0 * np.eye(2)})
+    g = GaugeElement(q, GL2, {"v0": 2.0 * np.eye(2)})
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        unimodular_rescale(g, x, x, tol=tol)

@@ -288,3 +288,98 @@ def test_structural_json_deterministic(capsys):
     _, out1, _ = run(capsys, "reduce", fx("bridge_cycles.quiver"), "--json")
     _, out2, _ = run(capsys, "reduce", fx("bridge_cycles.quiver"), "--json")
     assert out1 == out2
+
+
+IDENTITY_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+MALFORMED_MATRICES = {
+    "markings not an object": None,
+    "entry with three numbers": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "entry with a string": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]],
+    "entry that is a bare number": [[1, 0], [0, 1]],
+    "ragged rows": [[[1, 0], [0, 0]], [[1, 0]]],
+}
+
+
+def _payload_cases(tmp_path):
+    """(argv, the malformed file it reads) for every malformed matrix under --rep, --gauge and --x."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"n": 2, "markings": {"l0": IDENTITY_2}}))
+    good_gauge = tmp_path / "good_gauge.json"
+    good_gauge.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "values": {"v0": IDENTITY_2}}))
+    q, cases = fx("one_loop.quiver"), []
+    for label, matrix in MALFORMED_MATRICES.items():
+        stem = tmp_path / label.replace(" ", "_")
+        rep, gauge, additive = (stem.with_suffix(f".{kind}.json") for kind in ("rep", "gauge", "x"))
+        group = {"family": "GL", "n": 2}
+        rep.write_text(json.dumps({"group": group, "markings": [1, 2] if matrix is None else {"l0": matrix}}))
+        gauge.write_text(json.dumps({"group": group, "values": [1, 2] if matrix is None else {"v0": matrix}}))
+        additive.write_text(json.dumps({"n": 2, "markings": [1, 2] if matrix is None else {"l0": matrix}}))
+        cases += [
+            (["kn-residual", q, "--rep", str(rep)], rep),
+            (["witness", q, "--rep", str(rep), "--vertex", "v0"], rep),
+            (["rescale", q, "--gauge", str(gauge), "--x", str(good), "--x-prime", str(good)], gauge),
+            (["rescale", q, "--gauge", str(good_gauge), "--x", str(additive), "--x-prime", str(good)], additive),
+        ]
+    return cases
+
+
+def test_malformed_payload_files_exit_2_and_name_the_file(capsys, tmp_path):
+    for argv, path in _payload_cases(tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert str(path) in err and "Traceback" not in err
+
+
+def test_well_formed_invalid_payloads_keep_exit_3(capsys, tmp_path):
+    singular = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    big = [[[float(i == j), 0.0] for j in range(17)] for i in range(17)]
+    for group, matrix, message in (
+        ({"family": "GL", "n": 2}, singular, "not in GL(2)"),
+        ({"family": "GL", "n": 3}, IDENTITY_2, "expected size 3"),
+        ({"family": "GL", "n": 17}, big, "exceeds the supported limit 16"),
+    ):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"group": group, "markings": {"l0": matrix}}))
+        code, _, err = run(capsys, "kn-residual", fx("one_loop.quiver"), "--rep", str(rep))
+        assert code == 3 and message in err, err
+
+
+def test_non_utf8_payload_exits_2(capsys, tmp_path):
+    rep = tmp_path / "latin1.json"
+    rep.write_bytes(b'{"group": "\xe9"}')
+    code, _, err = run(capsys, "kn-residual", fx("one_loop.quiver"), "--rep", str(rep))
+    assert code == 2 and str(rep) in err
+
+
+def test_options_only_on_the_commands_that_read_them(capsys):
+    for argv in (
+        ["sample", fx("one_loop.quiver"), "--json"],
+        ["toric", fx("one_loop.quiver"), "--json"],
+        ["info", fx("one_loop.quiver"), "--tol", "1"],
+        ["info", fx("one_loop.quiver"), "--seed", "1"],
+        ["reduce", fx("one_loop.quiver"), "--seed", "1"],
+        ["certificate", fx("one_loop.quiver"), "--tol", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "unrecognized arguments" in err
+
+
+def test_nan_and_negative_tolerances_exit_3(capsys, tmp_path):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "markings": {"l0": IDENTITY_2}}))
+    gauge_file = tmp_path / "g.json"
+    gauge_file.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "values": {"v0": IDENTITY_2}}))
+    q, rep, gauge = fx("one_loop.quiver"), str(rep_file), str(gauge_file)
+    for argv, message in (
+        (["kn-flow", q, "--rep", rep, "--step", "nan"], "step0"),
+        (["kn-flow", q, "--rep", rep, "--step", "inf"], "step0"),
+        (["kn-flow", q, "--rep", rep, "--tol", "nan"], "tol"),
+        (["rescale", q, "--gauge", gauge, "--x", rep, "--x-prime", rep, "--tol", "nan"], "tol"),
+        (["rescale", q, "--gauge", gauge, "--x", rep, "--x-prime", rep, "--tol", "-1"], "tol"),
+        (["check-relations", q, "--rep", rep, "--tol", "nan"], "tol"),
+        (["check-relations", q, "--rep", rep, "--tol", "-1"], "tol"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert message in err

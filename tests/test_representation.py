@@ -438,3 +438,10 @@ def test_unitary_menu_traces_detect_inequivalence():
     t1 = trace_invariants(f1, menu)
     t2 = trace_invariants(f2, menu)
     assert max(abs(a - b) for a, b in zip(t1, t2)) > 0.5
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_satisfies_relations_rejects_nan_or_negative_tol(tol):
+    f, rels = triangle_satisfying_rep(0)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        satisfies_relations(f, rels, tol=tol)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import quivergauge.serialize as sz
 from quivergauge import (
@@ -78,3 +79,22 @@ def test_dumps_is_canonical():
     text = sz.dumps({"b": 1, "a": [1.5, 2]})
     assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
     assert json.loads(text) == {"a": [1.5, 2], "b": 1}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [None, [[1, 0], [0, 1]], [[[1, 0, 0]]], [[["a", 0]]], [[[True, 0]]], [[[1, 0]], []], [[[10**400, 0]]]],
+)
+def test_matrix_from_json_rejects_malformed_matrices(data):
+    with pytest.raises(TypeError):
+        sz.matrix_from_json(data)
+
+
+def test_payloads_reject_non_object_matrix_maps():
+    q = one_loop()
+    with pytest.raises(TypeError, match="markings"):
+        sz.representation_from_json({"group": {"family": "GL", "n": 2}, "markings": [1, 2]}, q)
+    with pytest.raises(TypeError, match="values"):
+        sz.gauge_from_json({"group": {"family": "GL", "n": 2}, "values": [1, 2]}, q)
+    with pytest.raises(TypeError, match=r"markings\['l0'\]"):
+        sz.additive_from_json({"n": 1, "markings": {"l0": [[[1, 0, 0]]]}}, q)

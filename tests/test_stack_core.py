@@ -9,7 +9,7 @@ loops and parallel arrows.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quivergauge import (
@@ -30,33 +30,9 @@ from quivergauge import (
 )
 from quivergauge.quiver import RelationSet
 
+from conftest import PROPERTY, quivers
+
 REL = 1e-12
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-@st.composite
-def quivers(draw, max_vertices: int = 100) -> Quiver:
-    """Connected quiver: random tree, extra arrows, a loop and a parallel pair.
-
-    Vertices and arrows are listed in shuffled order, so quiver order is not
-    the order of the ids.
-    """
-    nv = draw(st.integers(1, max_vertices))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vs = [f"v{i}" for i in range(nv)]
-    ends = []
-    for i in range(1, nv):
-        j = int(rng.integers(i))
-        ends.append((vs[i], vs[j]) if rng.integers(2) else (vs[j], vs[i]))
-    for _ in range(draw(st.integers(0, nv))):
-        ends.append((vs[int(rng.integers(nv))], vs[int(rng.integers(nv))]))
-    ends.append((vs[int(rng.integers(nv))],) * 2)
-    ends.append(ends[int(rng.integers(len(ends)))])
-    arrows = [Arrow(f"a{i}", t, h) for i, (t, h) in enumerate(ends)]
-    return Quiver(
-        tuple(vs[i] for i in rng.permutation(nv)),
-        tuple(arrows[i] for i in rng.permutation(len(arrows))),
-    )
 
 
 groups = st.sampled_from([GroupSpec("GL", 1), GroupSpec("GL", 2), GroupSpec("GL", 3), GroupSpec("U", 2)])

@@ -1,0 +1,69 @@
+"""Properties that fix the toric basis uniquely, at up to 100 vertices.
+
+For connected quivers with up to 100 vertices and about 200 arrows, with
+default weights and with random weights in 0..3, the basis must lie exactly
+in the kernel, be in row Hermite form, have A - rank vectors, and be
+saturated (every invariant factor 1).  The Hermite form of a saturated
+lattice is unique, so any kernel algorithm that passes gives the same output.
+"""
+
+import numpy as np
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
+
+from quivergauge import Quiver, invariant_monomial_basis, weight_matrix
+
+from conftest import PROPERTY, quivers
+
+weight_seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
+
+
+def tree_plus_extras(n_vertices: int, n_arrows: int, seed: int) -> Quiver:
+    """Random spanning tree plus uniform extra arrows: the largest size, always tested."""
+    rng = np.random.default_rng(seed)
+    vs = [f"v{i}" for i in range(n_vertices)]
+    ends = [(vs[int(rng.integers(i))], vs[i]) for i in range(1, n_vertices)]
+    ends += [(vs[int(rng.integers(n_vertices))], vs[int(rng.integers(n_vertices))]) for _ in range(n_arrows - len(ends))]
+    return Quiver(tuple(vs), tuple((f"a{i}", t, h) for i, (t, h) in enumerate(ends)))
+
+
+def is_row_hermite(rows) -> bool:
+    """Positive pivots in strictly increasing columns, reduced entries above, no zero rows."""
+    last = -1
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None or col <= last or row[col] <= 0:
+            return False
+        if any(not 0 <= rows[k][col] < row[col] for k in range(i)):
+            return False
+        last = col
+    return True
+
+
+@settings(PROPERTY, max_examples=10)
+@given(quivers(max_vertices=100), weight_seeds)
+@example(tree_plus_extras(100, 200, 0), None)
+@example(tree_plus_extras(100, 200, 1), 7)
+def test_toric_basis_is_the_hermite_form_of_the_saturated_kernel(q, weight_seed):
+    names = [a.name for a in q.arrows]
+    if weight_seed is None:
+        mu = nu = {n: 1 for n in names}
+    else:
+        rng = np.random.default_rng(weight_seed)
+        mu, nu = ({n: int(w) for n, w in zip(names, rng.integers(0, 4, len(names)))} for _ in range(2))
+    action = weight_matrix(q, mu, nu)
+    basis = invariant_monomial_basis(action)
+    vectors = [list(v) for v in basis.vectors]
+
+    assert basis.arrow_order == tuple(names)
+    for v in vectors:
+        assert all(sum(row[c] * x for row, x in zip(action.matrix, v)) == 0 for c in range(q.n_vertices))
+    assert is_row_hermite(vectors)
+    rank = DomainMatrix.from_list_sympy(q.n_arrows, q.n_vertices, action.matrix).rank()
+    assert len(vectors) == basis.cell_dimension == q.n_arrows - rank
+    if vectors:
+        snf = smith_normal_form(sympy.Matrix(vectors))
+        assert [abs(snf[i, i]) for i in range(len(vectors))] == [1] * len(vectors)
