@@ -107,7 +107,6 @@ from .toric import (
     MonomialBasis,
     WeightedToricAction,
     check_invariance,
-    evaluate_monomial,
     integer_kernel,
     hermite_rows,
     invariant_monomial_basis,

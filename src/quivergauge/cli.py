@@ -1,11 +1,19 @@
 """Subcommand CLI over the library.
 
 Every command takes the same path: ``main`` parses the arguments, reads and
-parses the quiver document once, and calls the command's handler as
-``handler(args, doc) -> (payload, text)``.  It then writes ``text``, or the
-canonical JSON of ``payload`` when the handler has no text or ``--json`` is
-given.  Handlers compute only: they read no file except their own payload
-flags (``--rep``, ``--gauge``, ``--x``, ``--x-prime``) and never write.
+parses the quiver document once, decodes the payload files the command
+declares (``--rep``, ``--gauge``, ``--x``, ``--x-prime``) in place of their
+paths, and calls the command's handler as ``handler(args, doc) -> (payload,
+text)``.  It then writes ``text``, or the canonical JSON of ``payload`` when
+the handler has no text or ``--json`` is given.  Handlers compute only: they
+read no file and never write.
+
+The global ``--stats`` flag (``quivergauge --stats <command> ...``) writes
+one JSON line to stderr after a successful command: the wall times of the
+three phases (``parse_s``: reading and decoding the document and payloads;
+``compute_s``: the handler; ``serialize_s``: building the stdout text), the
+quiver's vertex and arrow counts ``V`` and ``A``, and the group size ``n``
+(null for a command without a group).  Stdout does not change.
 
 Structural commands (info, reduce, collapse, pinch, clip, reverse,
 certificate, check-relations) print text and take ``--json``; numeric
@@ -21,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -79,7 +88,7 @@ def _check_size(n: int) -> int:
 
 
 def _load(path: str, decode, quiver):
-    """Decode a JSON payload file; malformed JSON or payload shape is an _InputError."""
+    """Decode a JSON payload file; malformed JSON or payload types are an _InputError."""
     try:
         data = json.loads(_read_file(path))
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -207,30 +216,24 @@ def _cmd_sample(args, doc):
 
 
 def _cmd_act(args, doc):
-    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
-    gauge = _load(args.gauge, serialize.gauge_from_json, doc.quiver)
-    return serialize.representation_to_json(gauge_act(gauge, rep)), None
+    return serialize.representation_to_json(gauge_act(args.gauge, args.rep)), None
 
 
 def _cmd_retract(args, doc):
-    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
-    return serialize.representation_to_json(retract_representation(rep, args.t)), None
+    return serialize.representation_to_json(retract_representation(args.rep, args.t)), None
 
 
 def _cmd_kn_residual(args, doc):
-    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
-    return serialize.residual_to_json(kn_moment(rep)), None
+    return serialize.residual_to_json(kn_moment(args.rep)), None
 
 
 def _cmd_kn_flow(args, doc):
-    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
-    report = kn_flow(rep, step0=args.step, max_iter=args.max_iter, tol=args.tol)
+    report = kn_flow(args.rep, step0=args.step, max_iter=args.max_iter, tol=args.tol)
     return serialize.flow_report_to_json(report), None
 
 
 def _cmd_witness(args, doc):
-    x = _load(args.rep, _additive_from_json, doc.quiver)
-    return serialize.witness_to_json(sink_source_witness(x, args.vertex)), None
+    return serialize.witness_to_json(sink_source_witness(args.rep, args.vertex)), None
 
 
 def _cmd_certificate(args, doc):
@@ -242,10 +245,7 @@ def _cmd_certificate(args, doc):
 
 
 def _cmd_rescale(args, doc):
-    gauge = _load(args.gauge, serialize.gauge_from_json, doc.quiver)
-    x = _load(args.x, _additive_from_json, doc.quiver)
-    x_prime = _load(args.x_prime, _additive_from_json, doc.quiver)
-    return serialize.gauge_to_json(unimodular_rescale(gauge, x, x_prime, tol=args.tol)), None
+    return serialize.gauge_to_json(unimodular_rescale(args.gauge, args.x, args.x_prime, tol=args.tol)), None
 
 
 def _cmd_toric(args, doc):
@@ -255,8 +255,7 @@ def _cmd_toric(args, doc):
 
 
 def _cmd_check_relations(args, doc):
-    rep = _load(args.rep, serialize.representation_from_json, doc.quiver)
-    ok = satisfies_relations(rep, doc.relations, tol=args.tol)
+    ok = satisfies_relations(args.rep, doc.relations, tol=args.tol)
     payload = {"satisfied": ok, "tol": args.tol, "relations": len(doc.relations)}
     verdict = "satisfied" if ok else "NOT satisfied"
     return payload, f"{len(doc.relations)} relation(s) {verdict} within {args.tol}\n"
@@ -264,16 +263,22 @@ def _cmd_check_relations(args, doc):
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="quivergauge", description=__doc__)
+    parser.add_argument("--stats", action="store_true", help="write phase timings and sizes to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    rep = {"rep": serialize.representation_from_json}
 
-    def add(name, handler, help_text, text=False, tol=None):
+    def add(name, handler, help_text, text=False, tol=None, payloads=None):
+        """A subcommand; ``payloads`` maps each payload flag's dest to its decoder."""
+        payloads = payloads or {}
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quiver_file", help="quiver document file")
-        p.set_defaults(handler=handler, json=False)
+        p.set_defaults(handler=handler, json=False, payloads=payloads)
         if text:
             p.add_argument("--json", action="store_true", help="emit JSON output")
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol, help="numeric tolerance (default %(default)g)")
+        for dest in payloads:
+            p.add_argument("--" + dest.replace("_", "-"), required=True, help="JSON payload file")
         return p
 
     p = add("info", _cmd_info, "topological invariants, vertex classes, moduli dimension", text=True)
@@ -300,49 +305,62 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
-    p = add("act", _cmd_act, "apply a gauge element to a representation")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--gauge", required=True)
+    add(
+        "act", _cmd_act, "apply a gauge element to a representation",
+        payloads={**rep, "gauge": serialize.gauge_from_json},
+    )
 
-    p = add("retract", _cmd_retract, "polar retraction of every marking")
-    p.add_argument("--rep", required=True)
+    p = add("retract", _cmd_retract, "polar retraction of every marking", payloads=rep)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual")
-    p.add_argument("--rep", required=True)
+    add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual", payloads=rep)
 
-    p = add("kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow", tol=1e-8)
-    p.add_argument("--rep", required=True)
+    p = add("kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow", tol=1e-8, payloads=rep)
     p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--max-iter", type=int, default=1000)
 
-    p = add("witness", _cmd_witness, "sink/source degeneration witness")
-    p.add_argument("--rep", required=True)
+    p = add(
+        "witness", _cmd_witness, "sink/source degeneration witness", payloads={"rep": _additive_from_json}
+    )
     p.add_argument("--vertex", required=True)
 
     add("certificate", _cmd_certificate, "orbit-closure certificate for the quiver", text=True)
 
-    p = add("rescale", _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9)
-    p.add_argument("--gauge", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-prime", required=True)
+    add(
+        "rescale", _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9,
+        payloads={
+            "gauge": serialize.gauge_from_json, "x": _additive_from_json, "x_prime": _additive_from_json
+        },
+    )
 
     add("toric", _cmd_toric, "invariant monomial basis of the weighted scalar action")
 
-    p = add(
+    add(
         "check-relations", _cmd_check_relations, "evaluate the relation words on a representation",
-        text=True, tol=TOL_EQ,
+        text=True, tol=TOL_EQ, payloads=rep,
     )
-    p.add_argument("--rep", required=True)
 
     return parser
 
 
+def _group_size(args) -> int | None:
+    """The size of the first decoded payload, else of the command's ``--group``."""
+    for dest in args.payloads:
+        return getattr(args, dest).stack.shape[-1]
+    return args.n if getattr(args, "group", None) else None
+
+
 def main(argv=None) -> int:
-    """Parse arguments, load the document, run the handler, write stdout once."""
+    """Parse arguments, load the document and payloads, run the handler, write stdout once."""
     try:
         args = _build_parser().parse_args(argv)
-        payload, text = args.handler(args, dsl.parse(_read_file(args.quiver_file)))
+        start = time.perf_counter()
+        doc = dsl.parse(_read_file(args.quiver_file))
+        for dest, decode in args.payloads.items():
+            setattr(args, dest, _load(getattr(args, dest), decode, doc.quiver))
+        parsed = time.perf_counter()
+        payload, text = args.handler(args, doc)
+        computed = time.perf_counter()
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:
@@ -358,7 +376,19 @@ def main(argv=None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(serialize.dumps(payload) if text is None or args.json else text)
+    out = serialize.dumps(payload) if text is None or args.json else text
+    serialized = time.perf_counter()
+    sys.stdout.write(out)
+    if args.stats:
+        stats = {
+            "parse_s": parsed - start,
+            "compute_s": computed - parsed,
+            "serialize_s": serialized - computed,
+            "V": doc.quiver.n_vertices,
+            "A": doc.quiver.n_arrows,
+            "n": _group_size(args),
+        }
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     return 0
 
 

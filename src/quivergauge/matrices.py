@@ -2,8 +2,9 @@
 
 Membership tests, seeded sampling, the Cartan involution, polar
 decomposition, and Hermitian fractional powers.  Everything Hermitian goes
-through an eigendecomposition; the only general matrix exponential (used
-for sampling) is scipy's scaling-and-squaring Pade implementation.
+through an eigendecomposition, and sampling needs nothing else: GL and SL
+are sampled in the polar form k e^p that the retraction uses, so no general
+matrix exponential (and no dependency beyond numpy) is needed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .quiver import GroupSpec
 
@@ -76,25 +76,33 @@ def in_group(m, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> bool:
 def random_element(group: GroupSpec, seed: int) -> np.ndarray:
     """Deterministic random group element for the given seed.
 
-    U(n) is sampled Haar by QR of a complex Ginibre matrix with the usual
-    phase fix on the R diagonal; SU divides by the principal n-th root of
-    the determinant.  GL is exp(Z) with Z complex Gaussian scaled by
-    1/sqrt(n); SL uses the traceless part of Z.
+    U(n) is sampled Haar by QR of a complex Ginibre matrix with the phase
+    fix on the R diagonal (Mezzadri, Notices AMS 54, 2007); SU divides by
+    the principal n-th root of the determinant.  GL (and TORUS = GL(1)) is
+    sampled in polar form k e^p: k is that U(n) sample and p = (W + W*) /
+    (2 sqrt(n)) is Hermitian Gaussian from a second Ginibre draw W.  SL
+    takes k in SU and the traceless part of p, so det = 1 up to rounding.
+    U and SU consume only the first draw.
     """
     rng = np.random.default_rng(seed)
     n = group.n
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(_ginibre(rng, n))
+    d = np.diagonal(r)
+    k = q * (d / np.abs(d))
+    if group.family in ("SU", "SL"):
+        k = k / _principal_root(np.linalg.det(k), n)
     if group.family in ("U", "SU"):
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        if group.family == "SU":
-            q = q / _principal_root(np.linalg.det(q), n)
-        return q
-    z = z / np.sqrt(n)
+        return k
+    w = _ginibre(rng, n)
+    p = (w + w.conj().T) / (2.0 * np.sqrt(n))
     if group.family == "SL":
-        z = z - (np.trace(z) / n) * identity(n)
-    return scipy.linalg.expm(z)
+        p = p - (np.trace(p) / n) * identity(n)
+    return k @ hermitian_exp(p)
+
+
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n x n complex Gaussian matrix with E|z_ij|^2 = 1."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
 def _principal_root(value: complex, n: int) -> complex:

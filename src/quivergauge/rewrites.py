@@ -9,7 +9,7 @@ carried along afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .quiver import (
@@ -79,12 +79,16 @@ class VertexMap:
     """Total, surjective map from source-quiver vertices onto target vertices."""
 
     mapping: tuple[tuple[str, str], ...]
+    _lookup: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_lookup", dict(self.mapping))
 
     def __call__(self, v: str) -> str:
-        for old, new in self.mapping:
-            if old == v:
-                return new
-        raise ValueError(f"vertex {v!r} not in map")
+        try:
+            return self._lookup[v]
+        except KeyError:
+            raise ValueError(f"vertex {v!r} not in map") from None
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)

@@ -70,8 +70,19 @@ def group_to_json(g: GroupSpec) -> dict:
     return {"family": g.family, "n": g.n}
 
 
+def _int_from_json(value, what: str) -> int:
+    """A JSON integer; strings, floats and booleans raise TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def group_from_json(data) -> GroupSpec:
-    return GroupSpec(str(data["family"]), int(data["n"]))
+    """Decode ``{"family": str, "n": int}``; any other value type raises TypeError."""
+    family = data["family"]
+    if not isinstance(family, str):
+        raise TypeError(f"group family must be a string, got {family!r}")
+    return GroupSpec(family, _int_from_json(data["n"], "group n"))
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -136,7 +147,7 @@ def additive_to_json(x: AdditiveRep) -> dict:
 
 
 def additive_from_json(data, q: Quiver) -> AdditiveRep:
-    return AdditiveRep(q, int(data["n"]), _matrices_from_json(data, "markings"))
+    return AdditiveRep(q, _int_from_json(data["n"], "n"), _matrices_from_json(data, "markings"))
 
 
 def step_to_json(s: CollapseStep) -> dict:

@@ -189,18 +189,6 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
     )
 
 
-def evaluate_monomial(
-    markings: Mapping[str, complex],
-    exponents: Sequence[int],
-    arrow_order: Sequence[str],
-) -> complex:
-    """Product of scalar markings raised to the integer exponents."""
-    out = complex(1.0)
-    for name, e in zip(arrow_order, exponents):
-        out *= complex(markings[name]) ** int(e)
-    return out
-
-
 def scalar_weighted_act(
     gauge: Mapping[str, complex],
     markings: Mapping[str, complex],

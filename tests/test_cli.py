@@ -383,3 +383,58 @@ def test_nan_and_negative_tolerances_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert message in err
+
+
+def test_group_size_and_family_must_be_json_types(capsys, tmp_path):
+    good_gauge = tmp_path / "gauge.json"
+    good_gauge.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "values": {"v0": IDENTITY_2}}))
+    q = fx("one_loop.quiver")
+    for n in ("x", 2.7, True):
+        rep, x = tmp_path / "rep.json", tmp_path / "x.json"
+        rep.write_text(json.dumps({"group": {"family": "GL", "n": n}, "markings": {"l0": IDENTITY_2}}))
+        x.write_text(json.dumps({"n": n, "markings": {"l0": IDENTITY_2}}))
+        for argv, path in (
+            (["kn-residual", q, "--rep", str(rep)], rep),
+            (["rescale", q, "--gauge", str(good_gauge), "--x", str(x), "--x-prime", str(x)], x),
+            (["rescale", q, "--gauge", str(good_gauge), "--x", str(rep), "--x-prime", str(rep)], rep),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, n, err)
+            assert str(path) in err and "must be an integer" in err
+    rep = tmp_path / "family.json"
+    rep.write_text(json.dumps({"group": {"family": 2, "n": 2}, "markings": {"l0": IDENTITY_2}}))
+    code, out, err = run(capsys, "kn-residual", q, "--rep", str(rep))
+    assert (code, out) == (2, "") and str(rep) in err and "must be a string" in err
+
+
+def test_stats_goes_to_stderr_and_leaves_stdout_alone(capsys):
+    for name, vertices, arrows in (("theta.quiver", 2, 3), ("comet.quiver", 5, 5)):
+        for argv, n in (
+            (["info"], None),
+            (["reduce", "--json"], None),
+            (["toric"], None),
+            (["sample", "--group", "SU", "--n", "3"], 3),
+            (["info", "--group", "SL", "--n", "2"], 2),
+        ):
+            argv = [argv[0], fx(name), *argv[1:]]
+            code, plain, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            code, out, err = run(capsys, "--stats", *argv)
+            assert (code, out) == (0, plain), argv
+            lines = err.splitlines()
+            assert len(lines) == 1, argv
+            stats = json.loads(lines[0])
+            assert set(stats) == {"parse_s", "compute_s", "serialize_s", "V", "A", "n"}
+            assert (stats["V"], stats["A"], stats["n"]) == (vertices, arrows, n), argv
+            assert all(stats[k] >= 0 for k in ("parse_s", "compute_s", "serialize_s"))
+
+
+def test_stats_reports_the_payload_group_size(capsys, tmp_path):
+    _, rep_json, _ = run(capsys, "sample", fx("one_loop.quiver"), "--group", "U", "--n", "3")
+    rep = tmp_path / "rep.json"
+    rep.write_text(rep_json)
+    code, _, err = run(capsys, "--stats", "kn-residual", fx("one_loop.quiver"), "--rep", str(rep))
+    assert code == 0 and json.loads(err)["n"] == 3
+    # a failed command writes its error and no stats line
+    code, _, err = run(capsys, "--stats", "kn-residual", fx("one_loop.quiver"), "--rep", str(tmp_path / "none"))
+    assert code == 1 and err.startswith("error:") and "parse_s" not in err

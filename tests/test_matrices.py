@@ -1,5 +1,10 @@
 """Matrix group numerics: involution, membership, sampling, polar factors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,6 +72,70 @@ def test_random_element_closure():
             b = mg.random_element(g, int(rng.integers(2**32)))
             assert mg.in_group(a @ b, g, 1e-8)
             assert mg.in_group(np.linalg.inv(a), g, 1e-8)
+
+
+# First rows of the U(3) and SU(3) samples at seeds 0..4.  GL and SL draw
+# their unitary factor k from the same first Ginibre draw and only then draw
+# p, so these values do not depend on how the non-compact groups are sampled.
+PINNED_FIRST_ROWS = {
+    "U": [
+        [0.041294101632-0.415607658827j, 0.042473904373-0.237428659450j, 0.873161394195+0.070553879423j],
+        [0.196485960310+0.167232493242j, 0.795098544037+0.080470761795j, -0.058825054818+0.539730428360j],
+        [0.073998799159-0.216775941554j, -0.519717055373+0.435155688615j, -0.566905208378-0.408270207853j],
+        [0.458174109558+0.745993473551j, -0.433234901945+0.007966299422j, 0.207915485028-0.050847139998j],
+        [-0.256017707490+0.094965820579j, -0.424113507470+0.394397511460j, 0.484330960466+0.596186449731j],
+    ],
+    "SU": [
+        [0.249023787117-0.335294023739j, 0.158461060749-0.181841945401j, 0.712755300415+0.509282389195j],
+        [0.185604347388+0.179232992570j, 0.788481681790+0.130207049403j, -0.092578866514+0.534975210497j],
+        [-0.049039399554-0.223747108149j, -0.219011653540+0.641482803038j, -0.696415252834-0.055424484913j],
+        [-0.109802505304+0.868546594650j, -0.342801332009-0.265034316575j, 0.193956622383+0.090526842395j],
+        [-0.128993714672+0.240674458973j, -0.056723278929+0.576371524185j, 0.757696536422+0.126137705715j],
+    ],
+}
+
+
+def test_compact_samples_match_pinned_values():
+    for family, rows in PINNED_FIRST_ROWS.items():
+        for seed, row in enumerate(rows):
+            m = mg.random_element(GroupSpec(family, 3), seed)
+            assert np.abs(m[0] - np.array(row)).max() <= 1e-11, (family, seed)
+
+
+def test_gl_sample_has_unitary_and_hermitian_polar_factors():
+    for seed in range(5):
+        g = mg.random_element(GL3, seed)
+        pf = mg.polar_decompose(g)
+        assert np.linalg.norm(pf.k @ pf.k.conj().T - np.eye(3)) <= 1e-12
+        assert np.linalg.norm(pf.p - pf.p.conj().T) <= 1e-12
+        assert np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - g) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_sl_samples_have_unit_determinant():
+    for n in (2, 3):
+        for seed in range(50):
+            assert abs(np.linalg.det(mg.random_element(GroupSpec("SL", n), seed)) - 1) <= 1e-12, (n, seed)
+
+
+def test_samples_repeat_for_the_same_seed():
+    for family, n in (("GL", 1), ("GL", 3), ("SL", 2), ("U", 3), ("SU", 2), ("TORUS", 1)):
+        group = GroupSpec(family, n)
+        assert mg.random_element(group, 9).tobytes() == mg.random_element(group, 9).tobytes()
+
+
+def test_package_import_loads_no_scipy():
+    src = Path(mg.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, quivergauge, quivergauge.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_polar_decompose_diagonal():

@@ -4,7 +4,8 @@ Representations, gauge elements and additive representations store one
 (k, n, n) stack in quiver order.  The batched gauge action, moment maps,
 orbit norm and pushforward are checked here against plain Python loops over
 arrows and vertices, on random connected quivers with up to 100 vertices,
-loops and parallel arrows.
+loops and parallel arrows; the pushforward is also checked to commute with
+the gauge action through the induced gauge.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from quivergauge import (
     Representation,
     act_additive,
     gauge_act,
+    induced_gauge,
     kn_moment,
     orbit_norm,
     pushforward_collapse,
@@ -130,6 +132,20 @@ def test_pushforward_matches_collapse_loop(q, group, seed):
     assert list(pushed.markings) == list(markings)
     for name, want in markings.items():
         assert close(pushed.markings[name], want, group.n)
+
+
+@PROPERTY
+@given(quivers(), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds)
+def test_pushforward_is_gauge_equivariant(q, group, seed):
+    # pushforward(g . f) = induced_gauge(g) . pushforward(f) along the rose trace
+    f = random_representation(q, group, seed)
+    g = random_gauge(q, group, seed + 1)
+    _, _, trace = reduce_to_rose(q, RelationSet())
+    lhs = pushforward_collapse(gauge_act(g, f), trace)
+    rhs = gauge_act(induced_gauge(g, trace), pushforward_collapse(f, trace))
+    assert lhs.quiver == rhs.quiver == trace.final
+    for name, want in rhs.markings.items():
+        assert close(lhs.markings[name], want, group.n)
 
 
 @PROPERTY
