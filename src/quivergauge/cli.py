@@ -20,6 +20,8 @@ certificate, check-relations) print text and take ``--json``; numeric
 commands always print the module JSON encodings.  ``--seed`` belongs to
 sample; ``--tol`` to kn-flow, rescale and check-relations.
 
+Library warnings are written to stderr as ``warning: <message>`` lines.
+
 Exit codes: 0 success, 1 usage, 2 parse diagnostics or a malformed payload
 file, 3 numeric precondition failure.
 """
@@ -30,6 +32,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -353,14 +356,16 @@ def _group_size(args) -> int | None:
 def main(argv=None) -> int:
     """Parse arguments, load the document and payloads, run the handler, write stdout once."""
     try:
-        args = _build_parser().parse_args(argv)
-        start = time.perf_counter()
-        doc = dsl.parse(_read_file(args.quiver_file))
-        for dest, decode in args.payloads.items():
-            setattr(args, dest, _load(getattr(args, dest), decode, doc.quiver))
-        parsed = time.perf_counter()
-        payload, text = args.handler(args, doc)
-        computed = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            args = _build_parser().parse_args(argv)
+            start = time.perf_counter()
+            doc = dsl.parse(_read_file(args.quiver_file))
+            for dest, decode in args.payloads.items():
+                setattr(args, dest, _load(getattr(args, dest), decode, doc.quiver))
+            parsed = time.perf_counter()
+            payload, text = args.handler(args, doc)
+            computed = time.perf_counter()
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

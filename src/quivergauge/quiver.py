@@ -277,40 +277,28 @@ class GroupSpec:
 
 
 def connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
-    """Undirected connected components, each a tuple of vertex ids.
+    """Undirected connected components, each a tuple of vertex ids, read off the spanning forest.
 
-    Components are listed by smallest member; members are kept in quiver
-    vertex order.
+    Components are listed by smallest member (the forest roots); members are
+    kept in quiver vertex order.
     """
-    adjacency: dict[str, set[str]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adjacency[a.tail].add(a.head)
-        adjacency[a.head].add(a.tail)
-    seen: set[str] = set()
-    comps = []
-    for root in sorted(q.vertices):
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in sorted(adjacency[v]):
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        comps.append(tuple(v for v in q.vertices if v in comp))
-    return tuple(comps)
+    forest = spanning_forest(q)
+    root = {r: r for r in forest.roots}
+    for child, (parent, _, _) in forest.parent.items():
+        root[child] = root[parent]
+    comps: dict[str, list[str]] = {r: [] for r in forest.roots}
+    for v in q.vertices:
+        comps[root[v]].append(v)
+    return tuple(tuple(c) for c in comps.values())
 
 
 def is_connected(q: Quiver) -> bool:
-    return len(connected_components(q)) == 1
+    return len(spanning_forest(q).roots) == 1
 
 
 def betti_number(q: Quiver) -> int:
     """First Betti number of the underlying 1-complex: N_A - N_V + #components."""
-    return q.n_arrows - q.n_vertices + len(connected_components(q))
+    return q.n_arrows - q.n_vertices + len(spanning_forest(q).roots)
 
 
 def euler_characteristic(q: Quiver) -> int:

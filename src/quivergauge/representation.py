@@ -16,13 +16,12 @@ import numpy as np
 
 from .matrices import TOL_EQ, TOL_MEMBERSHIP, as_matrix, identity, in_group_rows, random_element
 from .quiver import (
-    Arrow,
     GroupSpec,
     Quiver,
     RelationSet,
+    SpanningForest,
     Word,
     fundamental_cycles,
-    is_connected,
     spanning_forest,
     validate_relations,
     word_endpoints,
@@ -236,65 +235,60 @@ def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word
     return tuple(menu)
 
 
+def _tree_gauge(f: Representation, forest: SpanningForest) -> np.ndarray:
+    """The (V, n, n) gauge stack that is I at the forest roots and marks every forest arrow I.
+
+    Built in BFS order: a child's value is its parent's times the tree
+    marking, inverted when the arrow points to the child.
+    """
+    q, links = f.quiver, forest.parent.items()
+    rows = q._vertex_row
+    gauge = np.empty((q.n_vertices, f.group.n, f.group.n), dtype=complex)
+    gauge[[rows[r] for r in forest.roots]] = identity(f.group.n)
+    factors = f.stack[[q._arrow_row[name] for _, (_, name, _) in links]]
+    forward = np.array([fw for _, (_, _, fw) in links], dtype=bool)
+    factors[forward] = np.linalg.inv(factors[forward])
+    for (child, (parent, _, _)), m in zip(links, factors):
+        gauge[rows[child]] = gauge[rows[parent]] @ m
+    return gauge
+
+
 def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representation:
     """Carry a representation through a recorded collapse sequence.
 
-    Each step applies the gauge that is the collapsed arrow's current
-    marking at its tail and the identity elsewhere; the collapsed arrow is
-    then marked I and is dropped when the endpoints merge.  Evaluations of
-    surviving cycle words change only by conjugation, so traces and
-    relation satisfaction are preserved.  The step gauges compose into one
-    gauge per source vertex, applied to the surviving arrows at the end.
-    Raises ValueError when the steps do not apply in turn or do not end at
-    ``trace.final``.  The result is exactly in the group but is not tested
-    again (``membership_tol`` 0): products along long tree paths are
-    ill-conditioned, near 1e9 at 400 GL(3) vertices, which the relative GL
-    test would reject.
+    The surviving markings are gauged by the unique gauge that marks every
+    collapsed arrow I and is I at every block anchor (``ReductionTrace``),
+    the composite of gauging each step's collapsed marking away at its tail
+    block, so closed-word evaluations change only by conjugation.  It is
+    built down the spanning forest of the collapsed arrows and re-rooted at
+    the anchors in one batched product.  Raises ValueError when the steps do
+    not apply in turn or do not end at ``trace.final``.  ``membership_tol``
+    is 0: long tree products are too ill-conditioned for the relative GL test.
     """
-    q, names = trace.source, trace.source.vertices
+    q = trace.source
     if f.quiver != q:
         raise ValueError("representation does not live on the trace's source quiver")
-    index = q._vertex_row
-    block = np.arange(q.n_vertices)  # source vertex -> row of its block's vertex
-    gauge = np.tile(identity(f.group.n), (q.n_vertices, 1, 1))
-    for step in trace.steps:
-        a = q.arrow(step.arrow)
-        t, h = block[index[a.tail]], block[index[a.head]]
-        ends = (names[t], names[h])
-        if ends != (step.tail, step.head) or t == h or step.merged != min(ends):
-            raise ValueError("step does not match the quiver it is applied to")
-        f0 = gauge[index[a.head]] @ f.markings[a.name] @ np.linalg.inv(gauge[index[a.tail]])
-        rows = block == t
-        gauge[rows] = f0 @ gauge[rows]
-        block[rows | (block == h)] = index[step.merged]
+    _, anchor = trace.blocks()
     collapsed = {step.arrow for step in trace.steps}
+    gauge = _tree_gauge(f, spanning_forest(Quiver(q.vertices, [a for a in q.arrows if a.name in collapsed])))
+    gauge = np.linalg.inv(gauge[anchor]) @ gauge
     kept = np.array([i for i, a in enumerate(q.arrows) if a.name not in collapsed], dtype=np.intp)
-    image = {v: names[b] for v, b in zip(names, block)}
-    final = Quiver(
-        tuple(names[b] for b in np.unique(block)),
-        tuple(Arrow(a.name, image[a.tail], image[a.head]) for a in (q.arrows[i] for i in kept)),
-    )
-    if final != trace.final:
-        raise ValueError("trace steps do not end at the trace's final quiver")
     moved = act_on_stack(gauge, f.stack[kept], q.tails[kept], q.heads[kept])
-    return Representation(final, f.group, moved, membership_tol=0.0)
+    return Representation(trace.final, f.group, moved, membership_tol=0.0)
 
 
 def induced_gauge(g: GaugeElement, trace: ReductionTrace) -> GaugeElement:
     """Image of a gauge element under a collapse sequence.
 
-    At every step the merged vertex inherits the value at the collapsed
-    arrow's head; all other vertices keep their values.  This is the gauge
-    for which pushforward commutes with the action.
+    Each final vertex takes the value at its block's anchor (see
+    ``ReductionTrace``).  This is the gauge for which pushforward commutes
+    with the action.
     """
     if g.quiver != trace.source:
         raise ValueError("gauge does not live on the trace's source quiver")
-    vals = dict(g.values)
-    for step in trace.steps:
-        head_value = vals.pop(step.head)
-        vals.pop(step.tail, None)
-        vals[step.merged] = head_value
-    return GaugeElement(trace.final, g.group, vals, membership_tol=g.membership_tol)
+    image, anchor = trace.blocks()
+    values = g.stack[[anchor[r] for r in sorted(set(image))]]  # final vertices, in source row order
+    return GaugeElement(trace.final, g.group, values, membership_tol=g.membership_tol)
 
 
 def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representation]:
@@ -304,20 +298,10 @@ def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representat
     root; the returned representation carries all content on the non-tree
     arrows.
     """
-    q = f.quiver
-    if not is_connected(q):
+    forest = spanning_forest(f.quiver)
+    if len(forest.roots) != 1:
         raise ValueError("tree normal form requires a connected quiver")
-    forest = spanning_forest(q)
-    vals: dict[str, np.ndarray] = {forest.roots[0]: identity(f.group.n)}
-    for child, (parent, name, forward) in forest.parent.items():
-        m = f.matrix(name)
-        if forward:
-            # arrow parent -> child: want g(child) m g(parent)^(-1) = I
-            vals[child] = vals[parent] @ np.linalg.inv(m)
-        else:
-            # arrow child -> parent: want g(parent) m g(child)^(-1) = I
-            vals[child] = vals[parent] @ m
-    gauge = GaugeElement(q, f.group, vals, membership_tol=0.0)
+    gauge = GaugeElement(f.quiver, f.group, _tree_gauge(f, forest), membership_tol=0.0)
     return gauge, gauge_act(gauge, f)
 
 

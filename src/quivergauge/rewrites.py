@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .quiver import (
-    Arrow,
-    Quiver,
-    RelationSet,
-    Word,
-    is_connected,
-    spanning_forest,
-    validate_relations,
-)
+from .quiver import Arrow, Quiver, RelationSet, Word, spanning_forest, validate_relations
 
 TRACE_FORMAT_VERSION = 2
 
@@ -30,9 +22,7 @@ class CollapseStep:
     """One collapse: the removed arrow, its endpoints, and the merged vertex.
 
     ``tail`` and ``head`` both map to ``merged`` (the smaller id) and every
-    other vertex to itself.  The marking of ``arrow`` at the time of the
-    step is the conjugator attached to the merged vertex when a
-    representation is pushed through the step.
+    other vertex to itself.
     """
 
     arrow: str
@@ -48,7 +38,10 @@ class CollapseStep:
 class ReductionTrace:
     """Replayable record of a collapse sequence from ``source`` to ``final``.
 
-    Trace format 2 stores no vertex maps: they follow from the steps.
+    Trace format 2 stores no vertex maps: they follow from the steps.  Each
+    step merges two blocks of source vertices.  A single vertex is its own
+    block's **anchor**; a merged block keeps the anchor of the block at the
+    collapsed arrow's head, so the pushforward gauge never moves an anchor.
     """
 
     source: Quiver
@@ -56,12 +49,37 @@ class ReductionTrace:
     final: Quiver
     final_relations: RelationSet
 
-    def map_vertex(self, v: str) -> str:
-        """Image of a source vertex in the final quiver."""
-        self.source.check_vertex(v)
+    def blocks(self) -> tuple[list[int], list[int]]:
+        """Source rows of each source vertex's final vertex and of its block's anchor, in one pass.
+
+        Raises ValueError when a step does not match the blocks it joins, or
+        the steps do not end at ``final``.
+        """
+        q, names = self.source, self.source.vertices
+        rows = q._vertex_row
+        parent = list(range(q.n_vertices))  # the root of a block is its anchor
+        current = list(range(q.n_vertices))  # row of a block's current vertex, read at its root
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]  # path halving
+                i = parent[i]
+            return i
+
         for step in self.steps:
-            v = step.map_vertex(v)
-        return v
+            a = q.arrow(step.arrow)
+            t, h = find(rows[a.tail]), find(rows[a.head])
+            ends = (names[current[t]], names[current[h]])
+            if ends != (step.tail, step.head) or t == h or step.merged != min(ends):
+                raise ValueError("step does not match the quiver it is applied to")
+            parent[t], current[h] = h, rows[step.merged]
+        anchor = [find(i) for i in range(q.n_vertices)]
+        to = {v: names[current[r]] for v, r in zip(names, anchor)}
+        collapsed = {step.arrow for step in self.steps}
+        arrows = tuple(Arrow(a.name, to[a.tail], to[a.head]) for a in q.arrows if a.name not in collapsed)
+        if Quiver(tuple(v for v in names if to[v] == v), arrows) != self.final:
+            raise ValueError("trace steps do not end at the trace's final quiver")
+        return [current[r] for r in anchor], anchor
 
     def replay(self, rels: RelationSet | None = None) -> tuple[Quiver, RelationSet]:
         """Re-run the steps one collapse at a time; must reproduce ``final``."""
@@ -155,13 +173,13 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
     root's (smallest) id; everything is read off the spanning forest in one
     pass and equals the stepwise ``ReductionTrace.replay``.
     """
-    if not is_connected(q):
+    forest = spanning_forest(q)
+    if len(forest.roots) != 1:
         raise ValueError("rose reduction requires a connected quiver")
     rels = rels if rels is not None else RelationSet()
     bad = validate_relations(q, rels)
     if bad:
         raise ValueError(f"invalid relation set: {bad[0].message}")
-    forest = spanning_forest(q)
     (root,) = forest.roots
     steps = tuple(
         CollapseStep(name, root, child, root) if forward else CollapseStep(name, child, root, root)

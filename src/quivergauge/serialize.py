@@ -14,7 +14,7 @@ import numpy as np
 
 from .additive import AdditiveRep, DegenerationWitness, OrbitCertificate
 from .kempfness import FlowReport, KNResidual
-from .quiver import Arrow, GroupSpec, Quiver, RelationSet, Word
+from .quiver import GROUP_FAMILIES, Arrow, GroupSpec, Quiver, RelationSet, Word
 from .representation import GaugeElement, Representation
 from .rewrites import TRACE_FORMAT_VERSION, CollapseStep, ReductionTrace
 from .toric import MonomialBasis
@@ -70,19 +70,21 @@ def group_to_json(g: GroupSpec) -> dict:
     return {"family": g.family, "n": g.n}
 
 
-def _int_from_json(value, what: str) -> int:
-    """A JSON integer; strings, floats and booleans raise TypeError."""
+def _size_from_json(value, what: str) -> int:
+    """A JSON integer >= 1; strings, floats, booleans and smaller integers raise TypeError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise TypeError(f"{what} must be >= 1, got {value}")
     return value
 
 
 def group_from_json(data) -> GroupSpec:
-    """Decode ``{"family": str, "n": int}``; any other value type raises TypeError."""
+    """Decode ``{"family": str, "n": int}`` with a known family and n >= 1, else raise TypeError."""
     family = data["family"]
-    if not isinstance(family, str):
-        raise TypeError(f"group family must be a string, got {family!r}")
-    return GroupSpec(family, _int_from_json(data["n"], "group n"))
+    if family not in GROUP_FAMILIES:
+        raise TypeError(f"group family must be a string among {', '.join(GROUP_FAMILIES)}, got {family!r}")
+    return GroupSpec(family, _size_from_json(data["n"], "group n"))
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -147,7 +149,7 @@ def additive_to_json(x: AdditiveRep) -> dict:
 
 
 def additive_from_json(data, q: Quiver) -> AdditiveRep:
-    return AdditiveRep(q, _int_from_json(data["n"], "n"), _matrices_from_json(data, "markings"))
+    return AdditiveRep(q, _size_from_json(data["n"], "n"), _matrices_from_json(data, "markings"))
 
 
 def step_to_json(s: CollapseStep) -> dict:

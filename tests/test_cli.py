@@ -407,6 +407,49 @@ def test_group_size_and_family_must_be_json_types(capsys, tmp_path):
     assert (code, out) == (2, "") and str(rep) in err and "must be a string" in err
 
 
+def test_unknown_family_and_nonpositive_n_exit_2_and_name_the_file(capsys, tmp_path):
+    q = fx("one_loop.quiver")
+    good_rep = tmp_path / "good.json"
+    good_rep.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "markings": {"l0": IDENTITY_2}}))
+    good_gauge = tmp_path / "good_gauge.json"
+    good_gauge.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "values": {"v0": IDENTITY_2}}))
+    for group, message in (
+        ({"family": "XX", "n": 2}, "group family must be a string among GL, SL, U, SU, TORUS, got 'XX'"),
+        ({"family": "GL", "n": 0}, "group n must be >= 1, got 0"),
+        ({"family": "GL", "n": -3}, "group n must be >= 1, got -3"),
+    ):
+        rep, gauge = tmp_path / "rep.json", tmp_path / "gauge.json"
+        rep.write_text(json.dumps({"group": group, "markings": {"l0": IDENTITY_2}}))
+        gauge.write_text(json.dumps({"group": group, "values": {"v0": IDENTITY_2}}))
+        for argv, path in (
+            (["kn-residual", q, "--rep", str(rep)], rep),
+            (["act", q, "--rep", str(good_rep), "--gauge", str(gauge)], gauge),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, group, err)
+            assert str(path) in err and message in err, err
+    for n in (0, -1):
+        x = tmp_path / "x.json"
+        x.write_text(json.dumps({"n": n, "markings": {"l0": IDENTITY_2}}))
+        for argv in (
+            ["witness", q, "--rep", str(x), "--vertex", "v0"],
+            ["rescale", q, "--gauge", str(good_gauge), "--x", str(x), "--x-prime", str(good_rep)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, n, err)
+            assert str(x) in err and f"n must be >= 1, got {n}" in err, err
+
+
+def test_library_warnings_are_one_plain_line(capsys, tmp_path):
+    q = fx("one_loop.quiver")
+    _, sample, _ = run(capsys, "sample", q, "--group", "U", "--n", "2")
+    rep = tmp_path / "rep.json"
+    rep.write_text(sample)
+    code, out, err = run(capsys, "retract", q, "--rep", str(rep), "--t", "0.5")
+    assert code == 0 and json.loads(out) == json.loads(sample)
+    assert err == "warning: U(2) is compact; retraction is the identity\n"
+
+
 def test_stats_goes_to_stderr_and_leaves_stdout_alone(capsys):
     for name, vertices, arrows in (("theta.quiver", 2, 3), ("comet.quiver", 5, 5)):
         for argv, n in (

@@ -31,6 +31,7 @@ from quivergauge import (
     reduce_to_rose,
 )
 from quivergauge.quiver import RelationSet
+from quivergauge.rewrites import ReductionTrace, collapse
 
 from conftest import PROPERTY, quivers
 
@@ -43,6 +44,17 @@ seeds = st.integers(0, 2**31 - 1)
 
 def close(got, want, scale) -> bool:
     return np.linalg.norm(np.asarray(got) - np.asarray(want)) <= REL * scale
+
+
+def traces(q, data) -> tuple[ReductionTrace, ...]:
+    """The rose trace, and a trace of collapses in a drawn order that may stop before the rose."""
+    _, _, rose = reduce_to_rose(q, RelationSet())
+    current, rels, steps = q, RelationSet(), []
+    for _ in range(data.draw(st.integers(0, q.n_vertices - 1))):
+        names = [a.name for a in current.arrows if not a.is_loop]
+        current, rels, step = collapse(current, rels, data.draw(st.sampled_from(names)))
+        steps.append(step)
+    return rose, ReductionTrace(q, tuple(steps), current, rels)
 
 
 def reference_action(g_values, markings, q) -> dict:
@@ -102,50 +114,51 @@ def test_moments_and_norm_match_loops(q, group, seed):
 
 
 @PROPERTY
-@given(quivers(max_vertices=40), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds)
-def test_pushforward_matches_collapse_loop(q, group, seed):
+@given(quivers(max_vertices=40), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds, st.data())
+def test_pushforward_matches_collapse_loop(q, group, seed, data):
     # unitary markings keep every product of unit norm, so one relative
     # tolerance holds however long the tree paths are
     f = random_representation(q, group, seed)
-    _, _, trace = reduce_to_rose(q, RelationSet())
-    markings = dict(f.markings)
-    current = q
-    for step in trace.steps:
-        f0 = markings.pop(step.arrow)
-        gauge = {v: np.eye(group.n) for v in current.vertices}
-        gauge[step.tail] = f0
-        markings = {
-            a.name: gauge[a.head] @ markings[a.name] @ np.linalg.inv(gauge[a.tail])
-            for a in current.arrows
-            if a.name != step.arrow
-        }
-        current = Quiver(
-            tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
-            tuple(
-                Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
+    for trace in traces(q, data):
+        markings = dict(f.markings)
+        current = q
+        for step in trace.steps:
+            f0 = markings.pop(step.arrow)
+            gauge = {v: np.eye(group.n) for v in current.vertices}
+            gauge[step.tail] = f0
+            markings = {
+                a.name: gauge[a.head] @ markings[a.name] @ np.linalg.inv(gauge[a.tail])
                 for a in current.arrows
                 if a.name != step.arrow
-            ),
-        )
-    pushed = pushforward_collapse(f, trace)
-    assert pushed.quiver == current == trace.final
-    assert list(pushed.markings) == list(markings)
-    for name, want in markings.items():
-        assert close(pushed.markings[name], want, group.n)
+            }
+            current = Quiver(
+                tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
+                tuple(
+                    Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
+                    for a in current.arrows
+                    if a.name != step.arrow
+                ),
+            )
+        pushed = pushforward_collapse(f, trace)
+        assert pushed.quiver == current == trace.final
+        assert list(pushed.markings) == list(markings)
+        for name, want in markings.items():
+            assert close(pushed.markings[name], want, group.n)
 
 
 @PROPERTY
-@given(quivers(), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds)
-def test_pushforward_is_gauge_equivariant(q, group, seed):
-    # pushforward(g . f) = induced_gauge(g) . pushforward(f) along the rose trace
+@given(quivers(), st.sampled_from([GroupSpec("U", 2), GroupSpec("SU", 3)]), seeds, st.data())
+def test_pushforward_is_gauge_equivariant(q, group, seed, data):
+    # pushforward(g . f) = induced_gauge(g) . pushforward(f) along the rose
+    # trace and along a drawn collapse order
     f = random_representation(q, group, seed)
     g = random_gauge(q, group, seed + 1)
-    _, _, trace = reduce_to_rose(q, RelationSet())
-    lhs = pushforward_collapse(gauge_act(g, f), trace)
-    rhs = gauge_act(induced_gauge(g, trace), pushforward_collapse(f, trace))
-    assert lhs.quiver == rhs.quiver == trace.final
-    for name, want in rhs.markings.items():
-        assert close(lhs.markings[name], want, group.n)
+    for trace in traces(q, data):
+        lhs = pushforward_collapse(gauge_act(g, f), trace)
+        rhs = gauge_act(induced_gauge(g, trace), pushforward_collapse(f, trace))
+        assert lhs.quiver == rhs.quiver == trace.final
+        for name, want in rhs.markings.items():
+            assert close(lhs.markings[name], want, group.n)
 
 
 @PROPERTY
