@@ -418,36 +418,38 @@ def spanning_forest(q: Quiver) -> SpanningForest:
     """BFS forest with roots at the smallest vertex id of each component.
 
     Neighbor exploration is by lexicographic arrow id, so parallel arrows
-    are broken deterministically.
+    are broken deterministically.  Loops never enter the incidence lists.
     """
-    incident: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        incident[a.tail].append(a)
-        if not a.is_loop:
-            incident[a.head].append(a)
+    names = [a.name for a in q.arrows]
+    tails, heads = q.tails.tolist(), q.heads.tolist()
+    incident: list[list[int]] = [[] for _ in q.vertices]
+    for i in sorted(range(q.n_arrows), key=names.__getitem__):
+        if tails[i] != heads[i]:
+            incident[tails[i]].append(i)
+            incident[heads[i]].append(i)
 
-    visited: set[str] = set()
+    vertices = q.vertices
+    visited = [False] * q.n_vertices
     roots: list[str] = []
     parent: dict[str, tuple[str, str, bool]] = {}
     tree_arrows: list[str] = []
 
-    for root in sorted(q.vertices):
-        if root in visited:
+    for root in sorted(range(q.n_vertices), key=vertices.__getitem__):
+        if visited[root]:
             continue
-        roots.append(root)
-        visited.add(root)
+        roots.append(vertices[root])
+        visited[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for a in incident[v]:
-                if a.is_loop:
+            for i in incident[v]:
+                forward = tails[i] == v
+                other = heads[i] if forward else tails[i]
+                if visited[other]:
                     continue
-                other = a.head if a.tail == v else a.tail
-                if other in visited:
-                    continue
-                visited.add(other)
-                parent[other] = (v, a.name, a.tail == v)
-                tree_arrows.append(a.name)
+                visited[other] = True
+                parent[vertices[other]] = (vertices[v], names[i], forward)
+                tree_arrows.append(names[i])
                 queue.append(other)
     return SpanningForest(tuple(roots), parent, tuple(tree_arrows))
 

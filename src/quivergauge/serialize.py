@@ -80,11 +80,14 @@ def _size_from_json(value, what: str) -> int:
 
 
 def group_from_json(data) -> GroupSpec:
-    """Decode ``{"family": str, "n": int}`` with a known family and n >= 1, else raise TypeError."""
+    """Decode ``{"family": str, "n": int}`` with a known family, n >= 1 and n = 1 for TORUS, else raise TypeError."""
     family = data["family"]
     if family not in GROUP_FAMILIES:
         raise TypeError(f"group family must be a string among {', '.join(GROUP_FAMILIES)}, got {family!r}")
-    return GroupSpec(family, _size_from_json(data["n"], "group n"))
+    n = _size_from_json(data["n"], "group n")
+    if family == "TORUS" and n != 1:
+        raise TypeError(f"TORUS means GL(1), so group n must be 1, got {n}")
+    return GroupSpec(family, n)
 
 
 def quiver_to_json(q: Quiver) -> dict:

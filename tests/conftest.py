@@ -119,6 +119,38 @@ def random_connected_quiver(
     return Quiver(vertices, tuple(arrows))
 
 
+def tree_plus_extras(n_vertices: int, n_arrows: int, seed: int) -> Quiver:
+    """Random spanning tree (a0 .. a<V-2>, away from v0) plus uniform extra arrows: loops and parallels occur."""
+    rng = np.random.default_rng(seed)
+    vs = [f"v{i}" for i in range(n_vertices)]
+    ends = [(vs[int(rng.integers(i))], vs[i]) for i in range(1, n_vertices)]
+    ends += [(vs[int(rng.integers(n_vertices))], vs[int(rng.integers(n_vertices))]) for _ in range(n_arrows - len(ends))]
+    return Quiver(tuple(vs), tuple((f"a{i}", t, h) for i, (t, h) in enumerate(ends)))
+
+
+def cycle_plus_extras(n_vertices: int, n_arrows: int, seed: int) -> Quiver:
+    """Random Hamiltonian cycle (a0 .. a<V-1>) plus uniform extra arrows: loops and parallels occur."""
+    rng = np.random.default_rng(seed)
+    vs = [f"v{i}" for i in range(n_vertices)]
+    order = [vs[i] for i in rng.permutation(n_vertices)]
+    ends = [(order[i], order[(i + 1) % n_vertices]) for i in range(n_vertices)]
+    ends += [(vs[int(rng.integers(n_vertices))], vs[int(rng.integers(n_vertices))]) for _ in range(n_arrows - len(ends))]
+    return Quiver(tuple(vs), tuple((f"a{i}", t, h) for i, (t, h) in enumerate(ends)))
+
+
+def is_row_hermite(rows) -> bool:
+    """Positive pivots in strictly increasing columns, reduced entries above, no zero rows."""
+    last = -1
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None or col <= last or row[col] <= 0:
+            return False
+        if any(not 0 <= rows[k][col] < row[col] for k in range(i)):
+            return False
+        last = col
+    return True
+
+
 def random_tree(rng: np.random.Generator, max_vertices: int = 8) -> Quiver:
     nv = int(rng.integers(2, max_vertices + 1))
     vertices = tuple(f"v{i}" for i in range(nv))

@@ -417,6 +417,7 @@ def test_unknown_family_and_nonpositive_n_exit_2_and_name_the_file(capsys, tmp_p
         ({"family": "XX", "n": 2}, "group family must be a string among GL, SL, U, SU, TORUS, got 'XX'"),
         ({"family": "GL", "n": 0}, "group n must be >= 1, got 0"),
         ({"family": "GL", "n": -3}, "group n must be >= 1, got -3"),
+        ({"family": "TORUS", "n": 2}, "TORUS means GL(1), so group n must be 1, got 2"),
     ):
         rep, gauge = tmp_path / "rep.json", tmp_path / "gauge.json"
         rep.write_text(json.dumps({"group": group, "markings": {"l0": IDENTITY_2}}))

@@ -13,7 +13,15 @@ from quivergauge import (
     invariant_monomial_basis,
     weight_matrix,
 )
-from conftest import one_arrow, one_loop, random_connected_quiver, two_cycle
+from conftest import (
+    cycle_plus_extras,
+    is_row_hermite,
+    one_arrow,
+    one_loop,
+    random_connected_quiver,
+    tree_plus_extras,
+    two_cycle,
+)
 
 
 def double_arrow():
@@ -171,6 +179,7 @@ def test_hermite_rows_canonical():
     assert hermite_rows([[-1, 1]]) == [[1, -1]]
     assert hermite_rows([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]
     assert hermite_rows([]) == []
+    assert hermite_rows([[1, 2], [2, 4]]) == [[1, 2], [0, 0]]
 
 
 def test_check_invariance_accepts_kernel_rejects_others():
@@ -219,3 +228,113 @@ def test_scalar_weighted_action_law_exact():
         rhs = scalar_weighted_act(product, markings, action)
         for name in markings:
             assert abs(lhs[name] - rhs[name]) <= 1e-12 * max(1.0, abs(rhs[name]))
+
+
+def fundamental_cycles_from_last_arrow(q):
+    """Oracle for unit weights: one row per non-tree arrow, ascending.
+
+    The forest grows greedily from the last arrow (a union-find keeps an
+    arrow unless its ends are already joined).  A non-tree arrow's row is
+    its fundamental cycle: +1 at the arrow, and +-1 on the tree path from its
+    head back to its tail, by the direction each tree arrow is walked.
+    Every tree arrow on that path comes later, so the rows are in Hermite form.
+    """
+    tails, heads = q.tails.tolist(), q.heads.tolist()
+    root = list(range(q.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree = [[] for _ in q.vertices]
+    non_tree = []
+    for a in reversed(range(q.n_arrows)):
+        t, h = find(tails[a]), find(heads[a])
+        if t == h:
+            non_tree.append(a)
+        else:
+            root[t] = h
+            tree[tails[a]].append((heads[a], a, 1))
+            tree[heads[a]].append((tails[a], a, -1))
+    rows = []
+    for a in sorted(non_tree):
+        step = {heads[a]: None}  # vertex -> (previous vertex, tree arrow, sign) from the head
+        queue = [heads[a]]
+        for v in queue:
+            for w, b, sign in tree[v]:
+                if w not in step:
+                    step[w] = (v, b, sign)
+                    queue.append(w)
+        row = [0] * q.n_arrows
+        row[a] = 1
+        v = tails[a]
+        while step[v] is not None:
+            v, b, sign = step[v]
+            row[b] += sign
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def disconnected_quiver():
+    """A tree-plus-extras and a cycle-plus-extras piece side by side, plus an antiparallel pair and a loop."""
+    left, right = tree_plus_extras(30, 60, 4), cycle_plus_extras(20, 45, 5)
+    vertices = tuple(f"L{v}" for v in left.vertices) + tuple(f"R{v}" for v in right.vertices)
+    arrows = [(f"L{a.name}", f"L{a.tail}", f"L{a.head}") for a in left.arrows]
+    arrows += [(f"R{a.name}", f"R{a.tail}", f"R{a.head}") for a in right.arrows]
+    arrows += [("p0", "Lv3", "Lv7"), ("p1", "Lv7", "Lv3"), ("loop", "Rv2", "Rv2")]
+    return Quiver(vertices, tuple(arrows))
+
+
+def test_unit_weight_basis_is_the_fundamental_cycles_from_the_last_arrow():
+    cases = [disconnected_quiver(), Quiver(("v0",), ())]
+    for seed, size in enumerate((3, 10, 50, 400)):
+        cases += [tree_plus_extras(size, 2 * size, seed), cycle_plus_extras(size, 2 * size, seed)]
+    loops = parallels = 0
+    for q in cases:
+        basis = invariant_monomial_basis(weight_matrix(q, ones(q), ones(q)))
+        expected = fundamental_cycles_from_last_arrow(q)
+        assert basis.vectors == expected
+        assert basis.cell_dimension == len(expected)
+        ends = [(a.tail, a.head) for a in q.arrows]
+        loops += sum(t == h for t, h in ends)
+        parallels += len(ends) - len({frozenset(e) for e in ends})
+    assert loops and parallels
+
+
+def rank_mod_p(rows, p=2**31 - 1):
+    """Rank over GF(p): a lower bound on the rational rank."""
+    m = np.array(rows, dtype=np.int64) % p
+    rank = 0
+    for j in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, j])
+        if not len(nonzero):
+            continue
+        m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, j]), p - 2, p) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1 :, j])
+        m[below] = (m[below] - np.outer(m[below, j], m[rank]) % p) % p
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def test_random_weight_basis_at_400_vertices_exactly():
+    q = tree_plus_extras(400, 800, 9)
+    rng = np.random.default_rng(9)
+    mu, nu = ({a.name: int(w) for a, w in zip(q.arrows, rng.integers(0, 4, q.n_arrows))} for _ in range(2))
+    action = weight_matrix(q, mu, nu)
+    basis = invariant_monomial_basis(action)
+    names, tails, heads = basis.arrow_order, q.tails.tolist(), q.heads.tolist()
+    for vec in basis.vectors:
+        acc = [0] * q.n_vertices
+        for a, x in enumerate(vec):
+            if x:
+                acc[heads[a]] += mu[names[a]] * x
+                acc[tails[a]] -= nu[names[a]] * x
+        assert not any(acc)
+    assert is_row_hermite(basis.vectors)
+    # independent kernel vectors number at most A - rank(Q) <= A - rank(GF(p)), so equality pins the count
+    assert len(basis.vectors) == basis.cell_dimension == q.n_arrows - rank_mod_p(action.matrix)

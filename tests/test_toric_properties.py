@@ -14,33 +14,11 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from quivergauge import Quiver, invariant_monomial_basis, weight_matrix
+from quivergauge import invariant_monomial_basis, weight_matrix
 
-from conftest import PROPERTY, quivers
+from conftest import PROPERTY, is_row_hermite, quivers, tree_plus_extras
 
 weight_seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
-
-
-def tree_plus_extras(n_vertices: int, n_arrows: int, seed: int) -> Quiver:
-    """Random spanning tree plus uniform extra arrows: the largest size, always tested."""
-    rng = np.random.default_rng(seed)
-    vs = [f"v{i}" for i in range(n_vertices)]
-    ends = [(vs[int(rng.integers(i))], vs[i]) for i in range(1, n_vertices)]
-    ends += [(vs[int(rng.integers(n_vertices))], vs[int(rng.integers(n_vertices))]) for _ in range(n_arrows - len(ends))]
-    return Quiver(tuple(vs), tuple((f"a{i}", t, h) for i, (t, h) in enumerate(ends)))
-
-
-def is_row_hermite(rows) -> bool:
-    """Positive pivots in strictly increasing columns, reduced entries above, no zero rows."""
-    last = -1
-    for i, row in enumerate(rows):
-        col = next((j for j, x in enumerate(row) if x != 0), None)
-        if col is None or col <= last or row[col] <= 0:
-            return False
-        if any(not 0 <= rows[k][col] < row[col] for k in range(i)):
-            return False
-        last = col
-    return True
 
 
 @settings(PROPERTY, max_examples=10)
