@@ -3,9 +3,12 @@
 Forgetting invertibility embeds group-valued representations into tuples
 of arbitrary square matrices.  At a sink or source the scalar gauge t * I
 degenerates every incident marking to zero, so such orbits are never
-closed; on strongly connected quivers the weight-monotonicity argument
-shows invertible orbits stay closed.  Between unimodular representations,
-equal-determinant gauges can always be rescaled to unit determinant.
+closed.  On strongly connected quivers the weight-monotonicity argument
+rules out the degenerations by vertex-scalar one-parameter subgroups
+t^alpha_v * I, and only those: an orbit is closed exactly when the
+representation is semisimple (King 1994), which the one-loop Jordan block
+is not.  Between unimodular representations, equal-determinant gauges can
+always be rescaled to unit determinant.
 """
 
 import numpy as np

@@ -3,10 +3,14 @@
 Group-valued representations embed into tuples of arbitrary n x n matrices
 by forgetting invertibility.  At a sink or source an explicit one-parameter
 gauge degenerates every incident marking to zero, certifying a non-closed
-orbit; on strongly connected quivers a weight-monotonicity argument rules
-such degenerations out.  Equal-determinant gauges between unimodular
-representations can be rescaled to unit determinant without changing their
-action.
+orbit.  On strongly connected quivers a weight-monotonicity argument rules
+out every degeneration by a vertex-scalar one-parameter subgroup
+``t^alpha_v * I``, and only those: the orbit of a representation is closed
+exactly when it is semisimple (King, *Moduli of representations of finite
+dimensional algebras*, 1994), and the Jordan block on the one-loop quiver is
+strongly connected without a closed orbit.  Equal-determinant gauges between
+unimodular representations can be rescaled to unit determinant without
+changing their action.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .matrices import _principal_root
 from .quiver import (
     GroupSpec,
     Quiver,
@@ -209,12 +214,15 @@ def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> Mono
 
 @dataclass(frozen=True)
 class OrbitCertificate:
-    """Verdict on closedness of invertible-representation orbits.
+    """Verdict on the scalar degenerations of invertible representations.
 
     ``ends_obstruct`` lists the sink/source vertices at which every
-    invertible representation degenerates.  For the strongly connected
-    verdict, a sample non-constant weight assignment and the cycle on which
-    it fails monotonicity are attached as constructive evidence.
+    invertible representation degenerates.  The strongly connected verdict
+    (``all_invertible_orbits_closed``) certifies only that no vertex-scalar
+    one-parameter subgroup ``t^alpha_v * I`` degenerates one; other
+    one-parameter subgroups still can (King 1994).  For it, a sample
+    non-constant weight assignment and the cycle on which it fails
+    monotonicity are attached as constructive evidence.
     """
 
     verdict: str
@@ -227,10 +235,13 @@ def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:
     """Classify a connected quiver by the orbit-closure behavior it forces.
 
     Strongly connected quivers put every arrow on an oriented cycle, which
-    rules out the weight degenerations, so all invertible orbits stay
-    closed.  Quivers with ends admit the explicit sink/source degeneration
-    at every end.  Quivers with no ends that are not strongly connected are
-    reported inconclusive rather than guessed.
+    rules out the degenerations by vertex-scalar one-parameter subgroups
+    ``t^alpha_v * I``.  It does not make every invertible orbit closed: by
+    King (1994) an orbit is closed exactly when the representation is
+    semisimple, and the one-loop Jordan block is not.  Quivers with ends
+    admit the explicit sink/source degeneration at every end.  Quivers with
+    no ends that are not strongly connected are reported inconclusive
+    rather than guessed.
     """
     if not is_connected(q):
         raise ValueError("certificate requires a connected quiver")
@@ -291,7 +302,7 @@ def unimodular_rescale(
     if bad.size:
         v, d = g.quiver.vertices[bad[0]], complex(dets[bad[0]])
         raise ValueError(f"gauge determinants disagree at vertex {v!r}: {d} vs {reference}")
-    root = np.exp(np.log(reference) / n)
+    root = _principal_root(reference, n)
     return GaugeElement(
         g.quiver, GroupSpec("SL", n), g.stack / root, membership_tol=max(10.0 * tol, 1e-12)
     )

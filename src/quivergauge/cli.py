@@ -41,6 +41,7 @@ from .additive import closed_orbit_certificate, embed_additive, sink_source_witn
 from .kempfness import kn_flow, kn_moment, retract_representation
 from .matrices import TOL_EQ
 from .quiver import (
+    GROUP_FAMILIES,
     GroupSpec,
     RelationSet,
     betti_number,
@@ -56,7 +57,6 @@ from .rewrites import clip, collapse, pinch, reduce_to_rose, reverse_arrows
 from .toric import invariant_monomial_basis, weight_matrix
 
 MAX_MATRIX_SIZE = 16
-GROUPS = ("GL", "SL", "U", "SU", "TORUS")
 
 
 class _UsageError(Exception):
@@ -85,8 +85,6 @@ def _read_file(path: str) -> str:
 def _check_size(n: int) -> int:
     if n > MAX_MATRIX_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported limit {MAX_MATRIX_SIZE}")
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     return n
 
 
@@ -285,7 +283,7 @@ def _build_parser() -> _ArgumentParser:
         return p
 
     p = add("info", _cmd_info, "topological invariants, vertex classes, moduli dimension", text=True)
-    p.add_argument("--group", choices=GROUPS)
+    p.add_argument("--group", choices=GROUP_FAMILIES)
     p.add_argument("--n", type=int, default=2)
 
     add("reduce", _cmd_reduce, "collapse the spanning tree down to a rose", text=True)
@@ -304,7 +302,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--arrows", nargs="+", required=True)
 
     p = add("sample", _cmd_sample, "random representation")
-    p.add_argument("--group", choices=GROUPS, default="GL")
+    p.add_argument("--group", choices=GROUP_FAMILIES, default="GL")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 

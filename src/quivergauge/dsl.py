@@ -16,11 +16,17 @@ default to (1, 1) for arrows the section does not mention.  Parsed
 documents are canonically ordered (vertices, arrows, and relations
 sorted), so printing and reparsing reproduces them exactly.  Parsing
 failures raise ParseError carrying line/column diagnostics.
+
+The reader is one linear pass: tokens are ``(kind, text, offset)`` tuples
+from one regular expression, declarations are checked against sets and
+dicts in declaration order, and a ``Span`` is made from an offset (by
+bisecting the line starts) only where one is stored or reported.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -29,13 +35,15 @@ from .toric import MAX_WEIGHT
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# whitespace and comments are unnamed, so their matches have no lastgroup
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<comment>#[^\n]*)"
+    r"[ \t\r\n]+|#[^\n]*"
     r"|(?P<arrowop>->)"
     r"|(?P<int>-?[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>[{}:;,()])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -65,33 +73,16 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: Span
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError([Diagnostic(Span(line, col), f"unexpected character {text[pos]!r}")])
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, Span(line, col)))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", Span(line, col)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, ending in ``eof`` or at the first ``bad`` character."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is not None:
+            tokens.append((kind, m.group(), m.start()))
+            if kind == "bad":
+                return tokens
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -119,189 +110,195 @@ class QuiverDocument:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
+        kind, bad, offset = self.tokens[-1]
+        if kind == "bad":
+            raise self.fail(offset, f"unexpected character {bad!r}")
 
-    def peek(self) -> _Token:
+    def span(self, offset: int) -> Span:
+        line = bisect_right(self.line_starts, offset)
+        return Span(line, offset - self.line_starts[line - 1] + 1)
+
+    def report(self, offset: int, message: str) -> None:
+        self.diagnostics.append(Diagnostic(self.span(offset), message))
+
+    def fail(self, offset: int, message: str) -> ParseError:
+        self.report(offset, message)
+        return ParseError(self.diagnostics)
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, span: Span, message: str) -> ParseError:
-        self.diagnostics.append(Diagnostic(span, message))
-        return ParseError(self.diagnostics)
+    def at_ident(self) -> bool:
+        """The next token is an identifier that is not a keyword."""
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "ident" and text not in KEYWORDS
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def at_punct(self, text: str) -> bool:
+        return self.tokens[self.pos][:2] == ("punct", text)
+
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> tuple[str, str, int]:
+        tok_kind, tok_text, offset = self.peek()
+        if tok_kind != kind or (text is not None and tok_text != text):
             expected = what or (text if text is not None else kind)
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise self.fail(tok.span, f"expected {expected}, found {shown!r}")
+            shown = tok_text if tok_kind != "eof" else "end of input"
+            raise self.fail(offset, f"expected {expected}, found {shown!r}")
         return self.advance()
 
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise self.fail(tok.span, f"expected {what}, found {shown!r}")
-        if tok.text in KEYWORDS:
-            raise self.fail(tok.span, f"keyword {tok.text!r} cannot be used as {what}")
-        return self.advance()
+    def expect_ident(self, what: str) -> tuple[str, int]:
+        """(identifier, offset) of the next token, which must not be a keyword."""
+        kind, text, offset = self.peek()
+        if kind != "ident":
+            shown = text if kind != "eof" else "end of input"
+            raise self.fail(offset, f"expected {what}, found {shown!r}")
+        if text in KEYWORDS:
+            raise self.fail(offset, f"keyword {text!r} cannot be used as {what}")
+        self.pos += 1
+        return text, offset
 
     def expect_weight(self) -> int:
-        tok = self.expect("int", what="an integer weight")
+        _, text, offset = self.expect("int", what="an integer weight")
         # compare digit counts first: int() refuses literals over 4300 digits
-        digits = tok.text.lstrip("-").lstrip("0")
+        digits = text.lstrip("-").lstrip("0")
         if len(digits) > len(str(MAX_WEIGHT)) or int(digits or "0") > MAX_WEIGHT:
-            raise self.fail(tok.span, f"weight magnitude exceeds the cap {MAX_WEIGHT}")
-        return int(tok.text)
+            raise self.fail(offset, f"weight magnitude exceeds the cap {MAX_WEIGHT}")
+        return int(text)
 
 
 def parse(text: str) -> QuiverDocument:
     """Parse document text; raises ParseError with spanned diagnostics."""
-    parser = _Parser(_tokenize(text))
-    diagnostics = parser.diagnostics
+    parser = _Parser(text)
+    report, span, diagnostics = parser.report, parser.span, parser.diagnostics
 
     parser.expect("ident", "quiver")
-    name = None
-    if parser.peek().kind == "ident" and parser.peek().text not in KEYWORDS:
-        name = parser.advance().text
+    name = parser.advance()[1] if parser.at_ident() else None
     parser.expect("punct", "{")
 
-    vertices: list[tuple[str, Span]] = []
-    arrows: list[tuple[str, str, str, Span]] = []
-    relation_words: list[tuple[tuple[str, ...], Span]] = []
-    weight_entries: list[tuple[str, int, int, Span]] = []
+    # declarations with the source offset of their first token
+    vertices: list[tuple[str, int]] = []
+    arrows: list[tuple[str, str, str, int]] = []
+    relation_words: list[tuple[tuple[str, ...], int]] = []
+    weight_entries: list[tuple[str, int, int, int]] = []
 
-    while True:
-        tok = parser.peek()
-        if tok.kind == "punct" and tok.text == "}":
-            parser.advance()
-            break
-        if tok.kind == "eof":
-            raise parser.fail(tok.span, "expected a section or '}', found end of input")
-        if tok.kind != "ident" or tok.text not in ("vertices", "arrows", "relations", "weights"):
-            shown = tok.text or "end of input"
-            raise parser.fail(tok.span, f"expected a section keyword, found {shown!r}")
-        section = parser.advance().text
+    while not parser.at_punct("}"):
+        kind, section, offset = parser.peek()
+        if kind == "eof":
+            raise parser.fail(offset, "expected a section or '}', found end of input")
+        if kind != "ident" or section not in ("vertices", "arrows", "relations", "weights"):
+            raise parser.fail(offset, f"expected a section keyword, found {section!r}")
+        parser.advance()
         parser.expect("punct", ":")
         if section == "vertices":
-            first = parser.expect_ident("a vertex id")
-            vertices.append((first.text, first.span))
-            while parser.peek().kind == "ident" and parser.peek().text not in KEYWORDS:
-                tok = parser.advance()
-                vertices.append((tok.text, tok.span))
+            vertices.append(parser.expect_ident("a vertex id"))
+            while parser.at_ident():
+                vertices.append(parser.expect_ident("a vertex id"))
             parser.expect("punct", ";")
         elif section == "arrows":
             while True:
-                name_tok = parser.expect_ident("an arrow id")
+                aid, offset = parser.expect_ident("an arrow id")
                 parser.expect("punct", ":")
-                tail = parser.expect_ident("a tail vertex")
+                tail, _ = parser.expect_ident("a tail vertex")
                 parser.expect("arrowop", what="'->'")
-                head = parser.expect_ident("a head vertex")
+                head, _ = parser.expect_ident("a head vertex")
                 parser.expect("punct", ";")
-                arrows.append((name_tok.text, tail.text, head.text, name_tok.span))
-                nxt = parser.peek()
-                if nxt.kind != "ident" or nxt.text in KEYWORDS:
+                arrows.append((aid, tail, head, offset))
+                if not parser.at_ident():
                     break
         elif section == "relations":
             while True:
-                first = parser.expect_ident("an arrow id")
-                letters = [first.text]
-                span = first.span
-                while parser.peek().kind == "ident" and parser.peek().text not in KEYWORDS:
-                    letters.append(parser.advance().text)
-                relation_words.append((tuple(letters), span))
-                if parser.peek().kind == "punct" and parser.peek().text == ",":
-                    parser.advance()
-                    continue
-                parser.expect("punct", ";")
-                break
+                first, offset = parser.expect_ident("an arrow id")
+                letters = [first]
+                while parser.at_ident():
+                    letters.append(parser.advance()[1])
+                relation_words.append((tuple(letters), offset))
+                if not parser.at_punct(","):
+                    break
+                parser.advance()
+            parser.expect("punct", ";")
         else:
             while True:
-                name_tok = parser.expect_ident("an arrow id")
+                aid, offset = parser.expect_ident("an arrow id")
                 parser.expect("punct", "(")
                 m = parser.expect_weight()
                 parser.expect("punct", ",")
                 n = parser.expect_weight()
                 parser.expect("punct", ")")
-                weight_entries.append((name_tok.text, m, n, name_tok.span))
-                nxt = parser.peek()
-                if nxt.kind != "ident" or nxt.text in KEYWORDS:
+                weight_entries.append((aid, m, n, offset))
+                if not parser.at_ident():
                     break
             parser.expect("punct", ";")
+    parser.advance()
 
-    tail_tok = parser.peek()
-    if tail_tok.kind != "eof":
-        raise parser.fail(tail_tok.span, f"unexpected trailing input {tail_tok.text!r}")
+    kind, trailing, offset = parser.peek()
+    if kind != "eof":
+        raise parser.fail(offset, f"unexpected trailing input {trailing!r}")
 
     # semantic checks, batched so several problems surface at once
     spans: dict[str, Span] = {}
-    seen_vertices: list[str] = []
-    for vid, span in vertices:
-        if vid in seen_vertices:
-            diagnostics.append(Diagnostic(span, f"duplicate vertex id {vid!r}"))
+    vertex_ids: set[str] = set()
+    for vid, offset in vertices:
+        if vid in vertex_ids:
+            report(offset, f"duplicate vertex id {vid!r}")
         else:
-            seen_vertices.append(vid)
-            spans[f"vertex:{vid}"] = span
-    arrow_names: list[str] = []
+            vertex_ids.add(vid)
+            spans[f"vertex:{vid}"] = span(offset)
+    arrow_ids: set[str] = set()
     arrow_triples: list[tuple[str, str, str]] = []
-    for aid, tail, head, span in arrows:
-        if aid in arrow_names:
-            diagnostics.append(Diagnostic(span, f"duplicate arrow id {aid!r}"))
+    for aid, tail, head, offset in arrows:
+        if aid in arrow_ids:
+            report(offset, f"duplicate arrow id {aid!r}")
             continue
-        arrow_names.append(aid)
-        spans[f"arrow:{aid}"] = span
-        bad_endpoint = False
-        for v in (tail, head):
-            if v not in seen_vertices:
-                diagnostics.append(Diagnostic(span, f"arrow {aid!r} uses undeclared vertex {v!r}"))
-                bad_endpoint = True
-        if not bad_endpoint:
+        arrow_ids.add(aid)
+        spans[f"arrow:{aid}"] = span(offset)
+        undeclared = [v for v in (tail, head) if v not in vertex_ids]
+        for v in undeclared:
+            report(offset, f"arrow {aid!r} uses undeclared vertex {v!r}")
+        if not undeclared:
             arrow_triples.append((aid, tail, head))
-    if not seen_vertices:
-        diagnostics.append(Diagnostic(Span(1, 1), "a quiver needs at least one vertex"))
+    if not vertex_ids:
+        report(0, "a quiver needs at least one vertex")
     if diagnostics:
         raise ParseError(diagnostics)
 
     # canonical order: vertices, arrows, and relations sorted
-    quiver = Quiver(tuple(sorted(seen_vertices)), tuple(sorted(arrow_triples)))
+    quiver = Quiver(tuple(sorted(vertex_ids)), tuple(sorted(arrow_triples)))
 
-    for letters, span in relation_words:
+    for letters, offset in relation_words:
         for l in letters:
             if not quiver.has_arrow(l):
-                diagnostics.append(Diagnostic(span, f"relation uses unknown arrow {l!r}"))
+                report(offset, f"relation uses unknown arrow {l!r}")
     if diagnostics:
         raise ParseError(diagnostics)
     ordered_words = sorted(relation_words, key=lambda t: t[0])
     relations = RelationSet(tuple(Word.from_arrow_names(l) for l, _ in ordered_words))
-    for index, (_, span) in enumerate(ordered_words):
-        spans[f"relation:{index}"] = span
+    for index, (_, offset) in enumerate(ordered_words):
+        spans[f"relation:{index}"] = span(offset)
     for violation in validate_relations(quiver, relations):
-        span = spans[f"relation:{violation.word_index}"]
-        diagnostics.append(Diagnostic(span, f"relation is not a cycle: {violation.message}"))
+        report(ordered_words[violation.word_index][1], f"relation is not a cycle: {violation.message}")
 
     mu = nu = None
     if weight_entries:
         mu, nu = {}, {}
-        for aid, m, n, span in weight_entries:
+        for aid, m, n, offset in weight_entries:
             if aid in mu:
-                diagnostics.append(Diagnostic(span, f"duplicate weights for arrow {aid!r}"))
-                continue
-            if not quiver.has_arrow(aid):
-                diagnostics.append(Diagnostic(span, f"weights for unknown arrow {aid!r}"))
-                continue
-            if m < 0 or n < 0:
-                diagnostics.append(Diagnostic(span, "weights must be non-negative"))
-                continue
-            spans[f"weight:{aid}"] = span
-            mu[aid], nu[aid] = m, n
+                report(offset, f"duplicate weights for arrow {aid!r}")
+            elif not quiver.has_arrow(aid):
+                report(offset, f"weights for unknown arrow {aid!r}")
+            elif m < 0 or n < 0:
+                report(offset, "weights must be non-negative")
+            else:
+                spans[f"weight:{aid}"] = span(offset)
+                mu[aid], nu[aid] = m, n
         for a in quiver.arrows:
             mu.setdefault(a.name, 1)
             nu.setdefault(a.name, 1)

@@ -34,6 +34,11 @@ _MAX_STEP = 1e12
 _NONCOMPACT = ("GL", "SL", "TORUS")
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t <= 1.0:  # also refuses nan
+        raise ValueError("retraction time must lie in [0, 1]")
+
+
 def polar_retract(gm, t: float) -> np.ndarray:
     """g (g* g)^(-t/2): the straight path from g to its unitary factor.
 
@@ -42,8 +47,7 @@ def polar_retract(gm, t: float) -> np.ndarray:
     matrix (the relative GL test at ``TOL_MEMBERSHIP``).  A (k, n, n) stack
     is retracted matrix by matrix in one batched pass.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("retraction time must lie in [0, 1]")
+    _check_time(t)
     g = as_stack(gm)
     if t == 0.0:
         return g
@@ -58,8 +62,9 @@ def retract_representation(f: Representation, t: float) -> Representation:
 
     At t=1 all markings are unitary (and keep unit determinant for SL).
     Compact families are already at the endpoint: the representation is
-    returned unchanged with a warning.
+    returned unchanged with a warning, once ``t`` is checked.
     """
+    _check_time(t)
     if f.group.is_compact:
         warnings.warn(
             f"{f.group.family}({f.group.n}) is compact; retraction is the identity",

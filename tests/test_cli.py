@@ -274,6 +274,12 @@ def test_exit_code_numeric_precondition(capsys, tmp_path):
     rep_file.write_text(rep_json)
     code, _, err = run(capsys, "retract", fx("one_loop.quiver"), "--rep", str(rep_file), "--t", "2.0")
     assert code == 3
+    _, rep_json, _ = run(capsys, "sample", fx("one_loop.quiver"), "--group", "U", "--n", "2", "--seed", "0")
+    rep_file.write_text(rep_json)
+    for t in ("2.0", "nan"):
+        code, _, err = run(capsys, "retract", fx("one_loop.quiver"), "--rep", str(rep_file), "--t", t)
+        assert code == 3
+        assert "retraction time must lie in [0, 1]" in err
 
     code, _, err = run(capsys, "sample", fx("one_loop.quiver"), "--n", "17")
     assert code == 3

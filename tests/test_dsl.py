@@ -227,3 +227,66 @@ def test_fuzzed_fixture_mutations_never_panic():
             parse("".join(chars))
         except ParseError:
             pass  # structured rejection is the contract
+
+
+# The golden below pins exact reader output.  Its inputs are those of the two
+# tests above: the malformed documents, and the same seeded mutation draw, with
+# the fixtures read in sorted order so the draw does not depend on the file system.
+MALFORMED = [
+    "",
+    "quiver",
+    "quiver {",
+    "quiver } {",
+    "vertices: v0;",
+    "quiver T { vertices: ; }",
+    "quiver T { vertices: v0; arrows: a: v0 -> ; }",
+    "quiver T { vertices: v0; arrows: a: v0 v0; }",
+    "quiver T { vertices: v0; weights: a(1); }",
+    "quiver T { vertices: v0; relations: ; }",
+    "quiver T { vertices: v0; } trailing",
+    "\x00\x01\x02",
+    "quiver T { unknown: v0; }",
+    "#" * 70000,
+    ("quiver T { vertices: " + "v " * 30000 + "; }")[:65536],
+]
+
+
+def fixture_mutations(count: int = 500, seed: int = 0):
+    import random
+
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.quiver"))]
+    rng = random.Random(seed)
+    alphabet = "abcdefgh {}();:,->#0123456789_\n\t$%^&*[]\"'\\\x00"
+    for _ in range(count):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 8)):
+            op = rng.randint(0, 2)
+            pos = rng.randrange(len(chars) + 1) if chars else 0
+            if op == 0 and chars:
+                chars[min(pos, len(chars) - 1)] = rng.choice(alphabet)
+            elif op == 1:
+                chars.insert(pos, rng.choice(alphabet))
+            elif op == 2 and chars:
+                del chars[min(pos, len(chars) - 1)]
+        yield "".join(chars)
+
+
+def reader_outcome(text: str) -> str:
+    """Each diagnostic as ``line:column: message``, or ``ok``, the spans and the canonical text."""
+    try:
+        doc = parse(text)
+    except ParseError as err:
+        return "".join(f"{d}\n" for d in err.diagnostics)
+    spans = " ".join(f"{key}={span}" for key, span in doc.spans.items())
+    return f"ok\nspans: {spans}\n{print_document(doc)}"
+
+
+def reader_outcomes() -> str:
+    """The contents of ``fixtures/diagnostics.golden``."""
+    labelled = [(f"malformed {i}", t) for i, t in enumerate(MALFORMED)]
+    labelled += [(f"mutation {i}", t) for i, t in enumerate(fixture_mutations())]
+    return "".join(f"=== {label}\n{reader_outcome(text)}" for label, text in labelled)
+
+
+def test_reader_outcomes_match_golden():
+    assert reader_outcomes() == (FIXTURES / "diagnostics.golden").read_text(encoding="utf-8")
