@@ -95,7 +95,6 @@ from .representation import (
 from .rewrites import (
     CollapseStep,
     ReductionTrace,
-    VertexMap,
     arrows_equivalent,
     clip,
     collapse,

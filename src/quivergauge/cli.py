@@ -191,7 +191,7 @@ def _cmd_collapse(args, doc):
 def _cmd_pinch(args, doc):
     new_q, vmap = pinch(doc.quiver, args.v1, args.v2)
     out = dsl.document_for(new_q, doc.relations, doc.mu, doc.nu, name=doc.name)
-    return _document_payload(out, {"vertex_map": vmap.as_dict()}), dsl.print_document(out)
+    return _document_payload(out, {"vertex_map": vmap}), dsl.print_document(out)
 
 
 def _cmd_clip(args, doc):

@@ -17,15 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import (
-    TOL_MEMBERSHIP,
-    as_matrix,
-    as_stack,
-    hermitian_exp,
-    hermitian_power,
-    in_group_rows,
-)
-from .quiver import GroupSpec
+from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp
 from .representation import GaugeElement, Representation, RowView, gauge_act
 
 _MAX_BACKTRACKS = 60
@@ -40,21 +32,20 @@ def _check_time(t: float) -> None:
 
 
 def polar_retract(gm, t: float) -> np.ndarray:
-    """g (g* g)^(-t/2): the straight path from g to its unitary factor.
+    """k e^((1-t) p) = U S^(1-t) V*: the straight path from g = U S V* to its unitary factor.
 
-    t=0 returns g unchanged; t=1 returns the unitary polar factor; unitary
-    inputs are fixed for every t.  Requires t in [0, 1] and an invertible
-    matrix (the relative GL test at ``TOL_MEMBERSHIP``).  A (k, n, n) stack
-    is retracted matrix by matrix in one batched pass.
+    t=0 returns g unchanged; t=1 returns the unitary polar factor U V*;
+    unitary inputs are fixed for every t, and the path scales as
+    c^(1-t) under g -> c g.  Requires t in [0, 1] and an invertible matrix
+    (the relative GL test of ``in_group_rows``).  A (k, n, n) stack is
+    retracted matrix by matrix from one batched SVD.
     """
     _check_time(t)
     g = as_stack(gm)
     if t == 0.0:
         return g
-    if not in_group_rows(g, GroupSpec("GL", g.shape[-1]), TOL_MEMBERSHIP).all():
-        raise ValueError("retraction needs an invertible matrix")
-    gram = g.conj().swapaxes(-1, -2) @ g
-    return g @ hermitian_power(gram, -t / 2.0)
+    u, sv, vh = _polar_svd(g, "retraction")
+    return (u * (sv ** (1.0 - t))[..., None, :]) @ vh
 
 
 def retract_representation(f: Representation, t: float) -> Representation:
@@ -203,10 +194,12 @@ def kn_flow(
         trial = eps
         for _ in range(_MAX_BACKTRACKS + 1):
             try:
-                values = hermitian_exp(trial * direction)
-                gauge = GaugeElement(current.quiver, current.group, values, membership_tol=0.0)
-                candidate = gauge_act(gauge, current)
-                candidate_norm = orbit_norm(candidate)
+                # an overflowing trial is a failure below, not a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = hermitian_exp(trial * direction)
+                    gauge = GaugeElement(current.quiver, current.group, values, membership_tol=0.0)
+                    candidate = gauge_act(gauge, current)
+                    candidate_norm = orbit_norm(candidate)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
                 trial /= 2.0
                 continue

@@ -1,10 +1,12 @@
 """Dense complex matrix routines for the supported group families.
 
 Membership tests, seeded sampling, the Cartan involution, polar
-decomposition, and Hermitian fractional powers.  Everything Hermitian goes
-through an eigendecomposition, and sampling needs nothing else: GL and SL
-are sampled in the polar form k e^p that the retraction uses, so no general
-matrix exponential (and no dependency beyond numpy) is needed.
+decomposition, and Hermitian functions.  The polar form g = k e^p comes
+from one singular value decomposition g = U S V*, whose singular values
+also give the relative invertibility test; Hermitian functions go through
+an eigendecomposition.  GL and SL are sampled in that polar form, so no
+general matrix exponential (and no dependency beyond numpy) is needed.
+Every validity test is relative, so it gives the same verdict on c m as on m.
 """
 
 from __future__ import annotations
@@ -58,14 +60,18 @@ def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSH
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if group.family in ("GL", "TORUS"):
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return sv[..., -1] > tol * sv[..., 0]
+        return _invertible(np.linalg.svd(stack, compute_uv=False), tol)
     unimodular = np.abs(np.linalg.det(stack) - 1.0) <= tol
     if group.family == "SL":
         return unimodular
     gram = stack @ stack.conj().swapaxes(-1, -2)
     unitary = np.linalg.norm(gram - identity(group.n), axis=(-2, -1)) <= tol
     return unitary if group.family == "U" else unitary & unimodular
+
+
+def _invertible(sv: np.ndarray, tol: float) -> np.ndarray:
+    """The relative GL test on singular values sorted in descending order."""
+    return sv[..., -1] > tol * sv[..., 0]
 
 
 def in_group(m, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> bool:
@@ -117,13 +123,15 @@ class PolarFactors:
     p: np.ndarray
 
 
-def _hermitian_functions(h, *fns, tol: float | None = TOL_EQ, positive: bool = False) -> list[np.ndarray]:
-    """f(h) for each f from one eigendecomposition; tol=None skips the Hermitian test.
+def _hermitian_functions(h, *fns, positive: bool = False) -> list[np.ndarray]:
+    """f(h) for each f from one eigendecomposition of a Hermitian matrix or stack.
 
-    ``h`` is one matrix or a (k, n, n) stack, decomposed by one batched eigh.
+    Each matrix must satisfy ||h - h*|| <= TOL_EQ ||h|| (Frobenius), a test
+    relative to its own norm; a (k, n, n) stack goes through one batched eigh.
     """
     a = as_stack(h)
-    if tol is not None and np.any(np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) > tol):
+    skew = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(skew > TOL_EQ * np.linalg.norm(a, axis=(-2, -1))):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
     if positive and np.any(vals <= 0):
@@ -132,33 +140,40 @@ def _hermitian_functions(h, *fns, tol: float | None = TOL_EQ, positive: bool = F
     return [(vecs * f(vals)[..., None, :]) @ adjoint for f in fns]
 
 
-def hermitian_power(h, s: float, tol: float = TOL_EQ) -> np.ndarray:
+def hermitian_power(h, s: float) -> np.ndarray:
     """Fractional power of a Hermitian positive-definite matrix (or stack)."""
-    return _hermitian_functions(h, lambda x: np.power(x, s), tol=tol, positive=True)[0]
+    return _hermitian_functions(h, lambda x: np.power(x, s), positive=True)[0]
 
 
-def hermitian_log(h, tol: float = TOL_EQ) -> np.ndarray:
+def hermitian_log(h) -> np.ndarray:
     """Logarithm of a Hermitian positive-definite matrix (or stack)."""
-    return _hermitian_functions(h, np.log, tol=tol, positive=True)[0]
+    return _hermitian_functions(h, np.log, positive=True)[0]
 
 
-def hermitian_exp(h, tol: float = TOL_EQ) -> np.ndarray:
+def hermitian_exp(h) -> np.ndarray:
     """Exponential of a Hermitian matrix (or stack) via its eigendecomposition."""
-    return _hermitian_functions(h, np.exp, tol=tol)[0]
+    return _hermitian_functions(h, np.exp)[0]
 
 
-def polar_decompose(gm, tol: float = TOL_MEMBERSHIP) -> PolarFactors:
+def _polar_svd(g: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, S, V* of an invertible matrix or stack g = U S V*, from one batched SVD.
+
+    Invertibility is the relative GL test of ``in_group_rows`` at
+    ``TOL_MEMBERSHIP`` on those singular values; otherwise a ValueError says
+    that ``what`` needs an invertible matrix.
+    """
+    u, sv, vh = np.linalg.svd(g)
+    if not _invertible(sv, TOL_MEMBERSHIP).all():
+        raise ValueError(f"{what} needs an invertible matrix")
+    return u, sv, vh
+
+
+def polar_decompose(gm) -> PolarFactors:
     """Unique polar factors of an invertible matrix.
 
-    k = g (g* g)^(-1/2) is unitary and p = log(g* g) / 2 is Hermitian; the
-    pair reconstructs g as k e^p.  Invertibility is the relative GL test of
-    ``in_group_rows`` at ``tol``.
+    With g = U S V*, k = U V* is unitary and p = V log(S) V* is Hermitian;
+    the pair reconstructs g as k e^p.  Invertibility is the relative GL
+    test of ``in_group_rows`` on S.
     """
-    g = as_matrix(gm)
-    if not in_group(g, GroupSpec("GL", g.shape[0]), tol):
-        raise ValueError("polar decomposition needs an invertible matrix")
-    gram = g.conj().T @ g
-    inv_sqrt, log_half = _hermitian_functions(
-        gram, lambda x: np.power(x, -0.5), lambda x: 0.5 * np.log(x), tol=None, positive=True
-    )
-    return PolarFactors(k=g @ inv_sqrt, p=log_half)
+    u, sv, vh = _polar_svd(as_matrix(gm), "polar decomposition")
+    return PolarFactors(k=u @ vh, p=(vh.conj().T * np.log(sv)) @ vh)

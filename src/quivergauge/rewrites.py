@@ -9,7 +9,7 @@ carried along afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .quiver import Arrow, Quiver, RelationSet, Word, spanning_forest, validate_relations
@@ -92,47 +92,27 @@ class ReductionTrace:
         return q, r
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    """Total, surjective map from source-quiver vertices onto target vertices."""
-
-    mapping: tuple[tuple[str, str], ...]
-    _lookup: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lookup", dict(self.mapping))
-
-    def __call__(self, v: str) -> str:
-        try:
-            return self._lookup[v]
-        except KeyError:
-            raise ValueError(f"vertex {v!r} not in map") from None
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-
-def _merge_vertices(q: Quiver, v1: str, v2: str) -> tuple[Quiver, tuple[tuple[str, str], ...]]:
+def _merge_vertices(q: Quiver, v1: str, v2: str) -> tuple[Quiver, dict[str, str]]:
     survivor = min(v1, v2)
     gone = max(v1, v2)
     ren = {v: (survivor if v == gone else v) for v in q.vertices}
     vertices = tuple(v for v in q.vertices if v != gone)
     arrows = tuple(Arrow(a.name, ren[a.tail], ren[a.head]) for a in q.arrows)
-    return Quiver(vertices, arrows), tuple(sorted(ren.items()))
+    return Quiver(vertices, arrows), dict(sorted(ren.items()))
 
 
-def pinch(q: Quiver, v1: str, v2: str) -> tuple[Quiver, VertexMap]:
+def pinch(q: Quiver, v1: str, v2: str) -> tuple[Quiver, dict[str, str]]:
     """Identify two distinct vertices; arrows are kept as a set.
 
     The merged vertex takes the lexicographically smaller id, so the result
     is arrow-equivalent to the input with the identity bijection on ids.
+    The map sends each source vertex, in sorted order, to its target vertex.
     """
     q.check_vertex(v1)
     q.check_vertex(v2)
     if v1 == v2:
         raise ValueError("pinch needs two distinct vertices")
-    merged, mapping = _merge_vertices(q, v1, v2)
-    return merged, VertexMap(mapping)
+    return _merge_vertices(q, v1, v2)
 
 
 def clip(q: Quiver, arrow: str) -> Quiver:

@@ -31,15 +31,15 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """Decode a list of equally long rows of [re, im] number pairs.
+    """Decode a non-empty list of equally long, non-empty rows of [re, im] number pairs.
 
     Any other shape, or an entry that is not a pair of JSON numbers in float
     range, raises TypeError.
     """
-    if not isinstance(data, list) or any(
-        not isinstance(row, list) or len(row) != len(data[0]) for row in data
+    if not isinstance(data, list) or not data or any(
+        not isinstance(row, list) or not row or len(row) != len(data[0]) for row in data
     ):
-        raise TypeError("a matrix must be a list of equally long rows")
+        raise TypeError("a matrix must be a non-empty list of equally long, non-empty rows")
     return np.array([[_complex_from_json(entry) for entry in row] for row in data], dtype=complex)
 
 

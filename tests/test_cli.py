@@ -303,6 +303,8 @@ MALFORMED_MATRICES = {
     "entry with a string": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]],
     "entry that is a bare number": [[1, 0], [0, 1]],
     "ragged rows": [[[1, 0], [0, 0]], [[1, 0]]],
+    "no rows": [],
+    "an empty row": [[]],
 }
 
 
@@ -455,6 +457,34 @@ def test_library_warnings_are_one_plain_line(capsys, tmp_path):
     code, out, err = run(capsys, "retract", q, "--rep", str(rep), "--t", "0.5")
     assert code == 0 and json.loads(out) == json.loads(sample)
     assert err == "warning: U(2) is compact; retraction is the identity\n"
+
+
+def _scaled_gl3_theta_sample(capsys, tmp_path, c: float) -> str:
+    """A GL(3) sample on theta with every marking multiplied by c, as a file."""
+    _, sample, _ = run(capsys, "sample", fx("theta.quiver"), "--group", "GL", "--n", "3")
+    payload = json.loads(sample)
+    payload["markings"] = {
+        name: [[[c * x for x in entry] for entry in row] for row in m] for name, m in payload["markings"].items()
+    }
+    rep = tmp_path / "scaled.json"
+    rep.write_text(json.dumps(payload))
+    return str(rep)
+
+
+def test_retract_of_a_scaled_sample_succeeds(capsys, tmp_path):
+    # validity tests are relative, so scaling the markings changes no verdict
+    rep = _scaled_gl3_theta_sample(capsys, tmp_path, 1e4)
+    code, out, err = run(capsys, "retract", fx("theta.quiver"), "--rep", rep, "--t", "0.5")
+    assert (code, err) == (0, "")
+    for m in json.loads(out)["markings"].values():
+        assert np.isfinite(np.array(m)).all()
+
+
+def test_flow_trials_that_overflow_print_no_warnings(capsys, tmp_path):
+    rep = _scaled_gl3_theta_sample(capsys, tmp_path, 1e4)
+    code, out, err = run(capsys, "kn-flow", fx("theta.quiver"), "--rep", rep, "--max-iter", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["iterations"] <= 3
 
 
 def test_stats_goes_to_stderr_and_leaves_stdout_alone(capsys):

@@ -80,6 +80,24 @@ def test_polar_retract_is_scale_independent():
         assert np.linalg.norm(got - polar_retract(g, 0.3)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-8, 2e-9])
+def test_polar_form_near_singular_at_any_scale(s):
+    # g = U diag(1, 0.5, s) V* passes the GL test down to s = 2e-9, so the
+    # polar form must hold there too, at every scale; forming g* g would
+    # square the condition number
+    u3 = GroupSpec("U", 3)
+    for seed in range(5):
+        u, v = mg.random_element(u3, 2 * seed), mg.random_element(u3, 2 * seed + 1)
+        g = (u * np.array([1.0, 0.5, s])) @ v.conj().T
+        for c in (1e-6, 1.0, 1e4, 1e6):
+            assert np.linalg.norm(polar_retract(c * g, 1.0) - u @ v.conj().T) <= 1e-6
+            for t in (0.25, 0.5, 0.75):
+                expected = c ** (1.0 - t) * polar_retract(g, t)
+                assert np.linalg.norm(polar_retract(c * g, t) - expected) <= 1e-8 * np.linalg.norm(expected)
+            pf = mg.polar_decompose(c * g)
+            assert np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - c * g) <= 1e-12 * np.linalg.norm(c * g)
+
+
 def test_retract_representation_unitary_at_one():
     rng = np.random.default_rng(1)
     for _ in range(20):

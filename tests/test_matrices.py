@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import quivergauge.matrices as mg
-from quivergauge import GroupSpec
+from quivergauge import AdditiveRep, GroupSpec, polar_retract, sink_source_witness
+from conftest import one_arrow
 
 GL3 = GroupSpec("GL", 3)
 SL3 = GroupSpec("SL", 3)
@@ -235,3 +236,54 @@ def test_hermitian_exp_log_roundtrip():
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (z + z.conj().T)
     assert np.linalg.norm(mg.hermitian_log(mg.hermitian_exp(h)) - h) <= 1e-10
+
+
+def _refusal(fn, *args):
+    """The ValueError message of fn(*args), or None when it is accepted."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _verdicts(c: float) -> dict:
+    """What each validity test says of c times a fixed set of inputs."""
+    u3 = GroupSpec("U", 3)
+    g = (mg.random_element(u3, 0) * np.array([1.0, 0.5, 1e-6])) @ mg.random_element(u3, 1).conj().T
+    singular = np.diag([1.0, 1e-12, 1.0])
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    negative = -(z @ z.conj().T) - np.eye(3)  # exp underflows rather than overflows at c = 1e8
+    unit = np.zeros((3, 3))
+    unit[0, 1] = np.linalg.norm(negative)
+    pf = mg.polar_decompose(c * g)
+    return {
+        "GL": mg.in_group_rows(c * np.array([g, singular]), GroupSpec("GL", 3)).tolist(),
+        "Hermitian": [_refusal(mg.hermitian_exp, c * (negative + e * unit)) for e in (1e-12, 1e-3)],
+        "polar": [
+            mg.in_group(polar_retract(c * g, 1.0), u3, 1e-6),
+            bool(np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - c * g) <= 1e-12 * np.linalg.norm(c * g)),
+            _refusal(polar_retract, c * singular, 0.5),
+            _refusal(mg.polar_decompose, c * singular),
+        ],
+        "witness": [
+            _refusal(sink_source_witness, AdditiveRep(one_arrow(), 2, {"a0": c * m}), "v1")
+            for m in (np.array([[1.0, 2.0], [0.0, 0.5]]), np.zeros((2, 2)))
+        ],
+    }
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e4, 1e8])
+def test_validity_verdicts_do_not_depend_on_scale(c):
+    assert _verdicts(c) == {
+        "GL": [True, False],
+        "Hermitian": [None, "matrix is not Hermitian within tolerance"],
+        "polar": [
+            True,
+            True,
+            "retraction needs an invertible matrix",
+            "polar decomposition needs an invertible matrix",
+        ],
+        "witness": [None, "all markings incident to 'v1' are already zero"],
+    }
