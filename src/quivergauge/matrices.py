@@ -90,25 +90,33 @@ def random_element(group: GroupSpec, seed: int) -> np.ndarray:
     takes k in SU and the traceless part of p, so det = 1 up to rounding.
     U and SU consume only the first draw.
     """
-    rng = np.random.default_rng(seed)
+    return _random_elements(group, [seed])[0]
+
+
+def _random_elements(group: GroupSpec, seeds: list[int]) -> np.ndarray:
+    """(k, n, n) stack whose row i is ``random_element(group, seeds[i])``.
+
+    Each element draws its Ginibre matrices from its own ``default_rng(seed)``;
+    the QR, phase fix, determinant root and Hermitian exponential then run
+    once on the whole stack.
+    """
     n = group.n
-    q, r = np.linalg.qr(_ginibre(rng, n))
-    d = np.diagonal(r)
-    k = q * (d / np.abs(d))
+    draws = 1 if group.family in ("U", "SU") else 2
+    # one call per seed yields the real and imaginary parts of every draw in turn
+    z = np.array([np.random.default_rng(s).standard_normal((2 * draws, n, n)) for s in seeds])
+    z = z.reshape(len(seeds), draws, 2, n, n)
+    w = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(w[:, 0])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    k = q * (d / np.abs(d))[:, None, :]
     if group.family in ("SU", "SL"):
-        k = k / _principal_root(np.linalg.det(k), n)
-    if group.family in ("U", "SU"):
+        k = k / _principal_root(np.linalg.det(k), n)[:, None, None]
+    if draws == 1:
         return k
-    w = _ginibre(rng, n)
-    p = (w + w.conj().T) / (2.0 * np.sqrt(n))
+    p = (w[:, 1] + w[:, 1].conj().swapaxes(1, 2)) / (2.0 * np.sqrt(n))
     if group.family == "SL":
-        p = p - (np.trace(p) / n) * identity(n)
+        p = p - (np.trace(p, axis1=1, axis2=2) / n)[:, None, None] * identity(n)
     return k @ hermitian_exp(p)
-
-
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n x n complex Gaussian matrix with E|z_ij|^2 = 1."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
 def _principal_root(value: complex, n: int) -> complex:

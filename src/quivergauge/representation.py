@@ -14,7 +14,7 @@ from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .matrices import TOL_EQ, TOL_MEMBERSHIP, as_matrix, identity, in_group_rows, random_element
+from .matrices import TOL_EQ, TOL_MEMBERSHIP, _random_elements, as_matrix, identity, in_group_rows
 from .quiver import (
     GroupSpec,
     Quiver,
@@ -343,8 +343,9 @@ def weighted_act(
 
 def _random_values(ids: Iterable[str], group: GroupSpec, seed: int) -> dict[str, np.ndarray]:
     """Independent seeded group elements, drawn in sorted id order."""
-    rng = np.random.default_rng(seed)
-    return {k: random_element(group, int(rng.integers(2**62))) for k in sorted(ids)}
+    keys = sorted(ids)
+    seeds = np.random.default_rng(seed).integers(2**62, size=len(keys)).tolist()
+    return dict(zip(keys, _random_elements(group, seeds)))
 
 
 def random_representation(q: Quiver, group: GroupSpec, seed: int) -> Representation:

@@ -1,13 +1,22 @@
 """JSON encodings for matrices, representations, reports, and traces.
 
-Matrices are encoded row-major as nested arrays of [re, im] pairs.  All
-emitters sort object keys, so identical inputs produce byte-identical
-output.
+Matrices are encoded row-major as nested arrays of [re, im] pairs; a map
+of matrices (markings, gauge values, moments) is encoded from its whole
+stack at once.
+
+``dumps`` writes one canonical layout.  Object keys are sorted.  An object
+puts each member on its own line, indented two spaces per level, and so
+does a list whose first element is an object.  Every other list (matrices,
+vectors, histories, words) is written on one line by the C encoder of the
+``json`` module, with ", " and ": " separators.  The text ends with one
+newline.  Identical inputs give byte-identical output; consumers should
+parse the JSON rather than read it line by line.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -15,19 +24,50 @@ import numpy as np
 from .additive import AdditiveRep, DegenerationWitness, OrbitCertificate
 from .kempfness import FlowReport, KNResidual
 from .quiver import GROUP_FAMILIES, Arrow, GroupSpec, Quiver, RelationSet, Word
-from .representation import GaugeElement, Representation
+from .representation import GaugeElement, Representation, RowView
 from .rewrites import TRACE_FORMAT_VERSION, CollapseStep, ReductionTrace
 from .toric import MonomialBasis
 
 
+_ONE_LINE = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+
+
 def dumps(payload: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text in the layout of the module docstring (string keys only)."""
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; its lines after the first start with ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+        out.append(newline + "}")
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write(item, inner, out)
+        out.append(newline + "]")
+    else:
+        out.append(_ONE_LINE(value))
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """A matrix, or a stack of them, as nested lists of [re, im] float pairs."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
+
+
+def _stack_to_json(view: RowView) -> dict:
+    """A map of matrices from one encoding of its whole stack."""
+    return dict(zip(view, matrix_to_json(view.stack)))
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -123,7 +163,7 @@ def relations_from_json(data) -> RelationSet:
 def representation_to_json(f: Representation) -> dict:
     return {
         "group": group_to_json(f.group),
-        "markings": {name: matrix_to_json(m) for name, m in f.markings.items()},
+        "markings": _stack_to_json(f.markings),
     }
 
 
@@ -135,7 +175,7 @@ def representation_from_json(data, q: Quiver) -> Representation:
 def gauge_to_json(g: GaugeElement) -> dict:
     return {
         "group": group_to_json(g.group),
-        "values": {v: matrix_to_json(m) for v, m in g.values.items()},
+        "values": _stack_to_json(g.values),
     }
 
 
@@ -147,7 +187,7 @@ def gauge_from_json(data, q: Quiver) -> GaugeElement:
 def additive_to_json(x: AdditiveRep) -> dict:
     return {
         "n": x.n,
-        "markings": {name: matrix_to_json(m) for name, m in x.markings.items()},
+        "markings": _stack_to_json(x.markings),
     }
 
 
@@ -171,7 +211,7 @@ def trace_to_json(t: ReductionTrace) -> dict:
 
 def residual_to_json(r: KNResidual) -> dict:
     return {
-        "per_vertex": {v: matrix_to_json(m) for v, m in r.per_vertex.items()},
+        "per_vertex": _stack_to_json(r.per_vertex),
         "aggregate": r.aggregate,
     }
 

@@ -4,8 +4,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from quivergauge import parse
+from quivergauge import GroupSpec, parse, random_gauge, serialize
 from quivergauge.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -212,6 +213,56 @@ def test_toric_cli(capsys):
     code, out, _ = run(capsys, "toric", fx("theta.quiver"))
     payload = json.loads(out)
     assert payload["cell_dimension"] == 2
+
+
+# Byte-exact stdout of machine-independent JSON commands, so a change of the
+# JSON layout shows here as the DSL goldens show a change of the printer.
+JSON_GOLDENS = {
+    "comet.reduce.json": ("reduce", "comet.quiver", "--json"),
+    "double_arrow_weighted.toric.json": ("toric", "double_arrow_weighted.quiver"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(JSON_GOLDENS))
+def test_json_output_matches_golden(capsys, golden):
+    command, quiver, *flags = JSON_GOLDENS[golden]
+    code, out, _ = run(capsys, command, fx(quiver), *flags)
+    assert code == 0
+    assert out == (FIXTURES / golden).read_text(encoding="utf-8")
+
+
+def test_numeric_payloads_parse_as_their_indented_encoding(capsys, tmp_path, monkeypatch):
+    """Stdout parses to the value, every number's digits included, of ``json.dumps(payload, indent=2)``."""
+    payloads = []
+    dumps = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda payload: payloads.append(payload) or dumps(payload))
+
+    def check(*argv) -> str:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        old = json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        assert json.loads(out, parse_float=str) == json.loads(old, parse_float=str), argv
+        return out
+
+    for name in ("theta", "star", "comet", "one_loop"):
+        q = fx(f"{name}.quiver")
+        rep = tmp_path / f"{name}.json"
+        rep.write_text(check("sample", q, "--group", "GL", "--n", "3", "--seed", "4"))
+        check("retract", q, "--rep", str(rep), "--t", "0.5")
+        check("kn-residual", q, "--rep", str(rep))
+        check("kn-flow", q, "--rep", str(rep), "--max-iter", "40")
+        check("toric", q)
+    gauge = tmp_path / "gauge.json"
+    theta = parse((FIXTURES / "theta.quiver").read_text(encoding="utf-8")).quiver
+    gauge.write_text(serialize.dumps(serialize.gauge_to_json(random_gauge(theta, GroupSpec("GL", 3), 1))))
+    check("act", fx("theta.quiver"), "--rep", str(tmp_path / "theta.json"), "--gauge", str(gauge))
+    check("witness", fx("star.quiver"), "--rep", str(tmp_path / "star.json"), "--vertex", "c")
+    check("toric", fx("double_arrow_weighted.quiver"))
+    x = tmp_path / "x.json"
+    x.write_text(check("sample", fx("one_loop.quiver"), "--group", "SL", "--n", "2", "--seed", "3"))
+    scalar = {"group": {"family": "GL", "n": 2}, "values": {"v0": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}}
+    gauge.write_text(json.dumps(scalar))
+    check("rescale", fx("one_loop.quiver"), "--gauge", str(gauge), "--x", str(x), "--x-prime", str(x))
 
 
 def test_check_relations_cli(capsys, tmp_path):

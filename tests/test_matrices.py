@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import quivergauge.matrices as mg
-from quivergauge import AdditiveRep, GroupSpec, polar_retract, sink_source_witness
+from quivergauge import (
+    AdditiveRep,
+    GroupSpec,
+    Quiver,
+    polar_retract,
+    random_gauge,
+    random_representation,
+    sink_source_witness,
+)
+from quivergauge.quiver import GROUP_FAMILIES
 from conftest import one_arrow
 
 GL3 = GroupSpec("GL", 3)
@@ -122,6 +131,25 @@ def test_samples_repeat_for_the_same_seed():
     for family, n in (("GL", 1), ("GL", 3), ("SL", 2), ("U", 3), ("SU", 2), ("TORUS", 1)):
         group = GroupSpec(family, n)
         assert mg.random_element(group, 9).tobytes() == mg.random_element(group, 9).tobytes()
+
+
+def test_batched_samples_equal_single_samples_bit_for_bit():
+    seeds = np.random.default_rng(0).integers(2**62, size=50).tolist()
+    for family in GROUP_FAMILIES:
+        for n in (1,) if family == "TORUS" else (1, 2, 3):
+            group = GroupSpec(family, n)
+            single = np.stack([mg.random_element(group, s) for s in seeds])
+            assert mg._random_elements(group, seeds).tobytes() == single.tobytes(), (family, n)
+            assert mg._random_elements(group, []).shape == (0, n, n)
+
+
+def test_sampling_a_quiver_without_arrows():
+    q = Quiver(("v0", "v1"), ())
+    for family, n in (("GL", 2), ("SU", 3), ("TORUS", 1)):
+        group = GroupSpec(family, n)
+        assert dict(random_representation(q, group, 4).markings) == {}
+        g = random_gauge(q, group, 4)
+        assert list(g.values) == ["v0", "v1"] and g.stack.shape == (2, n, n)
 
 
 def test_package_import_loads_no_scipy():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quivergauge.serialize as sz
 from quivergauge import (
@@ -15,7 +17,7 @@ from quivergauge import (
     random_representation,
     reduce_to_rose,
 )
-from conftest import GL2, comet, one_loop, triangle, two_cycle
+from conftest import GL2, PROPERTY, comet, one_loop, triangle, two_cycle
 
 
 def test_matrix_roundtrip():
@@ -77,8 +79,57 @@ def test_flow_report_and_residual_payloads():
 
 def test_dumps_is_canonical():
     text = sz.dumps({"b": 1, "a": [1.5, 2]})
-    assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
+    assert text == '{\n  "a": [1.5, 2],\n  "b": 1\n}\n'
     assert json.loads(text) == {"a": [1.5, 2], "b": 1}
+
+
+def test_dumps_indents_lists_of_objects_and_keeps_other_lists_on_one_line():
+    payload = {"arrows": [{"tail": "v0", "name": "a0"}, {}], "empty": {}, "words": [[["a0", -1]], []]}
+    assert sz.dumps(payload) == (
+        "{\n"
+        '  "arrows": [\n'
+        "    {\n"
+        '      "name": "a0",\n'
+        '      "tail": "v0"\n'
+        "    },\n"
+        "    {}\n"
+        "  ],\n"
+        '  "empty": {},\n'
+        '  "words": [[["a0", -1]], []]\n'
+        "}\n"
+    )
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 0.1, 2.5])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5)
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.dictionaries(st.text(max_size=4), inner, max_size=3), min_size=1, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(JSON_TREES)
+def test_dumps_round_trips_with_sorted_keys_and_one_newline(payload):
+    text = sz.dumps(payload)
+    assert json.loads(text) == payload
+    assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def keys_sorted(x) -> bool:
+        if isinstance(x, dict):
+            return list(x) == sorted(x) and all(keys_sorted(v) for v in x.values())
+        return not isinstance(x, list) or all(keys_sorted(v) for v in x)
+
+    assert keys_sorted(json.loads(text))
 
 
 @pytest.mark.parametrize(
