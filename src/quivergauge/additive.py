@@ -1,41 +1,24 @@
-"""Additive (endomorphism-valued) representations and orbit-closure diagnostics.
+"""Additive (endomorphism-valued) representations and their degenerations.
 
 Group-valued representations embed into tuples of arbitrary n x n matrices
 by forgetting invertibility.  At a sink or source an explicit one-parameter
 gauge degenerates every incident marking to zero, certifying a non-closed
-orbit.  On strongly connected quivers a weight-monotonicity argument rules
-out every degeneration by a vertex-scalar one-parameter subgroup
-``t^alpha_v * I``, and only those: the orbit of a representation is closed
-exactly when it is semisimple (King, *Moduli of representations of finite
-dimensional algebras*, 1994), and the Jordan block on the one-loop quiver is
-strongly connected without a closed orbit.  Equal-determinant gauges between
-unimodular representations can be rescaled to unit determinant without
-changing their action.
+orbit; ``quiver.closed_orbit_certificate`` says, from the quiver alone,
+where such witnesses exist.  Equal-determinant gauges between unimodular
+representations can be rescaled to unit determinant without changing their
+action.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .matrices import _principal_root
-from .quiver import (
-    GroupSpec,
-    Quiver,
-    Word,
-    classify_vertex,
-    ends,
-    is_connected,
-    is_strongly_connected,
-)
+from .quiver import GroupSpec, Quiver, classify_vertex
 from .representation import GaugeElement, Representation, _Stacked, act_on_stack
-
-ALL_INVERTIBLE_ORBITS_CLOSED = "all_invertible_orbits_closed"
-ENDS_OBSTRUCT = "ends_obstruct"
-INCONCLUSIVE = "inconclusive"
 
 _EMBEDDABLE = ("GL", "SL", "TORUS")
 
@@ -136,132 +119,6 @@ def sink_source_witness(x: AdditiveRep, v: str) -> DegenerationWitness:
         limit=AdditiveRep(x.quiver, x.n, limit_markings),
         degenerated_arrows=tuple(a.name for a, hit in zip(x.quiver.arrows, rows) if hit),
     )
-
-
-def directed_path(q: Quiver, src: str, dst: str) -> list[str] | None:
-    """Arrow ids of a directed path src -> dst, or None; [] when src == dst.
-
-    Breadth-first with lexicographic arrow order, so deterministic.
-    """
-    q.check_vertex(src)
-    q.check_vertex(dst)
-    if src == dst:
-        return []
-    succ: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        succ[a.tail].append((a.name, a.head))
-    prev: dict[str, tuple[str, str]] = {}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for name, w in succ[v]:
-            if w in prev or w == src:
-                continue
-            prev[w] = (v, name)
-            if w == dst:
-                path = []
-                while w != src:
-                    v, name = prev[w]
-                    path.append(name)
-                    w = v
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Outcome of the weight-monotonicity check.
-
-    ``ok`` means the assignment is constant.  Otherwise
-    ``violating_arrow`` names an arrow whose head weight is strictly below
-    its tail weight and ``witness_cycle`` is an oriented cycle through that
-    arrow: chaining head >= tail around the cycle forces equality, so no
-    non-constant assignment can be monotone on a strongly connected quiver.
-    """
-
-    ok: bool
-    violating_arrow: str | None = None
-    witness_cycle: Word | None = None
-
-
-def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> MonotoneReport:
-    """Check that head >= tail weight monotonicity forces a constant assignment."""
-    if not is_strongly_connected(q):
-        raise ValueError("weight monotonicity argument needs a strongly connected quiver")
-    for v in q.vertices:
-        if v not in alpha:
-            raise ValueError(f"missing weight for vertex {v!r}")
-    values = {alpha[v] for v in q.vertices}
-    if len(values) <= 1:
-        return MonotoneReport(ok=True)
-    violating = None
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        if alpha[a.head] < alpha[a.tail]:
-            violating = a
-            break
-    if violating is None:
-        # impossible: monotone weights on a strongly connected quiver are
-        # constant, and this assignment is not constant
-        raise AssertionError("non-constant assignment with no violating arrow")
-    back = directed_path(q, violating.head, violating.tail)
-    cycle = Word.from_application_order(
-        [(violating.name, 1)] + [(name, 1) for name in back]
-    )
-    return MonotoneReport(ok=False, violating_arrow=violating.name, witness_cycle=cycle)
-
-
-@dataclass(frozen=True)
-class OrbitCertificate:
-    """Verdict on the scalar degenerations of invertible representations.
-
-    ``ends_obstruct`` lists the sink/source vertices at which every
-    invertible representation degenerates.  The strongly connected verdict
-    (``all_invertible_orbits_closed``) certifies only that no vertex-scalar
-    one-parameter subgroup ``t^alpha_v * I`` degenerates one; other
-    one-parameter subgroups still can (King 1994).  For it, a sample
-    non-constant weight assignment and the cycle on which it fails
-    monotonicity are attached as constructive evidence.
-    """
-
-    verdict: str
-    ends: tuple[str, ...] = ()
-    sample_alpha: tuple[tuple[str, int], ...] | None = None
-    sample_violation: MonotoneReport | None = None
-
-
-def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:
-    """Classify a connected quiver by the orbit-closure behavior it forces.
-
-    Strongly connected quivers put every arrow on an oriented cycle, which
-    rules out the degenerations by vertex-scalar one-parameter subgroups
-    ``t^alpha_v * I``.  It does not make every invertible orbit closed: by
-    King (1994) an orbit is closed exactly when the representation is
-    semisimple, and the one-loop Jordan block is not.  Quivers with ends
-    admit the explicit sink/source degeneration at every end.  Quivers with
-    no ends that are not strongly connected are reported inconclusive
-    rather than guessed.
-    """
-    if not is_connected(q):
-        raise ValueError("certificate requires a connected quiver")
-    end_vertices = ends(q)
-    if end_vertices:
-        return OrbitCertificate(verdict=ENDS_OBSTRUCT, ends=end_vertices)
-    if is_strongly_connected(q):
-        sample_alpha = None
-        violation = None
-        if q.n_vertices >= 2:
-            marked = max(q.vertices)
-            alpha = {v: (1 if v == marked else 0) for v in q.vertices}
-            sample_alpha = tuple(sorted(alpha.items()))
-            violation = monotone_weights_force_constant(q, alpha)
-        return OrbitCertificate(
-            verdict=ALL_INVERTIBLE_ORBITS_CLOSED,
-            sample_alpha=sample_alpha,
-            sample_violation=violation,
-        )
-    return OrbitCertificate(verdict=INCONCLUSIVE)
 
 
 def unimodular_rescale(

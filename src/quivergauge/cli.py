@@ -15,10 +15,19 @@ three phases (``parse_s``: reading and decoding the document and payloads;
 quiver's vertex and arrow counts ``V`` and ``A``, and the group size ``n``
 (null for a command without a group).  Stdout does not change.
 
-Structural commands (info, reduce, collapse, pinch, clip, reverse,
-certificate, check-relations) print text and take ``--json``; numeric
-commands always print the module JSON encodings.  ``--seed`` belongs to
-sample; ``--tol`` to kn-flow, rescale and check-relations.
+Text commands (info, reduce, collapse, pinch, clip, reverse, certificate,
+check-relations) print text and take ``--json``; the others always print
+the module JSON encodings.  ``--seed`` belongs to sample; ``--tol`` to
+kn-flow, rescale and check-relations.
+
+The package has two import layers.  The structural layer (``quiver``,
+``dsl``, ``rewrites``, ``toric``, ``serialize`` and this module) imports no
+numpy at module level, so info, reduce, collapse, pinch, clip, reverse,
+certificate and toric run without loading numpy.  The numeric layer
+(``matrices``, ``representation``, ``kempfness``, ``additive``) loads with
+numpy when a numeric handler (sample, act, retract, kn-residual, kn-flow,
+witness, rescale, check-relations) imports its function from the defining
+module at call time.
 
 Library warnings are written to stderr as ``warning: <message>`` lines.
 
@@ -34,17 +43,14 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from . import dsl, serialize
-from .additive import closed_orbit_certificate, embed_additive, sink_source_witness, unimodular_rescale
-from .kempfness import kn_flow, kn_moment, retract_representation
-from .matrices import TOL_EQ
 from .quiver import (
     GROUP_FAMILIES,
+    TOL_EQ,
     GroupSpec,
     RelationSet,
     betti_number,
+    closed_orbit_certificate,
     connected_components,
     ends,
     euler_characteristic,
@@ -52,7 +58,6 @@ from .quiver import (
     moduli_dimension,
     vertex_classes,
 )
-from .representation import gauge_act, random_representation, satisfies_relations
 from .rewrites import clip, collapse, pinch, reduce_to_rose, reverse_arrows
 from .toric import invariant_monomial_basis, weight_matrix
 
@@ -104,6 +109,8 @@ def _load(path: str, decode, quiver):
 
 def _additive_from_json(data, quiver):
     """An additive payload, or a GL/SL/TORUS representation payload embedded."""
+    from .additive import embed_additive
+
     if "group" in data:
         return embed_additive(serialize.representation_from_json(data, quiver))
     return serialize.additive_from_json(data, quiver)
@@ -161,7 +168,10 @@ def _cmd_info(args, doc):
         dim = moduli_dimension(q, group)
         payload["group"] = serialize.group_to_json(group)
         payload["moduli_dimension"] = dim
+        payload["moduli_dimension_ignores_relations"] = bool(doc.relations)
         lines.append(f"moduli dimension for {args.group}({args.n}) = {dim}")
+        if doc.relations:
+            lines.append(f"note: the moduli dimension counts no relations ({len(doc.relations)} ignored)")
     return payload, "\n".join(lines) + "\n"
 
 
@@ -212,28 +222,40 @@ def _cmd_reverse(args, doc):
 
 
 def _cmd_sample(args, doc):
+    from .representation import random_representation
+
     group = GroupSpec(args.group, _check_size(args.n))
     return serialize.representation_to_json(random_representation(doc.quiver, group, args.seed)), None
 
 
 def _cmd_act(args, doc):
+    from .representation import gauge_act
+
     return serialize.representation_to_json(gauge_act(args.gauge, args.rep)), None
 
 
 def _cmd_retract(args, doc):
+    from .kempfness import retract_representation
+
     return serialize.representation_to_json(retract_representation(args.rep, args.t)), None
 
 
 def _cmd_kn_residual(args, doc):
+    from .kempfness import kn_moment
+
     return serialize.residual_to_json(kn_moment(args.rep)), None
 
 
 def _cmd_kn_flow(args, doc):
+    from .kempfness import kn_flow
+
     report = kn_flow(args.rep, step0=args.step, max_iter=args.max_iter, tol=args.tol)
     return serialize.flow_report_to_json(report), None
 
 
 def _cmd_witness(args, doc):
+    from .additive import sink_source_witness
+
     return serialize.witness_to_json(sink_source_witness(args.rep, args.vertex)), None
 
 
@@ -246,6 +268,8 @@ def _cmd_certificate(args, doc):
 
 
 def _cmd_rescale(args, doc):
+    from .additive import unimodular_rescale
+
     return serialize.gauge_to_json(unimodular_rescale(args.gauge, args.x, args.x_prime, tol=args.tol)), None
 
 
@@ -256,6 +280,8 @@ def _cmd_toric(args, doc):
 
 
 def _cmd_check_relations(args, doc):
+    from .representation import satisfies_relations
+
     ok = satisfies_relations(args.rep, doc.relations, tol=args.tol)
     payload = {"satisfied": ok, "tol": args.tol, "relations": len(doc.relations)}
     verdict = "satisfied" if ok else "NOT satisfied"
@@ -376,7 +402,7 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # numpy.linalg.LinAlgError is a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
         return 3
     out = serialize.dumps(payload) if text is None or args.json else text

@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp
+from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp, in_group_rows
+from .quiver import GroupSpec
 from .representation import GaugeElement, Representation, RowView, gauge_act
 
 _MAX_BACKTRACKS = 60
@@ -163,8 +164,11 @@ def kn_flow(
     exp(step * projected moment at v); the sign makes the directional
     derivative of the orbit norm equal minus twice the squared aggregate
     residual, so small enough steps always descend.  Step sizes backtrack
-    by halving until the norm strictly decreases (non-finite trials count
-    as failures) and double after success.  The flow stops at residual <=
+    by halving until the norm strictly decreases and every marking passes
+    the relative GL test of ``in_group_rows`` (non-finite trials count as
+    failures), and double after success.  The trace-free gauge keeps every
+    |det|, so a trial that makes a marking numerically singular is an
+    overflowed step, never progress.  The flow stops at residual <=
     tol, after max_iter accepted steps, or when no step size descends.
 
     For representations whose gauge orbit is not closed the flow descends
@@ -180,6 +184,7 @@ def kn_flow(
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
 
+    invertible = GroupSpec("GL", f.group.n)
     current = Representation(f.quiver, f.group, f.stack, membership_tol=0.0)
     residual = kn_moment(current)
     norms = [orbit_norm(current)]
@@ -203,7 +208,11 @@ def kn_flow(
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
                 trial /= 2.0
                 continue
-            if np.isfinite(candidate_norm) and candidate_norm < norms[-1]:
+            if (
+                np.isfinite(candidate_norm)
+                and candidate_norm < norms[-1]
+                and in_group_rows(candidate.stack, invertible).all()
+            ):
                 accepted = (candidate, candidate_norm)
                 eps = min(trial * 2.0, _MAX_STEP)
                 break

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quiver import GroupSpec
-
-TOL_MEMBERSHIP = 1e-9
-TOL_EQ = 1e-8
+from .quiver import TOL_EQ, TOL_MEMBERSHIP, GroupSpec
 
 
 def as_stack(m, n: int | None = None) -> np.ndarray:
@@ -54,13 +51,21 @@ def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSH
     """Membership of a finite matrix, or of each matrix of a stack, at tolerance ``tol``.
 
     GL/TORUS: sigma_min > tol * sigma_max, so the test does not depend on
-    scale.  SL: |det - 1| <= tol.  U: ||m m* - I||_F <= tol.  SU: both of
-    the last two.
+    scale.  Since sigma_min / sigma_max >= |det| / ||m||_F^n, a matrix with
+    |det| > 2 tol ||m||_F^n passes without an SVD (the factor 2 covers the
+    rounding of det); only the others are decomposed.  SL: |det - 1| <= tol.
+    U: ||m m* - I||_F <= tol.  SU: both of the last two.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if group.family in ("GL", "TORUS"):
-        return _invertible(np.linalg.svd(stack, compute_uv=False), tol)
+        rows = stack.reshape(-1, *stack.shape[-2:])
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bound sends the row to the SVD
+            bound = 2.0 * tol * np.linalg.norm(rows, axis=(1, 2)) ** stack.shape[-1]
+            ok = np.abs(np.linalg.det(rows)) > bound
+        if not ok.all():
+            ok[~ok] = _invertible(np.linalg.svd(rows[~ok], compute_uv=False), tol)
+        return ok.reshape(stack.shape[:-2])
     unimodular = np.abs(np.linalg.det(stack) - 1.0) <= tol
     if group.family == "SL":
         return unimodular

@@ -3,15 +3,30 @@
 Vertices and arrows are identified by strings.  Every ordering used by the
 algorithms (component roots, breadth-first search, tie-breaks) is by
 lexicographic id, so all derived structures are deterministic and replayable.
+
+The orbit-closure certificate is graph theory too.  At a sink or source an
+explicit one-parameter gauge degenerates every invertible representation
+(``additive.sink_source_witness``).  On strongly connected quivers a
+weight-monotonicity argument rules out every degeneration by a
+vertex-scalar one-parameter subgroup ``t^alpha_v * I``, and only those: the
+orbit of a representation is closed exactly when it is semisimple (King,
+*Moduli of representations of finite dimensional algebras*, 1994), and the
+Jordan block on the one-loop quiver is strongly connected without a closed
+orbit.
+
+Nothing here imports numpy at module level; only the ``tails`` and
+``heads`` index arrays load it, on first use.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
 COMPACT_FAMILIES = ("U", "SU")
@@ -35,17 +50,20 @@ class Quiver:
     """Finite directed multigraph with named vertices and arrows.
 
     Parallel arrows and loops are permitted.  At least one vertex is
-    required; arrows may be empty.  ``tails`` and ``heads`` hold, per arrow
-    in order, the row of its tail and head vertex in ``vertices``: stacks of
-    per-vertex values index with them directly.
+    required; arrows may be empty.  ``tail_rows`` and ``head_rows`` hold,
+    per arrow in order, the row of its tail and head vertex in
+    ``vertices``.  ``tails`` and ``heads`` are the same rows as read-only
+    numpy index arrays, built on first use, so stacks of per-vertex values
+    index with them directly; structural code never touches them, so it
+    runs without numpy.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     _arrow_row: dict[str, int] = field(init=False, repr=False, compare=False)
     _vertex_row: dict[str, int] = field(init=False, repr=False, compare=False)
-    tails: np.ndarray = field(init=False, repr=False, compare=False)
-    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    tail_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    head_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -67,10 +85,16 @@ class Quiver:
                 raise ValueError(f"arrow {a.name!r} references undeclared vertex")
         object.__setattr__(self, "_vertex_row", rows)
         object.__setattr__(self, "_arrow_row", arrow_rows)
-        for name, end in (("tails", "tail"), ("heads", "head")):
-            index = np.array([rows[getattr(a, end)] for a in self.arrows], dtype=np.intp)
-            index.flags.writeable = False
-            object.__setattr__(self, name, index)
+        object.__setattr__(self, "tail_rows", tuple(rows[a.tail] for a in self.arrows))
+        object.__setattr__(self, "head_rows", tuple(rows[a.head] for a in self.arrows))
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        return _index_array(self.tail_rows)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        return _index_array(self.head_rows)
 
     @property
     def n_vertices(self) -> int:
@@ -93,6 +117,14 @@ class Quiver:
         if v not in self._vertex_row:
             raise ValueError(f"unknown vertex id {v!r}")
         return v
+
+
+def _index_array(rows: tuple[int, ...]) -> np.ndarray:
+    import numpy as np
+
+    index = np.array(rows, dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)
@@ -229,6 +261,11 @@ def validate_relations(q: Quiver, rels: RelationSet) -> tuple[RelationViolation,
     return tuple(violations)
 
 
+# default tolerances of the group membership test and of matrix equality
+TOL_MEMBERSHIP = 1e-9
+TOL_EQ = 1e-8
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Matrix group family and size.
@@ -313,10 +350,9 @@ def vertex_classes(q: Quiver) -> dict[str, str]:
     counts as both incoming and outgoing, so a vertex carrying only a loop
     is internal.
     """
-    no_out = np.bincount(q.tails, minlength=q.n_vertices) == 0
-    no_in = np.bincount(q.heads, minlength=q.n_vertices) == 0
+    has_out, has_in = set(q.tail_rows), set(q.head_rows)
     names = ("internal", "sink", "source", "isolated")
-    return {v: names[c] for v, c in zip(q.vertices, (2 * no_in + no_out).tolist())}
+    return {v: names[2 * (i not in has_in) + (i not in has_out)] for i, v in enumerate(q.vertices)}
 
 
 def classify_vertex(q: Quiver, v: str) -> str:
@@ -421,7 +457,7 @@ def spanning_forest(q: Quiver) -> SpanningForest:
     are broken deterministically.  Loops never enter the incidence lists.
     """
     names = [a.name for a in q.arrows]
-    tails, heads = q.tails.tolist(), q.heads.tolist()
+    tails, heads = q.tail_rows, q.head_rows
     incident: list[list[int]] = [[] for _ in q.vertices]
     for i in sorted(range(q.n_arrows), key=names.__getitem__):
         if tails[i] != heads[i]:
@@ -502,3 +538,137 @@ def moduli_dimension(q: Quiver, group: GroupSpec) -> int:
     if r == 0:
         return 0
     return group.center_dimension + (r - 1) * group.complex_dimension
+
+
+# ---------------------------------------------------------------------------
+# orbit-closure certificate
+
+ALL_INVERTIBLE_ORBITS_CLOSED = "all_invertible_orbits_closed"
+ENDS_OBSTRUCT = "ends_obstruct"
+INCONCLUSIVE = "inconclusive"
+
+
+def directed_path(q: Quiver, src: str, dst: str) -> list[str] | None:
+    """Arrow ids of a directed path src -> dst, or None; [] when src == dst.
+
+    Breadth-first with lexicographic arrow order, so deterministic.
+    """
+    q.check_vertex(src)
+    q.check_vertex(dst)
+    if src == dst:
+        return []
+    succ: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
+    for a in sorted(q.arrows, key=lambda a: a.name):
+        succ[a.tail].append((a.name, a.head))
+    prev: dict[str, tuple[str, str]] = {}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for name, w in succ[v]:
+            if w in prev or w == src:
+                continue
+            prev[w] = (v, name)
+            if w == dst:
+                path = []
+                while w != src:
+                    v, name = prev[w]
+                    path.append(name)
+                    w = v
+                path.reverse()
+                return path
+            queue.append(w)
+    return None
+
+
+@dataclass(frozen=True)
+class MonotoneReport:
+    """Outcome of the weight-monotonicity check.
+
+    ``ok`` means the assignment is constant.  Otherwise
+    ``violating_arrow`` names an arrow whose head weight is strictly below
+    its tail weight and ``witness_cycle`` is an oriented cycle through that
+    arrow: chaining head >= tail around the cycle forces equality, so no
+    non-constant assignment can be monotone on a strongly connected quiver.
+    """
+
+    ok: bool
+    violating_arrow: str | None = None
+    witness_cycle: Word | None = None
+
+
+def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> MonotoneReport:
+    """Check that head >= tail weight monotonicity forces a constant assignment."""
+    if not is_strongly_connected(q):
+        raise ValueError("weight monotonicity argument needs a strongly connected quiver")
+    for v in q.vertices:
+        if v not in alpha:
+            raise ValueError(f"missing weight for vertex {v!r}")
+    values = {alpha[v] for v in q.vertices}
+    if len(values) <= 1:
+        return MonotoneReport(ok=True)
+    violating = None
+    for a in sorted(q.arrows, key=lambda a: a.name):
+        if alpha[a.head] < alpha[a.tail]:
+            violating = a
+            break
+    if violating is None:
+        # impossible: monotone weights on a strongly connected quiver are
+        # constant, and this assignment is not constant
+        raise AssertionError("non-constant assignment with no violating arrow")
+    back = directed_path(q, violating.head, violating.tail)
+    cycle = Word.from_application_order(
+        [(violating.name, 1)] + [(name, 1) for name in back]
+    )
+    return MonotoneReport(ok=False, violating_arrow=violating.name, witness_cycle=cycle)
+
+
+@dataclass(frozen=True)
+class OrbitCertificate:
+    """Verdict on the scalar degenerations of invertible representations.
+
+    ``ends_obstruct`` lists the sink/source vertices at which every
+    invertible representation degenerates.  The strongly connected verdict
+    (``all_invertible_orbits_closed``) certifies only that no vertex-scalar
+    one-parameter subgroup ``t^alpha_v * I`` degenerates one; other
+    one-parameter subgroups still can (King 1994).  For it, a sample
+    non-constant weight assignment and the cycle on which it fails
+    monotonicity are attached as constructive evidence.
+    """
+
+    verdict: str
+    ends: tuple[str, ...] = ()
+    sample_alpha: tuple[tuple[str, int], ...] | None = None
+    sample_violation: MonotoneReport | None = None
+
+
+def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:
+    """Classify a connected quiver by the orbit-closure behavior it forces.
+
+    Strongly connected quivers put every arrow on an oriented cycle, which
+    rules out the degenerations by vertex-scalar one-parameter subgroups
+    ``t^alpha_v * I``.  It does not make every invertible orbit closed: by
+    King (1994) an orbit is closed exactly when the representation is
+    semisimple, and the one-loop Jordan block is not.  Quivers with ends
+    admit the explicit sink/source degeneration at every end.  Quivers with
+    no ends that are not strongly connected are reported inconclusive
+    rather than guessed.
+    """
+    if not is_connected(q):
+        raise ValueError("certificate requires a connected quiver")
+    end_vertices = ends(q)
+    if end_vertices:
+        return OrbitCertificate(verdict=ENDS_OBSTRUCT, ends=end_vertices)
+    if is_strongly_connected(q):
+        sample_alpha = None
+        violation = None
+        if q.n_vertices >= 2:
+            marked = max(q.vertices)
+            alpha = {v: (1 if v == marked else 0) for v in q.vertices}
+            sample_alpha = tuple(sorted(alpha.items()))
+            violation = monotone_weights_force_constant(q, alpha)
+        return OrbitCertificate(
+            verdict=ALL_INVERTIBLE_ORBITS_CLOSED,
+            sample_alpha=sample_alpha,
+            sample_violation=violation,
+        )
+    return OrbitCertificate(verdict=INCONCLUSIVE)

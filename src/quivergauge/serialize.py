@@ -11,22 +11,30 @@ vectors, histories, words) is written on one line by the C encoder of the
 ``json`` module, with ", " and ": " separators.  The text ends with one
 newline.  Identical inputs give byte-identical output; consumers should
 parse the JSON rather than read it line by line.
+
+The module belongs to the structural layer: numpy and the numeric classes
+are imported inside the matrix, representation, gauge and additive codecs,
+so encoding quivers, traces, certificates and toric bases never loads them.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .additive import AdditiveRep, DegenerationWitness, OrbitCertificate
-from .kempfness import FlowReport, KNResidual
 from .quiver import GROUP_FAMILIES, Arrow, GroupSpec, Quiver, RelationSet, Word
-from .representation import GaugeElement, Representation, RowView
-from .rewrites import TRACE_FORMAT_VERSION, CollapseStep, ReductionTrace
-from .toric import MonomialBasis
+from .rewrites import TRACE_FORMAT_VERSION
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .additive import AdditiveRep, DegenerationWitness
+    from .kempfness import FlowReport, KNResidual
+    from .quiver import OrbitCertificate
+    from .representation import GaugeElement, Representation, RowView
+    from .rewrites import CollapseStep, ReductionTrace
+    from .toric import MonomialBasis
 
 
 _ONE_LINE = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
@@ -61,6 +69,8 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
 
 def matrix_to_json(m: np.ndarray) -> list:
     """A matrix, or a stack of them, as nested lists of [re, im] float pairs."""
+    import numpy as np
+
     a = np.ascontiguousarray(m, dtype=complex)
     return a.view(float).reshape(*a.shape, 2).tolist()
 
@@ -80,6 +90,8 @@ def matrix_from_json(data) -> np.ndarray:
         not isinstance(row, list) or not row or len(row) != len(data[0]) for row in data
     ):
         raise TypeError("a matrix must be a non-empty list of equally long, non-empty rows")
+    import numpy as np
+
     return np.array([[_complex_from_json(entry) for entry in row] for row in data], dtype=complex)
 
 
@@ -168,6 +180,8 @@ def representation_to_json(f: Representation) -> dict:
 
 
 def representation_from_json(data, q: Quiver) -> Representation:
+    from .representation import Representation
+
     group = group_from_json(data["group"])
     return Representation(q, group, _matrices_from_json(data, "markings"))
 
@@ -180,6 +194,8 @@ def gauge_to_json(g: GaugeElement) -> dict:
 
 
 def gauge_from_json(data, q: Quiver) -> GaugeElement:
+    from .representation import GaugeElement
+
     group = group_from_json(data["group"])
     return GaugeElement(q, group, _matrices_from_json(data, "values"))
 
@@ -192,6 +208,8 @@ def additive_to_json(x: AdditiveRep) -> dict:
 
 
 def additive_from_json(data, q: Quiver) -> AdditiveRep:
+    from .additive import AdditiveRep
+
     return AdditiveRep(q, _size_from_json(data["n"], "n"), _matrices_from_json(data, "markings"))
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .quiver import Quiver
 
 MAX_WEIGHT = 10**6
@@ -50,7 +48,7 @@ class WeightedToricAction:
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         q, rows = self.quiver, []
-        for a, t, h in zip(q.arrows, q.tails.tolist(), q.heads.tolist()):
+        for a, t, h in zip(q.arrows, q.tail_rows, q.head_rows):
             row = [0] * q.n_vertices
             row[h] += self.mu[a.name]
             row[t] -= self.nu[a.name]
@@ -256,7 +254,7 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
     n_arrows = q.n_arrows
     names = tuple(a.name for a in q.arrows)
     cols: list[Sparse] = []
-    for name, t, h in zip(names, q.tails.tolist(), q.heads.tolist()):
+    for name, t, h in zip(names, q.tail_rows, q.head_rows):
         col = {h: action.mu[name]}
         col[t] = col.get(t, 0) - action.nu[name]
         cols.append({r: x for r, x in col.items() if x})
@@ -303,6 +301,8 @@ def check_invariance(
     q = action.quiver
     if len(exponents) != q.n_arrows:
         raise ValueError("exponent vector length must match the arrow count")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     for _ in range(trials):

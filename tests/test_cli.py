@@ -36,6 +36,23 @@ def test_info_dimension_long_loop_sl2(capsys):
     assert "moduli dimension for SL(2) = 0" in out
 
 
+def test_info_dimension_notes_ignored_relations(capsys):
+    code, out, _ = run(capsys, "info", fx("triangle.quiver"), "--group", "GL", "--n", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2:] == [
+        "moduli dimension for GL(2) = 1",
+        "note: the moduli dimension counts no relations (1 ignored)",
+    ]
+    _, out, _ = run(capsys, "info", fx("triangle.quiver"), "--group", "GL", "--n", "2", "--json")
+    payload = json.loads(out)
+    assert payload["moduli_dimension"] == 1 and payload["moduli_dimension_ignores_relations"] is True
+    _, out, _ = run(capsys, "info", fx("theta.quiver"), "--group", "GL", "--n", "2")
+    assert out.endswith("moduli dimension for GL(2) = 5\n")
+    _, out, _ = run(capsys, "info", fx("theta.quiver"), "--group", "GL", "--n", "2", "--json")
+    assert json.loads(out)["moduli_dimension_ignores_relations"] is False
+
+
 def test_info_json(capsys):
     code, out, _ = run(capsys, "info", fx("theta.quiver"), "--json")
     assert code == 0

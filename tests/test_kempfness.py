@@ -354,3 +354,20 @@ def test_kn_flow_one_arrow_balances_singular_values():
 def test_kn_flow_rejects_non_finite_step_and_nan_tol(kwargs):
     with pytest.raises(ValueError, match="step0|tol"):
         kn_flow(jordan_loop_rep(), **kwargs)
+
+
+def test_kn_flow_refuses_steps_that_leave_gl():
+    # markings of size 1e4 meet the absolute step0 with moments of size 1e9;
+    # an accepted step must keep every marking invertible, and the trace-free
+    # gauge must leave every |det| unchanged
+    q = theta()
+    sample = random_representation(q, GL3, 0)
+    f = Representation(q, GL3, 1e4 * sample.stack)
+    report = kn_flow(f, max_iter=3)
+    before = np.abs(np.linalg.det(f.stack))
+    after = np.abs(np.linalg.det(report.final.stack))
+    assert np.all(np.abs(after / before - 1.0) <= 1e-8)
+    assert all(b <= a for a, b in zip(report.norm_history, report.norm_history[1:]))
+    assert report.norm_history[-1] > 1e9
+    assert not report.converged
+    assert mg.in_group_rows(report.final.stack, GL3).all()

@@ -157,7 +157,7 @@ def test_package_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = (
-        "import sys, quivergauge, quivergauge.cli; "
+        "import sys, quivergauge.cli, quivergauge.additive, quivergauge.kempfness; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     result = subprocess.run(
@@ -215,6 +215,24 @@ def test_gl_membership_is_relative():
     assert np.linalg.norm(pf.p - np.log(1e-4) * np.eye(3)) <= 1e-12
     with pytest.raises(ValueError, match="invertible"):
         mg.polar_decompose(skewed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gl_membership_matches_the_singular_value_test():
+    # the determinant bound clears most rows without an SVD; the verdict must
+    # stay that of sigma_min > tol * sigma_max, at any scale and near tol
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3)))[0]
+    ratios = np.geomspace(1e-11, 1e-7, 400)
+    sv = np.stack([np.ones(400), rng.uniform(ratios, 1.0), ratios], axis=1)
+    stack = (u * sv[:, None, :]) @ v
+    stack[0] = 0.0
+    for scale in (1e-200, 1e-5, 1.0, 1e150, 1e200):
+        scaled = scale * stack
+        expected = mg._invertible(np.linalg.svd(scaled, compute_uv=False), mg.TOL_MEMBERSHIP)
+        assert mg.in_group_rows(scaled, GL3).tolist() == expected.tolist()
+    assert 100 < expected.sum() < 300
 
 
 def test_hermitian_functions_batch_over_stacks():

@@ -226,3 +226,12 @@ def test_strong_connectivity_against_bruteforce_oracle():
         q = random_connected_quiver(rng, max_vertices=6, max_arrows=10)
         expected = all(len(_reachable(q, v)) == q.n_vertices for v in q.vertices)
         assert is_strongly_connected(q) == expected
+
+
+def test_row_tuples_and_lazy_index_arrays():
+    q = Quiver(("b", "a"), (("x", "a", "b"), ("y", "b", "b"), ("z", "a", "a")))
+    assert q.tail_rows == (1, 0, 1) and q.head_rows == (0, 0, 1)
+    assert q.tails.tolist() == [1, 0, 1] and q.heads.tolist() == [0, 0, 1]
+    assert q.tails is q.tails and not q.tails.flags.writeable
+    assert q == Quiver(("b", "a"), (("x", "a", "b"), ("y", "b", "b"), ("z", "a", "a")))
+    assert Quiver(("v",), ()).tails.shape == (0,)
