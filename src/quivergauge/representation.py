@@ -9,6 +9,8 @@ sequences, and computes trace invariants.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Mapping
 
@@ -19,7 +21,6 @@ from .quiver import (
     GroupSpec,
     Quiver,
     RelationSet,
-    SpanningForest,
     Word,
     fundamental_cycles,
     spanning_forest,
@@ -235,21 +236,41 @@ def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word
     return tuple(menu)
 
 
-def _tree_gauge(f: Representation, forest: SpanningForest) -> np.ndarray:
-    """The (V, n, n) gauge stack that is I at the forest roots and marks every forest arrow I.
+def _tree_gauge(f: Representation, roots: list[int], links: list[tuple[int, int, int, bool]]) -> np.ndarray:
+    """The (V, n, n) gauge stack that is I at ``roots`` and marks every link's arrow I.
 
-    Built in BFS order: a child's value is its parent's times the tree
-    marking, inverted when the arrow points to the child.
+    ``links`` are (child, parent, arrow, forward) rows in the order a BFS
+    queue that starts with ``roots`` discovers them, so the parents' places
+    in that order never decrease and each depth level is a contiguous run.
+    A child's value is its parent's times the link's marking, inverted when
+    the arrow points to the child.  All forward markings are inverted in one
+    call, and each level is one batched product, written in BFS order and
+    scattered to vertex rows at the end.  Vertices that are neither roots
+    nor children are left unset.
     """
-    q, links = f.quiver, forest.parent.items()
-    rows = q._vertex_row
-    gauge = np.empty((q.n_vertices, f.group.n, f.group.n), dtype=complex)
-    gauge[[rows[r] for r in forest.roots]] = identity(f.group.n)
-    factors = f.stack[[q._arrow_row[name] for _, (_, name, _) in links]]
-    forward = np.array([fw for _, (_, _, fw) in links], dtype=bool)
-    factors[forward] = np.linalg.inv(factors[forward])
-    for (child, (parent, _, _)), m in zip(links, factors):
-        gauge[rows[child]] = gauge[rows[parent]] @ m
+    n, first = f.group.n, len(roots)
+    order = list(roots)
+    buf = np.empty((first + len(links), n, n), dtype=complex)
+    buf[:first] = identity(n)
+    if links:
+        kids, parents, arrows, forward = zip(*links)
+        order += kids
+        factors = f.stack[list(arrows)]
+        forward = np.array(forward, dtype=bool)
+        factors[forward] = np.linalg.inv(factors[forward])
+        place = np.empty(f.quiver.n_vertices, dtype=np.intp)
+        place[order] = np.arange(len(order))
+        above = place[list(parents)]  # buffer row of each link's parent
+        marks = above.tolist()
+        s, e = 0, bisect_left(marks, first)
+        while s < e:  # links [s, e) are one level; the next has its parents there
+            if e - s == 1:  # a level of one, as along a path: plain indexing beats a gather
+                np.matmul(buf[marks[s]], factors[s], out=buf[first + s])
+            else:
+                np.matmul(buf[above[s:e]], factors[s:e], out=buf[first + s : first + e])
+            s, e = e, bisect_left(marks, first + e)
+    gauge = np.empty((f.quiver.n_vertices, n, n), dtype=complex)
+    gauge[order] = buf
     return gauge
 
 
@@ -259,20 +280,38 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
     The surviving markings are gauged by the unique gauge that marks every
     collapsed arrow I and is I at every block anchor (``ReductionTrace``),
     the composite of gauging each step's collapsed marking away at its tail
-    block, so closed-word evaluations change only by conjugation.  It is
-    built down the spanning forest of the collapsed arrows and re-rooted at
-    the anchors in one batched product.  Raises ValueError when the steps do
-    not apply in turn or do not end at ``trace.final``.  ``membership_tol``
-    is 0: long tree products are too ill-conditioned for the relative GL test.
+    block, so closed-word evaluations change only by conjugation.  The
+    collapsed arrows form a tree on each block, so one BFS over them from the
+    anchors orders the tree links and ``_tree_gauge`` fills the gauge one
+    depth level at a time.  Raises ValueError when the steps do not apply in
+    turn or do not end at ``trace.final``.  ``membership_tol`` is 0: long
+    tree products are too ill-conditioned for the relative GL test.
     """
     q = trace.source
     if f.quiver != q:
         raise ValueError("representation does not live on the trace's source quiver")
     _, anchor = trace.blocks()
-    collapsed = {step.arrow for step in trace.steps}
-    gauge = _tree_gauge(f, spanning_forest(Quiver(q.vertices, [a for a in q.arrows if a.name in collapsed])))
-    gauge = np.linalg.inv(gauge[anchor]) @ gauge
-    kept = np.array([i for i, a in enumerate(q.arrows) if a.name not in collapsed], dtype=np.intp)
+    tails, heads = q.tail_rows, q.head_rows
+    collapsed = [q._arrow_row[step.arrow] for step in trace.steps]
+    incident: list[list[int]] = [[] for _ in anchor]
+    for i in collapsed:
+        incident[tails[i]].append(i)
+        incident[heads[i]].append(i)
+    roots = [v for v, a in enumerate(anchor) if v == a]
+    came = [-1] * q.n_vertices  # the tree arrow each vertex was reached by
+    order, links = list(roots), []
+    for v in order:  # grows while it is read: a BFS queue
+        for i in incident[v]:
+            if i != came[v]:
+                forward = tails[i] == v
+                kid = heads[i] if forward else tails[i]
+                came[kid] = i
+                links.append((kid, v, i, forward))
+                order.append(kid)
+    gauge = _tree_gauge(f, roots, links)
+    kept = np.ones(q.n_arrows, dtype=bool)
+    kept[collapsed] = False
+    kept = np.flatnonzero(kept)
     moved = act_on_stack(gauge, f.stack[kept], q.tails[kept], q.heads[kept])
     return Representation(trace.final, f.group, moved, membership_tol=0.0)
 
@@ -298,10 +337,13 @@ def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representat
     root; the returned representation carries all content on the non-tree
     arrows.
     """
-    forest = spanning_forest(f.quiver)
+    q = f.quiver
+    forest = spanning_forest(q)
     if len(forest.roots) != 1:
         raise ValueError("tree normal form requires a connected quiver")
-    gauge = GaugeElement(f.quiver, f.group, _tree_gauge(f, forest), membership_tol=0.0)
+    rows = q._vertex_row
+    links = [(rows[c], rows[p], q._arrow_row[name], fw) for c, (p, name, fw) in forest.parent.items()]
+    gauge = GaugeElement(q, f.group, _tree_gauge(f, [rows[forest.roots[0]]], links), membership_tol=0.0)
     return gauge, gauge_act(gauge, f)
 
 
@@ -323,22 +365,31 @@ def weighted_act(
 ) -> Representation:
     """Weighted action g(head)^mu(a) marking g(tail)^(-nu(a)) per arrow.
 
-    This is a genuine group action only when the matrices commute (or every
-    weight is 0/1); for non-abelian values with a weight >= 2 the
-    composition law fails, which callers can and do observe.
+    Weights are non-negative integers (anything ``operator.index`` takes).
+    Arrows with the same (mu, nu) are acted on together, with stacked
+    matrix powers.  This is a genuine group action only when the matrices
+    commute (or every weight is 0/1); for non-abelian values with a weight
+    >= 2 the composition law fails, which callers can and do observe.
     """
     _check_compatible(g, f)
-    for a in f.quiver.arrows:
+    q = f.quiver
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, a in enumerate(q.arrows):
         if a.name not in mu or a.name not in nu:
             raise ValueError(f"missing weights for arrow {a.name!r}")
-        if mu[a.name] < 0 or nu[a.name] < 0:
+        try:
+            pair = (operator.index(mu[a.name]), operator.index(nu[a.name]))
+        except TypeError:
+            raise ValueError("weights must be non-negative integers") from None
+        if min(pair) < 0:
             raise ValueError("weights must be non-negative integers")
-    markings = {}
-    for a in f.quiver.arrows:
-        left = np.linalg.matrix_power(g.values[a.head], int(mu[a.name]))
-        right = np.linalg.matrix_power(g.values[a.tail], -int(nu[a.name]))
-        markings[a.name] = left @ f.markings[a.name] @ right
-    return Representation(f.quiver, f.group, markings, membership_tol=f.membership_tol)
+        groups.setdefault(pair, []).append(i)
+    moved = np.empty_like(f.stack)
+    for (m, k), rows in groups.items():
+        left = np.linalg.matrix_power(g.stack[q.heads[rows]], m)
+        right = np.linalg.matrix_power(g.stack[q.tails[rows]], -k)
+        moved[rows] = left @ f.stack[rows] @ right
+    return Representation(q, f.group, moved, membership_tol=f.membership_tol)
 
 
 def _random_values(ids: Iterable[str], group: GroupSpec, seed: int) -> dict[str, np.ndarray]:

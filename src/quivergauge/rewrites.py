@@ -74,12 +74,16 @@ class ReductionTrace:
                 raise ValueError("step does not match the quiver it is applied to")
             parent[t], current[h] = h, rows[step.merged]
         anchor = [find(i) for i in range(q.n_vertices)]
-        to = {v: names[current[r]] for v, r in zip(names, anchor)}
+        image = [current[r] for r in anchor]
+        to = [names[j] for j in image]
         collapsed = {step.arrow for step in self.steps}
-        arrows = tuple(Arrow(a.name, to[a.tail], to[a.head]) for a in q.arrows if a.name not in collapsed)
-        if Quiver(tuple(v for v in names if to[v] == v), arrows) != self.final:
+        tails, heads, final = q.tail_rows, q.head_rows, self.final
+        arrows = [(a.name, to[t], to[h]) for a, t, h in zip(q.arrows, tails, heads) if a.name not in collapsed]
+        if tuple(v for v, w in zip(names, to) if v == w) != final.vertices or arrows != [
+            (a.name, a.tail, a.head) for a in final.arrows
+        ]:
             raise ValueError("trace steps do not end at the trace's final quiver")
-        return [current[r] for r in anchor], anchor
+        return image, anchor
 
     def replay(self, rels: RelationSet | None = None) -> tuple[Quiver, RelationSet]:
         """Re-run the steps one collapse at a time; must reproduce ``final``."""

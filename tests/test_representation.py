@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from quivergauge import (
+    Arrow,
+    CollapseStep,
     GaugeElement,
     GroupSpec,
+    Quiver,
     ReductionTrace,
     RelationSet,
     Representation,
@@ -302,6 +305,46 @@ def test_pushforward_rejects_mismatched_trace():
             pushforward_collapse(f, bad)
 
 
+
+def test_trace_validation_names_the_mismatch():
+    # pushforward_collapse and induced_gauge reject a trace whose final
+    # quiver differs from the replay in one arrow's head, the vertex order
+    # or the arrow order, and steps whose ends do not match the blocks
+    q = long_loop(5)
+    current, rels, steps = q, RelationSet(), []
+    for name in ("a0", "a2"):
+        current, rels, step = collapse(current, rels, name)
+        steps.append(step)
+    f = random_representation(q, GL2, 8)
+    g = random_gauge(q, GL2, 9)
+    trace = ReductionTrace(q, tuple(steps), current, rels)
+    pushforward_collapse(f, trace)
+    induced_gauge(g, trace)
+    assert current.n_vertices == 3 and current.n_arrows == 3
+    first, *rest = current.arrows
+    moved = Arrow(first.name, first.tail, next(v for v in current.vertices if v not in (first.tail, first.head)))
+    finals = (
+        Quiver(current.vertices, (moved, *rest)),
+        Quiver(current.vertices[::-1], current.arrows),
+        Quiver(current.vertices, current.arrows[::-1]),
+    )
+    for final in finals:
+        bad = ReductionTrace(q, trace.steps, final, rels)
+        with pytest.raises(ValueError, match="^trace steps do not end at the trace's final quiver$"):
+            pushforward_collapse(f, bad)
+        with pytest.raises(ValueError, match="^trace steps do not end at the trace's final quiver$"):
+            induced_gauge(g, bad)
+    s0, s1 = steps
+    swapped = (
+        CollapseStep(s0.arrow, s1.tail, s1.head, s1.merged),
+        CollapseStep(s1.arrow, s0.tail, s0.head, s0.merged),
+    )
+    bad = ReductionTrace(q, swapped, current, rels)
+    with pytest.raises(ValueError, match="^step does not match the quiver it is applied to$"):
+        pushforward_collapse(f, bad)
+    with pytest.raises(ValueError, match="^step does not match the quiver it is applied to$"):
+        induced_gauge(g, bad)
+
 def test_normal_form_one_arrow():
     f = random_representation(one_arrow(), GL3, 4)
     gauge, normal = normal_form_tree_gauge(f)
@@ -425,6 +468,36 @@ def test_weighted_act_validation():
     with pytest.raises(ValueError):
         weighted_act(g, f, {"l0": -1}, {"l0": 1})
 
+
+
+def test_weighted_act_rejects_fractional_weights():
+    # a weight of 1.5 used to act as 1; every weight must pass operator.index
+    q = one_loop()
+    f = random_representation(q, GL2, 0)
+    g = random_gauge(q, GL2, 0)
+    for mu, nu in (({"l0": 1.5}, {"l0": 1}), ({"l0": 1}, {"l0": 0.5}), ({"l0": 2.0}, {"l0": 1})):
+        with pytest.raises(ValueError, match="^weights must be non-negative integers$"):
+            weighted_act(g, f, mu, nu)
+    exact = weighted_act(g, f, {"l0": np.int64(2)}, {"l0": True})
+    assert np.array_equal(exact.stack, weighted_act(g, f, {"l0": 2}, {"l0": 1}).stack)
+
+
+def test_weighted_act_matches_arrow_loop():
+    # the batched pass groups arrows by (mu, nu); compare with one arrow at a time
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        q = random_connected_quiver(rng)
+        f = random_representation(q, GL3, int(rng.integers(2**32)))
+        g = random_gauge(q, GL3, int(rng.integers(2**32)))
+        mu = {a.name: int(rng.integers(0, 4)) for a in q.arrows}
+        nu = {a.name: int(rng.integers(0, 4)) for a in q.arrows}
+        acted = weighted_act(g, f, mu, nu)
+        for a in q.arrows:
+            left = np.linalg.matrix_power(g.values[a.head], mu[a.name])
+            right = np.linalg.inv(np.linalg.matrix_power(g.values[a.tail], nu[a.name]))
+            want = left @ f.markings[a.name] @ right
+            scale = np.linalg.norm(left) * np.linalg.norm(f.markings[a.name]) * np.linalg.norm(right)
+            assert np.linalg.norm(acted.markings[a.name] - want) <= 1e-12 * scale
 
 def test_unitary_menu_traces_detect_inequivalence():
     # same eigenvalue multiset arranged differently on two loops

@@ -24,11 +24,13 @@ from quivergauge import (
     gauge_act,
     induced_gauge,
     kn_moment,
+    normal_form_tree_gauge,
     orbit_norm,
     pushforward_collapse,
     random_gauge,
     random_representation,
     reduce_to_rose,
+    spanning_forest,
 )
 from quivergauge.quiver import RelationSet
 from quivergauge.rewrites import ReductionTrace, collapse
@@ -55,6 +57,33 @@ def traces(q, data) -> tuple[ReductionTrace, ...]:
         current, rels, step = collapse(current, rels, data.draw(st.sampled_from(names)))
         steps.append(step)
     return rose, ReductionTrace(q, tuple(steps), current, rels)
+
+
+def stepwise(f: Representation, trace: ReductionTrace) -> tuple[Quiver, dict]:
+    """Collapse one step at a time, gauging the collapsed marking away at its tail.
+
+    The gauge is I away from the step's tail, so only arrows at the tail
+    change.
+    """
+    markings = dict(f.markings)
+    current = trace.source
+    for step in trace.steps:
+        f0 = markings.pop(step.arrow)
+        f0_inv = np.linalg.inv(f0)
+        for a in current.arrows:
+            if a.name != step.arrow and step.tail in (a.tail, a.head):
+                left = f0 if a.head == step.tail else np.eye(len(f0))
+                right = f0_inv if a.tail == step.tail else np.eye(len(f0))
+                markings[a.name] = left @ markings[a.name] @ right
+        current = Quiver(
+            tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
+            tuple(
+                Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
+                for a in current.arrows
+                if a.name != step.arrow
+            ),
+        )
+    return current, markings
 
 
 def reference_action(g_values, markings, q) -> dict:
@@ -120,25 +149,7 @@ def test_pushforward_matches_collapse_loop(q, group, seed, data):
     # tolerance holds however long the tree paths are
     f = random_representation(q, group, seed)
     for trace in traces(q, data):
-        markings = dict(f.markings)
-        current = q
-        for step in trace.steps:
-            f0 = markings.pop(step.arrow)
-            gauge = {v: np.eye(group.n) for v in current.vertices}
-            gauge[step.tail] = f0
-            markings = {
-                a.name: gauge[a.head] @ markings[a.name] @ np.linalg.inv(gauge[a.tail])
-                for a in current.arrows
-                if a.name != step.arrow
-            }
-            current = Quiver(
-                tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
-                tuple(
-                    Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
-                    for a in current.arrows
-                    if a.name != step.arrow
-                ),
-            )
+        current, markings = stepwise(f, trace)
         pushed = pushforward_collapse(f, trace)
         assert pushed.quiver == current == trace.final
         assert list(pushed.markings) == list(markings)
@@ -160,6 +171,54 @@ def test_pushforward_is_gauge_equivariant(q, group, seed, data):
         for name, want in rhs.markings.items():
             assert close(lhs.markings[name], want, group.n)
 
+
+
+def deep_or_wide(shape: str, size: int, rng: np.random.Generator) -> tuple[Quiver, list[str]]:
+    """A path or a star on ``size`` vertices with random arrow directions, plus a few extra arrows.
+
+    Returns the quiver and its tree arrows.  The extras close long cycles
+    (end to end on the path, leaf to leaf on the star) and add a loop.
+    """
+    vs = [f"v{i}" for i in range(size)]
+    pairs = [(vs[i], vs[i + 1]) if shape == "path" else (vs[0], vs[i + 1]) for i in range(size - 1)]
+    tree = [(f"t{i}", *(p if rng.integers(2) else p[::-1])) for i, p in enumerate(pairs)]
+    ends = [(vs[-1], vs[0] if shape == "path" else vs[1])]
+    ends += [(vs[int(rng.integers(size))], vs[int(rng.integers(size))]) for _ in range(4)]
+    ends.append((vs[size // 2],) * 2)
+    extras = [(f"x{i}", t, h) for i, (t, h) in enumerate(ends)]
+    return Quiver(tuple(vs), tuple(tree + extras)), [name for name, _, _ in tree]
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_pushforward_on_deep_and_wide_forests(shape):
+    # the gauge is filled one BFS level at a time: a path is one vertex per
+    # level, a star one level of every leaf; unitary markings keep the long
+    # products bounded
+    group = GroupSpec("U", 3)
+    rng = np.random.default_rng(31)
+    q, tree = deep_or_wide(shape, 300, rng)
+    f = random_representation(q, group, 32)
+    _, _, rose = reduce_to_rose(q)
+    current, rels, steps = q, RelationSet(), []
+    for name in rng.permutation(tree)[:-10]:
+        current, rels, step = collapse(current, rels, str(name))
+        steps.append(step)
+    for trace in (rose, ReductionTrace(q, tuple(steps), current, rels)):
+        final, markings = stepwise(f, trace)
+        pushed = pushforward_collapse(f, trace)
+        assert pushed.quiver == final == trace.final
+        for name, want in markings.items():
+            assert close(pushed.markings[name], want, group.n)
+
+
+def test_normal_form_on_a_deep_path():
+    group = GroupSpec("U", 3)
+    q, _ = deep_or_wide("path", 300, np.random.default_rng(33))
+    f = random_representation(q, group, 34)
+    _, normal = normal_form_tree_gauge(f)
+    eye = np.eye(3)
+    for name in spanning_forest(q).tree_arrows:
+        assert np.linalg.norm(normal.markings[name] - eye) <= 1e-9 * np.linalg.norm(eye)
 
 @PROPERTY
 @given(quivers(max_vertices=30), groups, seeds)
