@@ -20,46 +20,36 @@ check-relations) print text and take ``--json``; the others always print
 the module JSON encodings.  ``--seed`` belongs to sample; ``--tol`` to
 kn-flow, rescale and check-relations.
 
-The package has two import layers.  The structural layer (``quiver``,
-``dsl``, ``rewrites``, ``toric``, ``serialize`` and this module) imports no
-numpy at module level, so info, reduce, collapse, pinch, clip, reverse,
-certificate and toric run without loading numpy.  The numeric layer
-(``matrices``, ``representation``, ``kempfness``, ``additive``) loads with
-numpy when a numeric handler (sample, act, retract, kn-residual, kn-flow,
-witness, rescale, check-relations) imports its function from the defining
-module at call time.
+Every handler imports its library function when it runs; at module level
+this module imports only what argument parsing and document reading need
+(``dsl``, ``quiver`` and ``serialize``).  A command therefore loads only
+the modules it calls: info, reduce, collapse, pinch, clip, reverse,
+certificate and toric never load numpy, and info and certificate load
+neither ``rewrites`` nor ``toric``.
 
 Library warnings are written to stderr as ``warning: <message>`` lines.
 
-Exit codes: 0 success, 1 usage, 2 parse diagnostics or a malformed payload
-file, 3 numeric precondition failure.
+Exit codes: 0 success, 1 usage or unwritable stdout, 2 parse diagnostics or
+a malformed payload file, 3 numeric precondition failure.
+
+``main(argv) -> int`` is the in-process API: it writes and flushes stdout,
+returns the exit code and leaves the interpreter running.  ``run()`` is the
+process entry (the ``quivergauge`` script and ``python -m
+quivergauge.cli``): it calls ``main`` and ends the process with
+``os._exit``, skipping module and object teardown and ``atexit`` hooks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
 
 from . import dsl, serialize
-from .quiver import (
-    GROUP_FAMILIES,
-    TOL_EQ,
-    GroupSpec,
-    RelationSet,
-    betti_number,
-    closed_orbit_certificate,
-    connected_components,
-    ends,
-    euler_characteristic,
-    is_strongly_connected,
-    moduli_dimension,
-    vertex_classes,
-)
-from .rewrites import clip, collapse, pinch, reduce_to_rose, reverse_arrows
-from .toric import invariant_monomial_basis, weight_matrix
+from .quiver import GROUP_FAMILIES, TOL_EQ, GroupSpec, RelationSet
 
 MAX_MATRIX_SIZE = 16
 
@@ -142,6 +132,16 @@ def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple
 
 
 def _cmd_info(args, doc):
+    from .quiver import (
+        betti_number,
+        connected_components,
+        ends,
+        euler_characteristic,
+        is_strongly_connected,
+        moduli_dimension,
+        vertex_classes,
+    )
+
     q = doc.quiver
     classes = vertex_classes(q)
     end_vertices = ends(q)
@@ -176,6 +176,9 @@ def _cmd_info(args, doc):
 
 
 def _cmd_reduce(args, doc):
+    from .quiver import betti_number
+    from .rewrites import reduce_to_rose
+
     rose, rels, trace = reduce_to_rose(doc.quiver, doc.relations)
     r = betti_number(doc.quiver)
     payload = {
@@ -192,6 +195,8 @@ def _cmd_reduce(args, doc):
 
 
 def _cmd_collapse(args, doc):
+    from .rewrites import collapse
+
     new_q, new_rels, step = collapse(doc.quiver, doc.relations, args.arrow)
     mu, nu = _surviving_weights(doc, new_q)
     out = dsl.document_for(new_q, new_rels, mu, nu, name=doc.name)
@@ -199,12 +204,16 @@ def _cmd_collapse(args, doc):
 
 
 def _cmd_pinch(args, doc):
+    from .rewrites import pinch
+
     new_q, vmap = pinch(doc.quiver, args.v1, args.v2)
     out = dsl.document_for(new_q, doc.relations, doc.mu, doc.nu, name=doc.name)
     return _document_payload(out, {"vertex_map": vmap}), dsl.print_document(out)
 
 
 def _cmd_clip(args, doc):
+    from .rewrites import clip
+
     new_q = clip(doc.quiver, args.arrow)
     rels, dropped = _drop_relations_mentioning(doc.relations, {args.arrow})
     mu, nu = _surviving_weights(doc, new_q)
@@ -214,6 +223,8 @@ def _cmd_clip(args, doc):
 
 
 def _cmd_reverse(args, doc):
+    from .rewrites import reverse_arrows
+
     new_q = reverse_arrows(doc.quiver, args.arrows)
     rels, dropped = _drop_relations_mentioning(doc.relations, set(args.arrows))
     out = dsl.document_for(new_q, rels, doc.mu, doc.nu, name=doc.name)
@@ -260,6 +271,8 @@ def _cmd_witness(args, doc):
 
 
 def _cmd_certificate(args, doc):
+    from .quiver import closed_orbit_certificate
+
     cert = closed_orbit_certificate(doc.quiver)
     lines = [f"verdict: {cert.verdict}"]
     if cert.ends:
@@ -274,6 +287,8 @@ def _cmd_rescale(args, doc):
 
 
 def _cmd_toric(args, doc):
+    from .toric import invariant_monomial_basis, weight_matrix
+
     mu, nu = doc.effective_weights()
     basis = invariant_monomial_basis(weight_matrix(doc.quiver, mu, nu))
     return serialize.monomial_basis_to_json(basis), None
@@ -407,7 +422,14 @@ def main(argv=None) -> int:
         return 3
     out = serialize.dumps(payload) if text is None or args.json else text
     serialized = time.perf_counter()
-    sys.stdout.write(out)
+    try:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise OSError("stdout is closed")
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     if args.stats:
         stats = {
             "parse_s": parsed - start,
@@ -421,5 +443,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry: ``main`` on ``sys.argv``, then exit without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # closed, or a failed write main has reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -30,8 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .quiver import Quiver, RelationSet, Word, validate_relations
-from .toric import MAX_WEIGHT
+from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp, in_group_rows
 from .quiver import GroupSpec
-from .representation import GaugeElement, Representation, RowView, gauge_act
+from .representation import GaugeElement, Representation, RowView, _lie_action, gauge_act
 
 _MAX_BACKTRACKS = 60
 _MAX_STEP = 1e12
@@ -109,30 +109,17 @@ def orbit_norm(f: Representation) -> float:
     return float(np.vdot(f.stack, f.stack).real)
 
 
-def infinitesimal_action(u: Mapping[str, np.ndarray], f: Representation) -> dict[str, np.ndarray]:
-    """Derivative of the gauge path exp(-t u) acting on f, at t = 0.
-
-    Per arrow this is marking u(tail) - u(head) marking.
-    """
-    q, m = f.quiver, f.stack
-    us = np.array([as_matrix(u[v], f.group.n) for v in q.vertices])
-    return dict(zip(f.markings, m @ us[q.tails] - us[q.heads] @ m))
-
-
 def action_pairing(u: Mapping[str, np.ndarray], f: Representation) -> complex:
     """Hermitian pairing of the infinitesimal action with f itself.
 
-    Equals the moment contraction sum over vertices of tr(u_v M_v); for
-    Hermitian u it is half the derivative of the orbit norm along the
-    gauge path exp(-t u).
+    The infinitesimal action of the gauge path exp(-t u) at t = 0 is, per
+    arrow, marking u(tail) - u(head) marking.  The pairing equals the moment
+    contraction sum over vertices of tr(u_v M_v); for Hermitian u it is half
+    the derivative of the orbit norm along the path.
     """
-    df = infinitesimal_action(u, f)
-    return complex(sum(np.vdot(m, df[name]) for name, m in f.markings.items()))
-
-
-def moment_contraction(u: Mapping[str, np.ndarray], residual: KNResidual) -> complex:
-    """Sum over vertices of tr(u_v M_v)."""
-    return complex(sum(np.trace(as_matrix(u[v]) @ m) for v, m in residual.per_vertex.items()))
+    q, m = f.quiver, f.stack
+    us = np.array([as_matrix(u[v], f.group.n) for v in q.vertices])
+    return complex(np.vdot(m, _lie_action(us, m, q.tails, q.heads)))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
 COMPACT_FAMILIES = ("U", "SU")
+# cap on a toric weight, checked by the document reader and by ``toric.weight_matrix``
+MAX_WEIGHT = 10**6
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,11 @@ def act_on_stack(values: np.ndarray, markings: np.ndarray, tails, heads) -> np.n
     return values[heads] @ markings @ np.linalg.inv(values)[tails]
 
 
+def _lie_action(u: np.ndarray, markings: np.ndarray, tails, heads) -> np.ndarray:
+    """The Lie-algebra action kernel: row i becomes markings[i] u[tails[i]] - u[heads[i]] markings[i]."""
+    return markings @ u[tails] - u[heads] @ markings
+
+
 def gauge_act(g: GaugeElement, f: Representation) -> Representation:
     """Act on every marking by g(head) marking g(tail)^(-1)."""
     _check_compatible(g, f)

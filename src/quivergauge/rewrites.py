@@ -14,8 +14,6 @@ from typing import Iterable
 
 from .quiver import Arrow, Quiver, RelationSet, Word, spanning_forest, validate_relations
 
-TRACE_FORMAT_VERSION = 2
-
 
 @dataclass(frozen=True)
 class CollapseStep:

@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from .quiver import GROUP_FAMILIES, Arrow, GroupSpec, Quiver, RelationSet, Word
-from .rewrites import TRACE_FORMAT_VERSION
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,6 +35,8 @@ if TYPE_CHECKING:
     from .rewrites import CollapseStep, ReductionTrace
     from .toric import MonomialBasis
 
+
+TRACE_FORMAT_VERSION = 2
 
 _ONE_LINE = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .quiver import Quiver
-
-MAX_WEIGHT = 10**6
+from .quiver import MAX_WEIGHT, Quiver
 
 Sparse = dict[int, int]
 
@@ -265,20 +263,6 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
         vectors=tuple(tuple(_dense(row, n_arrows)) for row in reduced),
         cell_dimension=n_arrows - rank,
     )
-
-
-def scalar_weighted_act(
-    gauge: Mapping[str, complex],
-    markings: Mapping[str, complex],
-    action: WeightedToricAction,
-) -> dict[str, complex]:
-    """Weighted scalar gauge action gauge(head)^mu marking gauge(tail)^(-nu)."""
-    out = {}
-    for a in action.quiver.arrows:
-        g_head = complex(gauge[a.head]) ** action.mu[a.name]
-        g_tail = complex(gauge[a.tail]) ** (-action.nu[a.name])
-        out[a.name] = g_head * complex(markings[a.name]) * g_tail
-    return out
 
 
 def check_invariance(

@@ -1,14 +1,32 @@
-"""Shared quiver builders, randomized generators and hypothesis tooling."""
+"""Shared quiver constructors, randomized generators, hypothesis tooling and a fresh-process runner."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import quivergauge
 from quivergauge import Arrow, GroupSpec, Quiver, RelationSet
+
+SRC = Path(quivergauge.__file__).resolve().parents[1]
 
 # Property tests are deterministic (same examples every run) and untimed;
 # modules with costly examples derive from it: settings(PROPERTY, max_examples=...).
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def python(*args: str, **options) -> subprocess.CompletedProcess:
+    """Run this interpreter on ``args`` with the tested sources first on PYTHONPATH.
+
+    Stdout and stderr are captured as text unless ``options`` say otherwise.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60, **options}
+    return subprocess.run([sys.executable, *args], env=env, **options)
 
 
 def one_arrow() -> Quiver:

@@ -11,10 +11,8 @@ from quivergauge import (
     Representation,
     action_pairing,
     gauge_act,
-    infinitesimal_action,
     kn_flow,
     kn_moment,
-    moment_contraction,
     orbit_norm,
     pinch,
     polar_retract,
@@ -245,7 +243,8 @@ def test_pairing_matches_moment_contraction():
             z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             u[v] = z
         res = kn_moment(f)
-        assert abs(action_pairing(u, f) - moment_contraction(u, res)) <= 1e-10
+        contraction = sum(np.trace(u[v] @ m) for v, m in res.per_vertex.items())
+        assert abs(action_pairing(u, f) - contraction) <= 1e-10
 
 
 def test_pairing_matches_finite_difference():
@@ -271,11 +270,12 @@ def test_pairing_matches_finite_difference():
 
 
 def test_infinitesimal_action_formula():
-    f = jordan_loop_rep()
-    u = {"v0": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
-    df = infinitesimal_action(u, f)
-    m = f.markings["l0"]
-    assert np.allclose(df["l0"], m @ u["v0"] - u["v0"] @ m, atol=1e-14)
+    # per arrow the action is m u(tail) - u(head) m; every theta arrow runs v0 -> v1
+    rng = np.random.default_rng(14)
+    f = random_representation(theta(), GL2, 3)
+    u = {v: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for v in f.quiver.vertices}
+    expected = sum(np.vdot(m, m @ u["v0"] - u["v1"] @ m) for m in f.markings.values())
+    assert abs(action_pairing(u, f) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_kn_flow_unitary_converges_immediately():

@@ -1,8 +1,6 @@
-"""Import layers: structural commands never load numpy; numeric names resolve lazily."""
+"""Import layers: every name resolves lazily, and each command loads only the modules it calls."""
 
 import json
-import os
-import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -10,18 +8,17 @@ from pathlib import Path
 import pytest
 
 import quivergauge
+from conftest import python
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(quivergauge.__file__).resolve().parents[1]
 
-# Every name the package exported while it imported all of its modules
-# eagerly, by the module that defines it now.
+# Every name the package exports, by the module that defines it.
 EXPORTED = {
     "additive": """AdditiveRep DegenerationWitness act_additive embed_additive sink_source_witness
         to_representation unimodular_rescale""",
     "dsl": "ParseError QuiverDocument canonicalize document_for parse print_document",
-    "kempfness": """FlowReport KNResidual action_pairing infinitesimal_action kn_flow kn_moment
-        moment_contraction orbit_norm polar_retract retract_representation""",
+    "kempfness": """FlowReport KNResidual action_pairing kn_flow kn_moment orbit_norm polar_retract
+        retract_representation""",
     "matrices": """PolarFactors cartan_involution hermitian_exp hermitian_log hermitian_power in_group
         polar_decompose random_element""",
     "quiver": """ALL_INVERTIBLE_ORBITS_CLOSED ENDS_OBSTRUCT INCONCLUSIVE TOL_EQ TOL_MEMBERSHIP Arrow
@@ -35,7 +32,7 @@ EXPORTED = {
         reverse_representation satisfies_relations standard_word_menu trace_invariants weighted_act""",
     "rewrites": "CollapseStep ReductionTrace arrows_equivalent clip collapse pinch reduce_to_rose reverse_arrows",
     "toric": """MonomialBasis WeightedToricAction check_invariance integer_kernel hermite_rows
-        invariant_monomial_basis scalar_weighted_act weight_matrix""",
+        invariant_monomial_basis weight_matrix""",
 }
 
 THETA = str(FIXTURES / "theta.quiver")
@@ -51,31 +48,51 @@ STRUCTURAL = {
     "toric": ["toric", str(FIXTURES / "double_arrow_weighted.quiver")],
 }
 
-# Runs the CLI in this process, then reports whether numpy got loaded.
+# Runs the CLI in this process, then reports whether numpy got loaded, the
+# exit code and the quivergauge modules loaded.
 PROBE = """
 import sys
 from quivergauge.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules, code, file=sys.stderr)
+loaded = sorted(m.split(".")[-1] for m in sys.modules if m.startswith("quivergauge."))
+print("numpy" in sys.modules, code, *loaded, file=sys.stderr)
 """
+# Structural modules a command does not call, so may not load.
+NOT_CALLED = {"info": ("rewrites", "toric"), "certificate": ("rewrites", "toric"), "toric": ("rewrites",)}
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+def probe(argv) -> tuple[str, str, list[str]]:
+    done = python("-c", PROBE, *argv)
+    assert done.stdout
+    numpy, code, *loaded = done.stderr.splitlines()[-1].split()
+    return numpy, code, loaded
 
 
 @pytest.mark.parametrize("argv", STRUCTURAL.values(), ids=STRUCTURAL.keys())
 def test_structural_command_does_not_load_numpy(argv):
-    done = python("-c", PROBE, *argv)
-    assert done.stdout
-    assert done.stderr.splitlines()[-1] == "False 0", done.stderr
+    numpy, code, loaded = probe(argv)
+    assert (numpy, code) == ("False", "0")
+    assert not {"matrices", "representation", "kempfness", "additive"} & set(loaded), loaded
+
+
+@pytest.mark.parametrize("command", NOT_CALLED)
+def test_command_loads_only_the_structural_modules_it_calls(command):
+    numpy, code, loaded = probe(STRUCTURAL[command])
+    assert code == "0"
+    assert {"cli", "dsl", "quiver", "serialize"} <= set(loaded)
+    assert not set(NOT_CALLED[command]) & set(loaded), loaded
 
 
 def test_importing_the_cli_does_not_load_numpy():
     done = python("-c", "import sys, quivergauge.cli; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_importing_the_package_loads_no_submodule():
+    done = python("-c", "import sys, quivergauge; print(sorted(m for m in sys.modules if 'quivergauge' in m))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['quivergauge']\n"
 
 
 def test_numeric_commands_run_from_a_fresh_process(tmp_path):
@@ -97,6 +114,12 @@ def test_every_exported_name_is_its_defining_module_attribute():
             assert name in names
             assert getattr(quivergauge, name) is getattr(defining, name), name
     assert "__version__" in names
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from quivergauge import *", namespace)
+    assert {name for names in EXPORTED.values() for name in names.split()} <= set(namespace)
 
 
 def test_certificate_lives_in_the_structural_layer_only():

@@ -212,22 +212,23 @@ def test_check_invariance_randomized_agreement():
 
 
 def test_scalar_weighted_action_law_exact():
-    # scalar gauges compose exactly under the weighted action
-    from quivergauge import scalar_weighted_act
+    # scalar gauges compose exactly under the weighted action: weighted_act on TORUS
+    from quivergauge import GaugeElement, GroupSpec, Representation, weighted_act
 
     q = two_cycle()
-    action = weight_matrix(q, {"a0": 3, "a1": 2}, {"a0": 1, "a1": 5})
+    torus = GroupSpec("TORUS", 1)
+    mu, nu = {"a0": 3, "a1": 2}, {"a0": 1, "a1": 5}
     rng = np.random.default_rng(5)
+
+    def scalars(names):
+        return {k: np.array([[complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))]]) for k in names}
+
     for _ in range(20):
-        markings = {a.name: complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for a in q.arrows}
-        g1 = {v: complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for v in q.vertices}
-        g2 = {v: complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for v in q.vertices}
-        inner = scalar_weighted_act(g2, markings, action)
-        lhs = scalar_weighted_act(g1, inner, action)
-        product = {v: g1[v] * g2[v] for v in q.vertices}
-        rhs = scalar_weighted_act(product, markings, action)
-        for name in markings:
-            assert abs(lhs[name] - rhs[name]) <= 1e-12 * max(1.0, abs(rhs[name]))
+        f = Representation(q, torus, scalars(a.name for a in q.arrows))
+        g1, g2 = (GaugeElement(q, torus, scalars(q.vertices)) for _ in range(2))
+        lhs = weighted_act(g1, weighted_act(g2, f, mu, nu), mu, nu)
+        rhs = weighted_act(g1.compose(g2), f, mu, nu)
+        assert np.all(abs(lhs.stack - rhs.stack) <= 1e-12 * np.maximum(1.0, abs(rhs.stack)))
 
 
 def fundamental_cycles_from_last_arrow(q):
