@@ -20,8 +20,6 @@ from .matrices import _principal_root
 from .quiver import GroupSpec, Quiver, classify_vertex
 from .representation import GaugeElement, Representation, _Stacked, act_on_stack
 
-_EMBEDDABLE = ("GL", "SL", "TORUS")
-
 
 @dataclass(frozen=True, eq=False)
 class AdditiveRep(_Stacked):
@@ -43,7 +41,7 @@ def embed_additive(f: Representation) -> AdditiveRep:
     The markings are unchanged, so the image consists of representations
     with all determinants nonzero (and equal to one for SL).
     """
-    if f.group.family not in _EMBEDDABLE:
+    if f.group.is_compact:
         raise ValueError("additive embedding applies to GL/SL/TORUS representations")
     return AdditiveRep(f.quiver, f.group.n, f.stack)
 

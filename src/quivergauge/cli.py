@@ -304,7 +304,7 @@ def _cmd_check_relations(args, doc):
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="quivergauge", description=__doc__)
+    parser = _ArgumentParser(prog="quivergauge", description="Compute with group-valued quiver representations.")
     parser.add_argument("--stats", action="store_true", help="write phase timings and sizes to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
     rep = {"rep": serialize.representation_from_json}

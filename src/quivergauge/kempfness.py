@@ -19,12 +19,10 @@ import numpy as np
 
 from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp, in_group_rows
 from .quiver import GroupSpec
-from .representation import GaugeElement, Representation, RowView, _lie_action, gauge_act
+from .representation import Representation, RowView, _lie_action, act_on_stack
 
 _MAX_BACKTRACKS = 60
 _MAX_STEP = 1e12
-
-_NONCOMPACT = ("GL", "SL", "TORUS")
 
 
 def _check_time(t: float) -> None:
@@ -89,9 +87,9 @@ class KNResidual:
     aggregate: float
 
 
-def kn_moment(f: Representation) -> KNResidual:
-    """Moment matrices of a representation under the unitary gauge group."""
-    q, m, n = f.quiver, f.stack, f.group.n
+def _moments(q, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-vertex moment stack of markings ``m`` on ``q``, and its trace-free projection."""
+    n = m.shape[-1]
     adjoint = m.conj().swapaxes(1, 2)
     # tail and head terms interleave in arrow order; add.at also sums the
     # repeated rows of parallel arrows and loops
@@ -99,8 +97,13 @@ def kn_moment(f: Representation) -> KNResidual:
     moments = np.zeros((q.n_vertices, n, n), dtype=complex)
     np.add.at(moments, np.stack((q.tails, q.heads), axis=1).ravel(), terms)
     trace = np.trace(moments, axis1=1, axis2=2)
-    projected = moments - (trace / n)[:, None, None] * np.eye(n, dtype=complex)
-    rows = q._vertex_row
+    return moments, moments - (trace / n)[:, None, None] * np.eye(n, dtype=complex)
+
+
+def kn_moment(f: Representation) -> KNResidual:
+    """Moment matrices of a representation under the unitary gauge group."""
+    moments, projected = _moments(f.quiver, f.stack)
+    rows = f.quiver._vertex_row
     return KNResidual(RowView(rows, moments), RowView(rows, projected), float(np.linalg.norm(projected)))
 
 
@@ -162,7 +165,7 @@ def kn_flow(
     toward the minimal-norm representative in the orbit closure; trace
     invariants of closed words are constant along the way.
     """
-    if f.group.family not in _NONCOMPACT:
+    if f.group.is_compact:
         raise ValueError("flow applies to GL/SL/TORUS representations")
     if not (0 < step0 < math.inf):
         raise ValueError(f"step0 must be positive and finite, got {step0}")
@@ -171,51 +174,40 @@ def kn_flow(
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
 
+    q, m = f.quiver, f.stack
     invertible = GroupSpec("GL", f.group.n)
-    current = Representation(f.quiver, f.group, f.stack, membership_tol=0.0)
-    residual = kn_moment(current)
-    norms = [orbit_norm(current)]
-    residuals = [residual.aggregate]
+    projected = _moments(q, m)[1]
+    norms = [orbit_norm(f)]
+    residuals = [float(np.linalg.norm(projected))]
     eps = float(step0)
     iterations = 0
 
     while residuals[-1] > tol and iterations < max_iter:
-        projected = residual.projected.stack
         direction = 0.5 * (projected + projected.conj().swapaxes(1, 2))
-        accepted = None
         trial = eps
         for _ in range(_MAX_BACKTRACKS + 1):
             try:
                 # an overflowing trial is a failure below, not a warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    values = hermitian_exp(trial * direction)
-                    gauge = GaugeElement(current.quiver, current.group, values, membership_tol=0.0)
-                    candidate = gauge_act(gauge, current)
-                    candidate_norm = orbit_norm(candidate)
+                    moved = act_on_stack(hermitian_exp(trial * direction), m, q.tails, q.heads)
+                    moved_norm = float(np.vdot(moved, moved).real)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-                trial /= 2.0
-                continue
-            if (
-                np.isfinite(candidate_norm)
-                and candidate_norm < norms[-1]
-                and in_group_rows(candidate.stack, invertible).all()
-            ):
-                accepted = (candidate, candidate_norm)
-                eps = min(trial * 2.0, _MAX_STEP)
+                moved_norm = math.nan
+            if np.isfinite(moved_norm) and moved_norm < norms[-1] and in_group_rows(moved, invertible).all():
                 break
             trial /= 2.0
-        if accepted is None:
+        else:
             break
-        current, new_norm = accepted
-        residual = kn_moment(current)
-        norms.append(new_norm)
-        residuals.append(residual.aggregate)
+        m, eps = moved, min(trial * 2.0, _MAX_STEP)
+        projected = _moments(q, m)[1]
+        norms.append(moved_norm)
+        residuals.append(float(np.linalg.norm(projected)))
         iterations += 1
 
     return FlowReport(
         iterations=iterations,
         residual_history=tuple(residuals),
         norm_history=tuple(norms),
-        final=current,
+        final=Representation(q, f.group, m, membership_tol=0.0),
         converged=residuals[-1] <= tol,
     )

@@ -3,6 +3,11 @@
 Vertices and arrows are identified by strings.  Every ordering used by the
 algorithms (component roots, breadth-first search, tie-breaks) is by
 lexicographic id, so all derived structures are deterministic and replayable.
+Every traversal (the spanning forest, connected and strongly connected
+components, directed paths, and the pushforward's tree gauge) runs on vertex
+and arrow rows over one incidence builder, ``_incidence``, and one
+breadth-first search, ``_bfs``; the tie-break and the skipping of loops live
+only there.
 
 The orbit-closure certificate is graph theory too.  At a sink or source an
 explicit one-parameter gauge degenerates every invertible representation
@@ -20,7 +25,6 @@ Nothing here imports numpy at module level; only the ``tails`` and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -321,23 +325,23 @@ def connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
     Components are listed by smallest member (the forest roots); members are
     kept in quiver vertex order.
     """
-    forest = spanning_forest(q)
-    root = {r: r for r in forest.roots}
-    for child, (parent, _, _) in forest.parent.items():
+    roots, links = _forest(q)
+    root = list(range(q.n_vertices))
+    for child, parent, _, _ in links:
         root[child] = root[parent]
-    comps: dict[str, list[str]] = {r: [] for r in forest.roots}
-    for v in q.vertices:
-        comps[root[v]].append(v)
+    comps: dict[int, list[str]] = {r: [] for r in roots}
+    for v, r in zip(q.vertices, root):
+        comps[r].append(v)
     return tuple(tuple(c) for c in comps.values())
 
 
 def is_connected(q: Quiver) -> bool:
-    return len(spanning_forest(q).roots) == 1
+    return len(_forest(q)[0]) == 1
 
 
 def betti_number(q: Quiver) -> int:
     """First Betti number of the underlying 1-complex: N_A - N_V + #components."""
-    return q.n_arrows - q.n_vertices + len(spanning_forest(q).roots)
+    return q.n_arrows - q.n_vertices + len(_forest(q)[0])
 
 
 def euler_characteristic(q: Quiver) -> int:
@@ -375,40 +379,36 @@ def is_super_cyclic(q: Quiver) -> bool:
 def strongly_connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
     """Strongly connected components by Tarjan's algorithm (iterative).
 
-    Deterministic: roots and adjacency are scanned in lexicographic order.
+    Runs on vertex rows over the directed incidence; each component is its
+    sorted ids, and the components are sorted.
     """
-    order = sorted(q.vertices)
-    succ: dict[str, list[str]] = {v: [] for v in order}
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        succ[a.tail].append(a.head)
-
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    succ = _incidence(q, _id_order(q._arrow_row), directed=True)
+    heads = q.head_rows
+    index, lowlink, on_stack = [-1] * q.n_vertices, [0] * q.n_vertices, [False] * q.n_vertices
+    stack: list[int] = []
     counter = 0
     sccs: list[tuple[str, ...]] = []
 
-    for root in order:
-        if root in index:
+    for root in _id_order(q._vertex_row):
+        if index[root] >= 0:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             advanced = False
             for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if w not in index:
+                w = heads[succ[v][i]]
+                if index[w] < 0:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
                     advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
             if advanced:
                 continue
@@ -420,8 +420,8 @@ def strongly_connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
+                    on_stack[w] = False
+                    comp.append(q.vertices[w])
                     if w == v:
                         break
                 sccs.append(tuple(sorted(comp)))
@@ -434,7 +434,62 @@ def is_strongly_connected(q: Quiver) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spanning forests and fundamental cycles
+# the graph core (one incidence builder, one BFS), spanning forests, fundamental cycles
+
+
+def _id_order(rows: Mapping[str, int]) -> list[int]:
+    """The rows of an id-to-row map in id order: every traversal breaks ties by lexicographic id."""
+    return [rows[k] for k in sorted(rows)]
+
+
+def _incidence(q: Quiver, arrow_rows: Iterable[int], directed: bool) -> list[list[int]]:
+    """Per vertex row, the given arrow rows in order: at the tail only if ``directed``, else at both ends.
+
+    Loops are skipped; they change neither a BFS nor a strongly connected component.
+    """
+    incident: list[list[int]] = [[] for _ in q.vertices]
+    tails, heads = q.tail_rows, q.head_rows
+    for i in arrow_rows:
+        if tails[i] != heads[i]:
+            incident[tails[i]].append(i)
+            if not directed:
+                incident[heads[i]].append(i)
+    return incident
+
+
+def _bfs(q: Quiver, incident: list[list[int]], roots: Sequence[int], seen: list[bool]) -> list[tuple]:
+    """The one BFS: from all ``roots`` at once, a (child, parent, arrow, forward) row per new vertex.
+
+    Rows come in discovery order; ``forward`` is True when the arrow points
+    parent to child.  Every vertex reached is marked in ``seen``, and a
+    vertex already seen is never entered.
+    """
+    tails, heads = q.tail_rows, q.head_rows
+    for r in roots:
+        seen[r] = True
+    order, links = list(roots), []
+    for v in order:  # grows while it is read: a BFS queue
+        for i in incident[v]:
+            forward = tails[i] == v
+            kid = heads[i] if forward else tails[i]
+            if not seen[kid]:
+                seen[kid] = True
+                links.append((kid, v, i, forward))
+                order.append(kid)
+    return links
+
+
+def _forest(q: Quiver) -> tuple[list[int], list[tuple]]:
+    """Root rows and BFS links of the spanning forest (``spanning_forest`` is its names view)."""
+    incident = _incidence(q, _id_order(q._arrow_row), directed=False)
+    seen = [False] * q.n_vertices
+    roots: list[int] = []
+    links: list[tuple] = []
+    for root in _id_order(q._vertex_row):
+        if not seen[root]:
+            roots.append(root)
+            links += _bfs(q, incident, [root], seen)
+    return roots, links
 
 
 @dataclass(frozen=True)
@@ -458,38 +513,12 @@ def spanning_forest(q: Quiver) -> SpanningForest:
     Neighbor exploration is by lexicographic arrow id, so parallel arrows
     are broken deterministically.  Loops never enter the incidence lists.
     """
-    names = [a.name for a in q.arrows]
-    tails, heads = q.tail_rows, q.head_rows
-    incident: list[list[int]] = [[] for _ in q.vertices]
-    for i in sorted(range(q.n_arrows), key=names.__getitem__):
-        if tails[i] != heads[i]:
-            incident[tails[i]].append(i)
-            incident[heads[i]].append(i)
-
-    vertices = q.vertices
-    visited = [False] * q.n_vertices
-    roots: list[str] = []
-    parent: dict[str, tuple[str, str, bool]] = {}
-    tree_arrows: list[str] = []
-
-    for root in sorted(range(q.n_vertices), key=vertices.__getitem__):
-        if visited[root]:
-            continue
-        roots.append(vertices[root])
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for i in incident[v]:
-                forward = tails[i] == v
-                other = heads[i] if forward else tails[i]
-                if visited[other]:
-                    continue
-                visited[other] = True
-                parent[vertices[other]] = (vertices[v], names[i], forward)
-                tree_arrows.append(names[i])
-                queue.append(other)
-    return SpanningForest(tuple(roots), parent, tuple(tree_arrows))
+    roots, links = _forest(q)
+    vertices, arrows = q.vertices, q.arrows
+    parent = {vertices[c]: (vertices[p], arrows[i].name, fw) for c, p, i, fw in links}
+    return SpanningForest(
+        tuple(vertices[r] for r in roots), parent, tuple(arrows[i].name for _, _, i, _ in links)
+    )
 
 
 def tree_path_letters(forest: SpanningForest, v: str) -> list[tuple[str, int]]:
@@ -553,33 +582,24 @@ INCONCLUSIVE = "inconclusive"
 def directed_path(q: Quiver, src: str, dst: str) -> list[str] | None:
     """Arrow ids of a directed path src -> dst, or None; [] when src == dst.
 
-    Breadth-first with lexicographic arrow order, so deterministic.
+    Breadth-first with lexicographic arrow order, so deterministic and of
+    shortest length.
     """
-    q.check_vertex(src)
-    q.check_vertex(dst)
-    if src == dst:
+    rows = q._vertex_row
+    s, d = rows[q.check_vertex(src)], rows[q.check_vertex(dst)]
+    if s == d:
         return []
-    succ: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        succ[a.tail].append((a.name, a.head))
-    prev: dict[str, tuple[str, str]] = {}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for name, w in succ[v]:
-            if w in prev or w == src:
-                continue
-            prev[w] = (v, name)
-            if w == dst:
-                path = []
-                while w != src:
-                    v, name = prev[w]
-                    path.append(name)
-                    w = v
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
+    seen = [False] * q.n_vertices
+    links = _bfs(q, _incidence(q, _id_order(q._arrow_row), directed=True), [s], seen)
+    if not seen[d]:
+        return None
+    came = {child: (parent, i) for child, parent, i, _ in links}
+    path = []
+    while d != s:
+        d, i = came[d]
+        path.append(q.arrows[i].name)
+    path.reverse()
+    return path
 
 
 @dataclass(frozen=True)

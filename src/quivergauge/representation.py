@@ -22,8 +22,10 @@ from .quiver import (
     Quiver,
     RelationSet,
     Word,
+    _bfs,
+    _forest,
+    _incidence,
     fundamental_cycles,
-    spanning_forest,
     validate_relations,
     word_endpoints,
 )
@@ -244,8 +246,8 @@ def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word
 def _tree_gauge(f: Representation, roots: list[int], links: list[tuple[int, int, int, bool]]) -> np.ndarray:
     """The (V, n, n) gauge stack that is I at ``roots`` and marks every link's arrow I.
 
-    ``links`` are (child, parent, arrow, forward) rows in the order a BFS
-    queue that starts with ``roots`` discovers them, so the parents' places
+    ``links`` are the (child, parent, arrow, forward) rows of ``quiver._bfs``
+    from ``roots``, in discovery order, so the parents' places
     in that order never decrease and each depth level is a contiguous run.
     A child's value is its parent's times the link's marking, inverted when
     the arrow points to the child.  All forward markings are inverted in one
@@ -286,8 +288,8 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
     collapsed arrow I and is I at every block anchor (``ReductionTrace``),
     the composite of gauging each step's collapsed marking away at its tail
     block, so closed-word evaluations change only by conjugation.  The
-    collapsed arrows form a tree on each block, so one BFS over them from the
-    anchors orders the tree links and ``_tree_gauge`` fills the gauge one
+    collapsed arrows form a tree on each block, so one ``_bfs`` over them from
+    the anchors orders the tree links and ``_tree_gauge`` fills the gauge one
     depth level at a time.  Raises ValueError when the steps do not apply in
     turn or do not end at ``trace.final``.  ``membership_tol`` is 0: long
     tree products are too ill-conditioned for the relative GL test.
@@ -296,23 +298,9 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
     if f.quiver != q:
         raise ValueError("representation does not live on the trace's source quiver")
     _, anchor = trace.blocks()
-    tails, heads = q.tail_rows, q.head_rows
     collapsed = [q._arrow_row[step.arrow] for step in trace.steps]
-    incident: list[list[int]] = [[] for _ in anchor]
-    for i in collapsed:
-        incident[tails[i]].append(i)
-        incident[heads[i]].append(i)
     roots = [v for v, a in enumerate(anchor) if v == a]
-    came = [-1] * q.n_vertices  # the tree arrow each vertex was reached by
-    order, links = list(roots), []
-    for v in order:  # grows while it is read: a BFS queue
-        for i in incident[v]:
-            if i != came[v]:
-                forward = tails[i] == v
-                kid = heads[i] if forward else tails[i]
-                came[kid] = i
-                links.append((kid, v, i, forward))
-                order.append(kid)
+    links = _bfs(q, _incidence(q, collapsed, directed=False), roots, [False] * q.n_vertices)
     gauge = _tree_gauge(f, roots, links)
     kept = np.ones(q.n_arrows, dtype=bool)
     kept[collapsed] = False
@@ -343,12 +331,10 @@ def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representat
     arrows.
     """
     q = f.quiver
-    forest = spanning_forest(q)
-    if len(forest.roots) != 1:
+    roots, links = _forest(q)
+    if len(roots) != 1:
         raise ValueError("tree normal form requires a connected quiver")
-    rows = q._vertex_row
-    links = [(rows[c], rows[p], q._arrow_row[name], fw) for c, (p, name, fw) in forest.parent.items()]
-    gauge = GaugeElement(q, f.group, _tree_gauge(f, [rows[forest.roots[0]]], links), membership_tol=0.0)
+    gauge = GaugeElement(q, f.group, _tree_gauge(f, roots, links), membership_tol=0.0)
     return gauge, gauge_act(gauge, f)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .quiver import Arrow, Quiver, RelationSet, Word, spanning_forest, validate_relations
+from .quiver import Arrow, Quiver, RelationSet, Word, _forest, validate_relations
 
 
 @dataclass(frozen=True)
@@ -152,22 +152,22 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
     relations present the fundamental group of the quiver relative to those
     loops.  Tree arrows are collapsed in BFS discovery order, so each step
     merges a newly discovered vertex into the root's block, which keeps the
-    root's (smallest) id; everything is read off the spanning forest in one
-    pass and equals the stepwise ``ReductionTrace.replay``.
+    root's (smallest) id; everything is read off the spanning forest's rows
+    in one pass and equals the stepwise ``ReductionTrace.replay``.
     """
-    forest = spanning_forest(q)
-    if len(forest.roots) != 1:
+    roots, links = _forest(q)
+    if len(roots) != 1:
         raise ValueError("rose reduction requires a connected quiver")
     rels = rels if rels is not None else RelationSet()
     bad = validate_relations(q, rels)
     if bad:
         raise ValueError(f"invalid relation set: {bad[0].message}")
-    (root,) = forest.roots
+    vertices, names, root = q.vertices, [a.name for a in q.arrows], q.vertices[roots[0]]
     steps = tuple(
-        CollapseStep(name, root, child, root) if forward else CollapseStep(name, child, root, root)
-        for child, (_, name, forward) in forest.parent.items()
+        CollapseStep(names[i], root, vertices[c], root) if fw else CollapseStep(names[i], vertices[c], root, root)
+        for c, _, i, fw in links
     )
-    tree = set(forest.tree_arrows)
+    tree = {names[i] for _, _, i, _ in links}
     rose = Quiver((root,), tuple(Arrow(a.name, root, root) for a in q.arrows if a.name not in tree))
     rose_rels = _translate_relations(rels, tree)
     if validate_relations(rose, rose_rels):

@@ -112,6 +112,31 @@ def test_clip_drops_relations_with_note(capsys):
     assert parse(out).relations.relations == ()
 
 
+WEIGHTED = """quiver W {
+  vertices: v0 v1 v2;
+  arrows: a0: v0 -> v1; a1: v1 -> v2; a2: v2 -> v0;
+  weights: a0(2,3) a1(0,1) a2(4,0);
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, kept",
+    [
+        (["collapse", "--arrow", "a0"], {"a1": [0, 1], "a2": [4, 0]}),
+        (["clip", "--arrow", "a1"], {"a0": [2, 3], "a2": [4, 0]}),
+    ],
+)
+def test_collapse_and_clip_keep_the_surviving_weights(capsys, tmp_path, argv, kept):
+    doc = tmp_path / "w.quiver"
+    doc.write_text(WEIGHTED, encoding="utf-8")
+    code, out, _ = run(capsys, *argv, str(doc))
+    assert code == 0
+    assert "  weights: " + " ".join(f"{a}({m},{n})" for a, (m, n) in kept.items()) + ";\n" in out
+    code, out, _ = run(capsys, *argv, str(doc), "--json")
+    assert code == 0 and json.loads(out)["weights"] == kept
+
+
 def test_sample_deterministic_bytes(capsys):
     code1, out1, _ = run(capsys, "sample", fx("theta.quiver"), "--group", "SL", "--n", "3", "--seed", "5")
     code2, out2, _ = run(capsys, "sample", fx("theta.quiver"), "--group", "SL", "--n", "3", "--seed", "5")
@@ -198,6 +223,17 @@ def test_certificate_cli(capsys):
     assert payload["ends"] == ["v0", "v1"]
     code, out, _ = run(capsys, "certificate", fx("bridge_cycles.quiver"))
     assert "inconclusive" in out
+    code, out, _ = run(capsys, "certificate", fx("triangle.quiver"), "--json")
+    assert json.loads(out) == {
+        "verdict": "all_invertible_orbits_closed",
+        "ends": [],
+        "sample_alpha": {"v0": 0, "v1": 0, "v2": 1},
+        "sample_violation": {
+            "ok": False,
+            "violating_arrow": "a2",
+            "witness_cycle": [["a1", 1], ["a0", 1], ["a2", 1]],
+        },
+    }
 
 
 def test_rescale_cli(capsys, tmp_path):
@@ -354,8 +390,19 @@ def test_exit_code_numeric_precondition(capsys, tmp_path):
     assert "16" in err
 
 
+COMMANDS = (
+    "info reduce collapse pinch clip reverse sample act retract kn-residual kn-flow witness"
+    " certificate rescale toric check-relations"
+).split()
+
+
 def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    # a one-line description, not the module's developer notes
+    assert "handler(args" not in out and len(out.splitlines()) < 40
+    listed = {line.split()[0] for line in out.splitlines() if line[:4] == "    " and line[4] != " "}
+    assert listed == set(COMMANDS)
 
 
 def test_structural_json_deterministic(capsys):

@@ -88,6 +88,16 @@ def test_parse_negative_weight_rejected():
     assert any("non-negative" in d.message for d in err.value.diagnostics)
 
 
+def test_parse_duplicate_and_unknown_weights_rejected_with_spans():
+    text = "quiver { vertices: v0; arrows: l: v0 -> v0; weights: l(1,2) l(3,4) zz(1,1); }"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "1:61: duplicate weights for arrow 'l'",
+        "1:68: weights for unknown arrow 'zz'",
+    ]
+
+
 def test_parse_weight_over_cap_rejected_with_span():
     from quivergauge.toric import MAX_WEIGHT
 

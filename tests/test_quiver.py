@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quivergauge import (
     GroupSpec,
@@ -11,6 +13,7 @@ from quivergauge import (
     betti_number,
     classify_vertex,
     connected_components,
+    directed_path,
     euler_characteristic,
     fundamental_cycles,
     is_connected,
@@ -18,14 +21,17 @@ from quivergauge import (
     is_strongly_connected,
     is_super_cyclic,
     moduli_dimension,
+    strongly_connected_components,
     validate_relations,
     word_endpoints,
 )
 from conftest import (
+    PROPERTY,
     bridge_two_cycles,
     long_path,
     one_arrow,
     one_loop,
+    quivers,
     random_connected_quiver,
     rose,
     theta,
@@ -181,6 +187,8 @@ def test_validate_relations():
     assert unknown and "unknown" in unknown[0].message
     open_word = validate_relations(q, RelationSet.from_names([("a0",)]))
     assert open_word and "close" in open_word[0].message
+    inverse = validate_relations(q, RelationSet((Word((("a2", 1), ("a1", -1), ("a0", 1))),)))
+    assert [(v.letter_index, v.message) for v in inverse] == [(1, "relations must be positively oriented")]
 
 
 def test_word_conventions():
@@ -235,3 +243,46 @@ def test_row_tuples_and_lazy_index_arrays():
     assert q.tails is q.tails and not q.tails.flags.writeable
     assert q == Quiver(("b", "a"), (("x", "a", "b"), ("y", "b", "b"), ("z", "a", "a")))
     assert Quiver(("v",), ()).tails.shape == (0,)
+
+
+def _distances(q, src):
+    """Directed BFS distance from ``src`` to every vertex it reaches, by plain arrow scans."""
+    dist, frontier, level = {src: 0}, {src}, 0
+    while frontier:
+        level += 1
+        frontier = {a.head for a in q.arrows if a.tail in frontier and a.head not in dist}
+        dist.update(dict.fromkeys(frontier, level))
+    return dist
+
+
+@PROPERTY
+@given(quivers())
+def test_strongly_connected_components_match_mutual_reachability(q):
+    reach = {v: _reachable(q, v) for v in q.vertices}
+    comps = strongly_connected_components(q)
+    assert comps == tuple(sorted(comps)) and all(list(c) == sorted(c) for c in comps)
+    assert sorted(v for c in comps for v in c) == sorted(q.vertices)
+    component = {v: i for i, c in enumerate(comps) for v in c}
+    for u in q.vertices:
+        for v in q.vertices:
+            assert (component[u] == component[v]) == (v in reach[u] and u in reach[v])
+
+
+@PROPERTY
+@given(quivers(), st.data())
+def test_directed_path_is_a_shortest_path_or_none(q, data):
+    vertices = st.sampled_from(q.vertices)
+    for _ in range(10):
+        u = data.draw(vertices)
+        dist = _distances(q, u)
+        for v in data.draw(st.lists(vertices, min_size=1, max_size=10)):
+            path = directed_path(q, u, v)
+            if v not in dist:
+                assert path is None
+                continue
+            assert path is not None and len(path) == dist[v]
+            at = u
+            for name in path:
+                assert q.arrow(name).tail == at
+                at = q.arrow(name).head
+            assert at == v

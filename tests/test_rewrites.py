@@ -181,6 +181,13 @@ def test_reduce_to_rose_disconnected_error():
         reduce_to_rose(q)
 
 
+def test_reduce_to_rose_rejects_an_invalid_relation_set():
+    q, _ = triangle()
+    for words, message in (([("a1", "a0")], "does not close up"), ([("zz",)], "unknown arrow 'zz'")):
+        with pytest.raises(ValueError, match=f"invalid relation set: .*{message}"):
+            reduce_to_rose(q, RelationSet.from_names(words))
+
+
 def test_random_relation_translation_stays_valid():
     from quivergauge import directed_path
     from conftest import random_strongly_connected_quiver
