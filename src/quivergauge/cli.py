@@ -90,6 +90,8 @@ def _load(path: str, decode, quiver):
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
+        if not isinstance(data, dict):
+            raise TypeError("payload must be a JSON object")
         value = decode(data, quiver)
     except (KeyError, TypeError) as exc:
         raise _InputError(f"{path}: bad payload: {exc}") from exc
@@ -133,22 +135,24 @@ def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple
 
 def _cmd_info(args, doc):
     from .quiver import (
-        betti_number,
+        _ends,
+        _moduli_dimension,
         connected_components,
-        ends,
         euler_characteristic,
         is_strongly_connected,
-        moduli_dimension,
         vertex_classes,
     )
 
+    # one spanning forest (in connected_components) and one vertex classification
     q = doc.quiver
+    components = len(connected_components(q))
+    chi = euler_characteristic(q)
     classes = vertex_classes(q)
-    end_vertices = ends(q)
+    end_vertices = _ends(classes)
     payload = {
-        "betti_number": betti_number(q),
-        "euler_characteristic": euler_characteristic(q),
-        "components": len(connected_components(q)),
+        "betti_number": components - chi,
+        "euler_characteristic": chi,
+        "components": components,
         "vertex_classes": classes,
         "ends": list(end_vertices),
         "super_cyclic": not end_vertices,
@@ -165,7 +169,7 @@ def _cmd_info(args, doc):
     lines.append(f"strongly connected: {'yes' if payload['strongly_connected'] else 'no'}")
     if args.group:
         group = GroupSpec(args.group, _check_size(args.n))
-        dim = moduli_dimension(q, group)
+        dim = _moduli_dimension(group, payload["betti_number"], components)
         payload["group"] = serialize.group_to_json(group)
         payload["moduli_dimension"] = dim
         payload["moduli_dimension_ignores_relations"] = bool(doc.relations)

@@ -17,10 +17,17 @@ documents are canonically ordered (vertices, arrows, and relations
 sorted), so printing and reparsing reproduces them exactly.  Parsing
 failures raise ParseError carrying line/column diagnostics.
 
-The reader is one linear pass: tokens are ``(kind, text, offset)`` tuples
-from one regular expression, declarations are checked against sets and
-dicts in declaration order, and a ``Span`` is made from an offset (by
-bisecting the line starts) only where one is stored or reported.
+The reader is one linear pass over tokens from one regular expression.
+A whole arrow declaration (``id : id -> id ;``) or weight entry (``id (
+int , int )``) with at most spaces inside is one token, so a document
+costs a regular-expression match per declaration, not per symbol; every
+other token is one symbol, ``(kind, text, offset)``.  Where a declaration
+token is out of place, uses a keyword, or carries a weight over the cap,
+it is split back into its symbols, and the token-by-token ``expect`` chain,
+the only source of syntax diagnostics, reads them.  Declarations are
+checked against sets and dicts in declaration order, and a ``Span`` (a
+named tuple, cheap to make) is made from an offset (by bisecting the line
+starts) only where one is stored or reported.
 """
 
 from __future__ import annotations
@@ -28,26 +35,33 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# whitespace and comments are unnamed, so their matches have no lastgroup
+_IDENT = r"[A-Za-z_]\w*"
+# Patterns are ASCII, so \w is [A-Za-z0-9_] and \d is [0-9].  Whitespace
+# and comments are unnamed, so their matches have no lastgroup.  An
+# identifier followed by the rest of an arrow declaration or weight entry,
+# with at most spaces inside, is one declaration token: group 1 is its id,
+# lastindex + 1 and lastindex + 2 its tail and head ids or its weights.
+# Weights have at most as many digits as MAX_WEIGHT, so int() is safe.
+_WEIGHT = rf"(-?\d{{1,{len(str(MAX_WEIGHT))}}})"
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]+|#[^\n]*"
+    rf"|(?P<ident>{_IDENT})"
+    rf"(?:(?P<arrow> *: *({_IDENT}) *-> *({_IDENT}) *;)|(?P<weight> *\( *{_WEIGHT} *, *{_WEIGHT} *\)))?"
     r"|(?P<arrowop>->)"
-    r"|(?P<int>-?[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>-?\d+)"
     r"|(?P<punct>[{}:;,()])"
     r"|(?P<bad>.)",
-    re.DOTALL,
+    re.ASCII | re.DOTALL,
 )
+_DECLARATIONS = ("arrow", "weight")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     column: int
 
@@ -55,8 +69,7 @@ class Span:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: Span
     message: str
 
@@ -72,16 +85,25 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` tokens, ending in ``eof`` or at the first ``bad`` character."""
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens, ending in ``eof`` or at the first ``bad`` character.
+
+    A symbol is ``(kind, text, offset)``; a declaration token is ``(kind,
+    match, offset)``.
+    """
     tokens = []
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind is not None:
-            tokens.append((kind, m.group(), m.start()))
+        if kind is None:
+            continue
+        if kind in _DECLARATIONS:
+            append((kind, m, m.start()))
+        else:
+            append((kind, m.group(), m.start()))
             if kind == "bad":
                 return tokens
-    tokens.append(("eof", "", len(text)))
+    append(("eof", "", len(text)))
     return tokens
 
 
@@ -109,7 +131,16 @@ class QuiverDocument:
 
 
 class _Parser:
+    """Cursor over the tokens.
+
+    ``take`` consumes the declaration tokens the fast path accepts.  Every
+    other method sees symbols only: a declaration token at the cursor is
+    split into its symbols first (``at_ident`` and ``at_punct`` answer from
+    its first symbol without splitting it).
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -129,18 +160,62 @@ class _Parser:
         self.report(offset, message)
         return ParseError(self.diagnostics)
 
+    def split(self) -> None:
+        """Replace the declaration token at the cursor by its symbols.
+
+        The declaration's last character (``;`` or ``)``) is outside the
+        rescan, so no declaration token can match inside it.
+        """
+        m = self.tokens[self.pos][1]
+        last = m.end() - 1
+        found = _TOKEN_RE.finditer(self.text, m.start(), last)
+        symbols = [(t.lastgroup, t.group(), t.start()) for t in found if t.lastgroup]
+        symbols.append(("punct", self.text[last], last))
+        self.tokens[self.pos : self.pos + 1] = symbols
+
+    def take(self, kind: str) -> list[tuple]:
+        """The run of ``kind`` declaration tokens at the cursor, consumed, as (id, a, b, offset).
+
+        ``a``, ``b`` are the tail and head ids of an arrow or the two weights
+        of a weight entry.  The run ends at the first token that is not such
+        a declaration, or that uses a keyword or exceeds the weight cap; a
+        declaration token there is split.
+        """
+        tokens, pos, run = self.tokens, self.pos, []
+        while tokens[pos][0] == kind:
+            _, m, offset = tokens[pos]
+            i = m.lastindex
+            aid, a, b = m.group(1, i + 1, i + 2)
+            if kind == "arrow":
+                accepted = a not in KEYWORDS and b not in KEYWORDS
+            else:
+                a, b = int(a), int(b)
+                accepted = abs(a) <= MAX_WEIGHT and abs(b) <= MAX_WEIGHT
+            if not accepted or aid in KEYWORDS:
+                break
+            run.append((aid, a, b, offset))
+            pos += 1
+        self.pos = pos
+        if tokens[pos][0] in _DECLARATIONS:
+            self.split()
+        return run
+
     def peek(self) -> tuple[str, str, int]:
+        if self.tokens[self.pos][0] in _DECLARATIONS:
+            self.split()
         return self.tokens[self.pos]
 
     def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def at_ident(self) -> bool:
-        """The next token is an identifier that is not a keyword."""
+        """The next symbol is an identifier that is not a keyword."""
         kind, text, _ = self.tokens[self.pos]
+        if kind in _DECLARATIONS:
+            kind, text = "ident", text.group(1)
         return kind == "ident" and text not in KEYWORDS
 
     def at_punct(self, text: str) -> bool:
@@ -155,7 +230,7 @@ class _Parser:
         return self.advance()
 
     def expect_ident(self, what: str) -> tuple[str, int]:
-        """(identifier, offset) of the next token, which must not be a keyword."""
+        """(identifier, offset) of the next symbol, which must not be a keyword."""
         kind, text, offset = self.peek()
         if kind != "ident":
             shown = text if kind != "eof" else "end of input"
@@ -204,13 +279,17 @@ def parse(text: str) -> QuiverDocument:
             parser.expect("punct", ";")
         elif section == "arrows":
             while True:
-                aid, offset = parser.expect_ident("an arrow id")
-                parser.expect("punct", ":")
-                tail, _ = parser.expect_ident("a tail vertex")
-                parser.expect("arrowop", what="'->'")
-                head, _ = parser.expect_ident("a head vertex")
-                parser.expect("punct", ";")
-                arrows.append((aid, tail, head, offset))
+                run = parser.take("arrow")
+                if run:
+                    arrows += run
+                else:
+                    aid, offset = parser.expect_ident("an arrow id")
+                    parser.expect("punct", ":")
+                    tail, _ = parser.expect_ident("a tail vertex")
+                    parser.expect("arrowop", what="'->'")
+                    head, _ = parser.expect_ident("a head vertex")
+                    parser.expect("punct", ";")
+                    arrows.append((aid, tail, head, offset))
                 if not parser.at_ident():
                     break
         elif section == "relations":
@@ -226,13 +305,17 @@ def parse(text: str) -> QuiverDocument:
             parser.expect("punct", ";")
         else:
             while True:
-                aid, offset = parser.expect_ident("an arrow id")
-                parser.expect("punct", "(")
-                m = parser.expect_weight()
-                parser.expect("punct", ",")
-                n = parser.expect_weight()
-                parser.expect("punct", ")")
-                weight_entries.append((aid, m, n, offset))
+                run = parser.take("weight")
+                if run:
+                    weight_entries += run
+                else:
+                    aid, offset = parser.expect_ident("an arrow id")
+                    parser.expect("punct", "(")
+                    m = parser.expect_weight()
+                    parser.expect("punct", ",")
+                    n = parser.expect_weight()
+                    parser.expect("punct", ")")
+                    weight_entries.append((aid, m, n, offset))
                 if not parser.at_ident():
                     break
             parser.expect("punct", ";")
@@ -308,7 +391,8 @@ def parse(text: str) -> QuiverDocument:
 
 
 def _check_ident(value: str, what: str) -> str:
-    if not _IDENT_RE.fullmatch(value) or value in KEYWORDS:
+    m = _TOKEN_RE.fullmatch(value)
+    if m is None or m.lastgroup != "ident" or value in KEYWORDS:
         raise ValueError(f"{what} {value!r} is not printable as an identifier")
     return value
 

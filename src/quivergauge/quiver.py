@@ -368,7 +368,11 @@ def classify_vertex(q: Quiver, v: str) -> str:
 
 def ends(q: Quiver) -> tuple[str, ...]:
     """Vertices classified as source or sink, in vertex order."""
-    return tuple(v for v, c in vertex_classes(q).items() if c in ("source", "sink"))
+    return _ends(vertex_classes(q))
+
+
+def _ends(classes: Mapping[str, str]) -> tuple[str, ...]:
+    return tuple(v for v, c in classes.items() if c in ("source", "sink"))
 
 
 def is_super_cyclic(q: Quiver) -> bool:
@@ -561,14 +565,19 @@ def moduli_dimension(q: Quiver, group: GroupSpec) -> int:
     dim center + (b1 - 1) * dim group.  Compact families are rejected:
     only complex dimensions are tabulated.
     """
-    if not is_connected(q):
+    components = len(_forest(q)[0])
+    return _moduli_dimension(group, q.n_arrows - q.n_vertices + components, components)
+
+
+def _moduli_dimension(group: GroupSpec, betti: int, components: int) -> int:
+    """``moduli_dimension`` from the quiver's Betti number and component count."""
+    if components != 1:
         raise ValueError("dimension formula requires a connected quiver")
     if group.is_compact:
         raise ValueError("dimension formula covers GL/SL/TORUS only")
-    r = betti_number(q)
-    if r == 0:
+    if betti == 0:
         return 0
-    return group.center_dimension + (r - 1) * group.complex_dimension
+    return group.center_dimension + (betti - 1) * group.complex_dimension
 
 
 # ---------------------------------------------------------------------------

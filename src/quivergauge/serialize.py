@@ -2,15 +2,18 @@
 
 Matrices are encoded row-major as nested arrays of [re, im] pairs; a map
 of matrices (markings, gauge values, moments) is encoded from its whole
-stack at once.
+stack at once, and decoded by one ``np.array`` over the whole map, with a
+per-entry walk only to name a malformed entry.
 
 ``dumps`` writes one canonical layout.  Object keys are sorted.  An object
 puts each member on its own line, indented two spaces per level, and so
 does a list whose first element is an object.  Every other list (matrices,
-vectors, histories, words) is written on one line by the C encoder of the
-``json`` module, with ", " and ": " separators.  The text ends with one
-newline.  Identical inputs give byte-identical output; consumers should
-parse the JSON rather than read it line by line.
+vectors, histories, words) is written on one line as the C encoder of the
+``json`` module writes it, with ", " and ": " separators: by that encoder,
+except the vectors of a toric basis, whose text is built from their nonzero
+entries (most entries are zero).  The text ends with one newline.
+Identical inputs give byte-identical output; consumers should parse the
+JSON rather than read it line by line.
 
 The module belongs to the structural layer: numpy and the numeric classes
 are imported inside the matrix, representation, gauge and additive codecs,
@@ -49,10 +52,20 @@ def dumps(payload: Any) -> str:
     return "".join(out)
 
 
+class _Written(list):
+    """A list that carries its own one-line JSON text, which ``dumps`` copies."""
+
+    def __init__(self, items, text: str) -> None:
+        super().__init__(items)
+        self.text = text
+
+
 def _write(value: Any, newline: str, out: list[str]) -> None:
     """Append ``value`` to ``out``; its lines after the first start with ``newline``."""
     inner = newline + "  "
-    if isinstance(value, dict) and value:
+    if type(value) is _Written:
+        out.append(value.text)
+    elif isinstance(value, dict) and value:
         out.append("{")
         for i, key in enumerate(sorted(value)):
             out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
@@ -106,10 +119,25 @@ def _complex_from_json(entry) -> complex:
 
 
 def _matrices_from_json(data, key: str) -> dict[str, np.ndarray]:
-    """The object of matrices under ``key``; a TypeError names the bad entry."""
+    """The object of matrices under ``key``; a TypeError names the bad entry.
+
+    The whole map is decoded by one ``np.array`` and one type check of its
+    leaves when every entry is a matrix of one shape; otherwise, or when a
+    number is out of float range, each entry is decoded on its own, so the
+    error names the first bad one.
+    """
     entries = data[key]
     if not isinstance(entries, dict):
         raise TypeError(f"{key!r} must be an object of matrices")
+    import numpy as np
+
+    try:
+        leaves = np.array(list(entries.values()), dtype=object)
+        pairs = leaves.ndim == 4 and leaves.size and leaves.shape[3] == 2
+        if pairs and {*map(type, leaves.flat)} <= {int, float}:
+            return dict(zip(entries, leaves.astype(float).view(complex)[..., 0]))
+    except (TypeError, ValueError, OverflowError):
+        pass
     out = {}
     for name, m in entries.items():
         try:
@@ -134,6 +162,8 @@ def _size_from_json(value, what: str) -> int:
 
 def group_from_json(data) -> GroupSpec:
     """Decode ``{"family": str, "n": int}`` with a known family, n >= 1 and n = 1 for TORUS, else raise TypeError."""
+    if not isinstance(data, dict):
+        raise TypeError("'group' must be an object")
     family = data["family"]
     if family not in GROUP_FAMILIES:
         raise TypeError(f"group family must be a string among {', '.join(GROUP_FAMILIES)}, got {family!r}")
@@ -271,9 +301,29 @@ def certificate_to_json(c: OrbitCertificate) -> dict:
     return payload
 
 
+def _int_vectors_text(nonzeros, n: int) -> str:
+    """One-line JSON of length-``n`` integer vectors, each given as a map from index to nonzero entry.
+
+    The zeros between entries are slices of one shared run of ``"0, "``, so
+    the work is in proportion to the nonzero entries.
+    """
+    zeros = "0, " * n
+    lines = []
+    for row in nonzeros:
+        parts, pos = [], 0
+        for i in sorted(row):
+            parts.append(zeros[: 3 * (i - pos)])
+            parts.append(f"{row[i]}, ")
+            pos = i + 1
+        parts.append(zeros[: 3 * (n - pos)])
+        lines.append("[" + "".join(parts)[:-2] + "]")
+    return "[" + ", ".join(lines) + "]"
+
+
 def monomial_basis_to_json(b: MonomialBasis) -> dict:
+    """The basis; ``dumps`` writes its vectors from their nonzero entries."""
     return {
         "arrow_order": list(b.arrow_order),
-        "vectors": [list(v) for v in b.vectors],
+        "vectors": _Written(map(list, b.vectors), _int_vectors_text(b.nonzeros, len(b.arrow_order))),
         "cell_dimension": b.cell_dimension,
     }

@@ -16,7 +16,7 @@ decides how much work the Hermite pass has left.  ``integer_kernel`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -226,11 +226,15 @@ class MonomialBasis:
     the corresponding monomial is the product of markings to those powers.
     ``cell_dimension`` is the arrow count minus the rank of the weight
     matrix: the dimension of the dense torus chart the monomials coordinatize.
+    ``nonzeros`` maps, per vector, each index with a nonzero exponent to
+    that exponent (the sparse rows of the elimination), so output can be
+    written in proportion to them; it takes no part in equality.
     """
 
     arrow_order: tuple[str, ...]
     vectors: tuple[tuple[int, ...], ...]
     cell_dimension: int
+    nonzeros: tuple[Mapping[int, int], ...] = field(compare=False, repr=False)
 
 
 def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
@@ -262,6 +266,7 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
         arrow_order=names,
         vectors=tuple(tuple(_dense(row, n_arrows)) for row in reduced),
         cell_dimension=n_arrows - rank,
+        nonzeros=tuple(reduced),
     )
 
 

@@ -453,6 +453,31 @@ def test_malformed_payload_files_exit_2_and_name_the_file(capsys, tmp_path):
         assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "payload must be a JSON object"),
+        ("group", "payload must be a JSON object"),
+        (None, "payload must be a JSON object"),
+        ({"group": "GL", "markings": {}, "values": {}}, "'group' must be an object"),
+        ({"group": ["GL", 1], "markings": {}, "values": {}}, "'group' must be an object"),
+    ],
+)
+def test_payloads_of_the_wrong_shape_name_the_field(capsys, tmp_path, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"n": 2, "markings": {"l0": IDENTITY_2}}))
+    q = fx("one_loop.quiver")
+    for argv in (
+        ["kn-residual", q, "--rep", str(bad)],
+        ["witness", q, "--rep", str(bad), "--vertex", "v0"],
+        ["rescale", q, "--gauge", str(bad), "--x", str(good), "--x-prime", str(good)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {bad}: bad payload: {message}\n"), argv
+
+
 def test_well_formed_invalid_payloads_keep_exit_3(capsys, tmp_path):
     singular = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     big = [[[float(i == j), 0.0] for j in range(17)] for i in range(17)]

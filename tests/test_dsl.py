@@ -80,6 +80,16 @@ def test_parse_non_cycle_relation():
 def test_parse_reserved_word_rejected():
     with pytest.raises(ParseError):
         parse("quiver { vertices: relations; arrows: a: relations -> relations; }")
+    # a keyword anywhere in a one-line declaration is reported where it stands
+    for decl, diagnostic in (
+        ("arrows: quiver: v -> v;", "1:31: keyword 'quiver' cannot be used as an arrow id"),
+        ("arrows: a: weights -> v;", "1:34: keyword 'weights' cannot be used as a tail vertex"),
+        ("arrows: a: v -> arrows;", "1:39: keyword 'arrows' cannot be used as a head vertex"),
+        ("arrows: a: v -> v; weights: vertices(1,1);", "1:51: keyword 'vertices' cannot be used as an arrow id"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(f"quiver {{ vertices: v; {decl} }}")
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
 def test_parse_negative_weight_rejected():

@@ -5,12 +5,22 @@ optional weights up to ``MAX_WEIGHT``, comments, and their declarations split
 over repeated sections in shuffled order.  Parsing must recover the generated
 quiver, relations and weights; printing and reparsing must reproduce the
 document, and canonicalizing twice must change nothing.
+
+Documents of up to 400 vertices are also written twice, once compactly and
+once with random whitespace and comments between any two symbols, inside
+arrow declarations and weight entries too (where the reader falls back from
+whole-declaration tokens to single symbols).  Both must parse to the same
+document, and every span must be the line:column of its declaration in the
+spaced text.
 """
 
-from hypothesis import given, settings
+import random
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivergauge import canonicalize, parse, print_document
+from quivergauge.dsl import Span
 from quivergauge.toric import MAX_WEIGHT
 
 from conftest import PROPERTY
@@ -102,3 +112,99 @@ def test_print_parse_round_trip_and_idempotent_canonical_form(generated):
     assert parse(printed) == doc
     assert canonicalize(text) == printed
     assert canonicalize(printed) == printed
+
+
+# Runs of spaces keep a declaration one token; tabs, newlines and comments split it.
+GAPS = ("  ", "\t", "\n", "\n  ", " # note: a -> b; c(1,2)\n", "#\n", "\r\n")
+
+
+def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, Span]]:
+    """(spaced text, compact text, expected spans) of a random document.
+
+    A spanning tree, up to as many extra arrows again, a loop, relations on
+    the loop, and weights on a random subset of the arrows.  The compact
+    text separates symbols by one space only where two words meet; the
+    spaced text puts a random gap between a third of all symbol pairs.
+    Sizes and seeds come from hypothesis and the text from ``random``, so
+    documents of hundreds of declarations stay within hypothesis' data budget.
+    """
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    ends = [(vertices[rng.randrange(i)], v) if rng.random() < 0.5 else (v, vertices[rng.randrange(i)])
+            for i, v in enumerate(vertices) if i]
+    ends += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, n_vertices))]
+    loop = f"a{len(ends)}"
+    ends.append((vertices[0], vertices[0]))
+    arrows = [(f"a{i}", t, h) for i, (t, h) in enumerate(ends)]
+    rng.shuffle(arrows)
+    words = sorted({tuple([loop] * k) for k in rng.sample(range(1, 4), rng.randint(0, 3))})
+    weighted = rng.sample(arrows, rng.randint(0, len(arrows)))
+    weights = [(name, rng.randint(0, MAX_WEIGHT), rng.randint(0, 20)) for name, _, _ in weighted]
+
+    spaced: list[str] = []
+    compact: list[str] = []
+    offsets: dict[str, int] = {}
+    size = 0
+    previous = ""
+
+    def put(symbol: str) -> int:
+        """Append one symbol after a gap; return its offset in the spaced text."""
+        nonlocal size, previous
+        word = symbol[0].isalnum() or symbol[0] == "_"
+        minimal = " " if word and (previous[-1:].isalnum() or previous[-1:] == "_") else ""
+        gap = rng.choice(GAPS) if rng.random() < 1 / 3 else minimal
+        spaced.append(gap + symbol)
+        compact.append(minimal + symbol)
+        size += len(gap)
+        offset = size
+        size += len(symbol)
+        previous = symbol
+        return offset
+
+    def declare(key: str, symbols: list[str]) -> None:
+        offsets[key] = put(symbols[0])
+        for symbol in symbols[1:]:
+            put(symbol)
+
+    for symbol in ("quiver", "Q", "{"):
+        put(symbol)
+    sections = ["vertices", "arrows"] + ["relations"] * bool(words) + ["weights"] * bool(weights)
+    rng.shuffle(sections)
+    for section in sections:
+        put(section)
+        put(":")
+        if section == "vertices":
+            for v in vertices:
+                declare(f"vertex:{v}", [v])
+            put(";")
+        elif section == "arrows":
+            for name, t, h in arrows:
+                declare(f"arrow:{name}", [name, ":", t, "->", h, ";"])
+        elif section == "relations":
+            for i, word in enumerate(words):
+                if i:
+                    put(",")
+                declare(f"relation:{i}", list(word))
+            put(";")
+        else:
+            for name, m, n in weights:
+                declare(f"weight:{name}", [name, "(", str(m), ",", str(n), ")"])
+            put(";")
+    put("}")
+    text = "".join(spaced)
+
+    def span(offset: int) -> Span:
+        return Span(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+    return text, "".join(compact), {key: span(offset) for key, offset in offsets.items()}
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.builds(spaced_document, st.integers(1, 400), st.integers(0, 2**32 - 1)))
+@example(spaced_document(400, 0))
+@example(spaced_document(400, 1))
+def test_spaced_and_compact_texts_read_alike_with_exact_spans(generated):
+    text, compact, spans = generated
+    doc = parse(text)
+    assert doc == parse(compact)
+    assert dict(doc.spans) == spans

@@ -1,6 +1,7 @@
 """JSON encodings: round trips and canonical text output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from quivergauge import (
     random_representation,
     reduce_to_rose,
 )
-from conftest import GL2, PROPERTY, comet, one_loop, triangle, two_cycle
+from conftest import GL2, PROPERTY, comet, long_loop, one_loop, triangle, two_cycle
 
 
 def test_matrix_roundtrip():
@@ -132,13 +133,32 @@ def test_dumps_round_trips_with_sorted_keys_and_one_newline(payload):
     assert keys_sorted(json.loads(text))
 
 
-@pytest.mark.parametrize(
-    "data",
-    [None, [[1, 0], [0, 1]], [[[1, 0, 0]]], [[["a", 0]]], [[[True, 0]]], [[[1, 0]], []], [[[10**400, 0]]]],
-)
+MALFORMED_MATRICES = [
+    None, [[1, 0], [0, 1]], [[[1, 0, 0]]], [[["a", 0]]], [[[True, 0]]], [[[1, 0]], []], [[[10**400, 0]]]
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_MATRICES)
 def test_matrix_from_json_rejects_malformed_matrices(data):
     with pytest.raises(TypeError):
         sz.matrix_from_json(data)
+
+
+@pytest.mark.parametrize("data", MALFORMED_MATRICES)
+@pytest.mark.parametrize("kind", ["representation", "gauge", "additive"])
+def test_matrix_maps_name_a_malformed_second_entry(kind, data):
+    """A bad matrix among well-formed 1x1 ones is named, whichever decoder reads the map."""
+    q = long_loop(3)
+    ids = q.vertices if kind == "gauge" else tuple(a.name for a in q.arrows)
+    entries = {k: data if i == 1 else [[[1, 0]]] for i, k in enumerate(ids)}
+    group = {"family": "GL", "n": 1}
+    key, decode, payload = {
+        "representation": ("markings", sz.representation_from_json, {"group": group, "markings": entries}),
+        "gauge": ("values", sz.gauge_from_json, {"group": group, "values": entries}),
+        "additive": ("markings", sz.additive_from_json, {"n": 1, "markings": entries}),
+    }[kind]
+    with pytest.raises(TypeError, match="^" + re.escape(f"{key}[{ids[1]!r}]: ")):
+        decode(payload, q)
 
 
 def test_payloads_reject_non_object_matrix_maps():
