@@ -26,23 +26,21 @@ _EXPORTS = {
     "quiver": """ALL_INVERTIBLE_ORBITS_CLOSED ENDS_OBSTRUCT INCONCLUSIVE TOL_EQ TOL_MEMBERSHIP Arrow
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word
         betti_number classify_vertex closed_orbit_certificate connected_components directed_path
-        ends euler_characteristic fundamental_cycles is_connected is_cycle is_strongly_connected
+        ends euler_characteristic fundamental_cycles is_connected is_strongly_connected
         is_super_cyclic moduli_dimension monotone_weights_force_constant spanning_forest
         strongly_connected_components validate_relations vertex_classes word_endpoints""",
-    "rewrites": """CollapseStep ReductionTrace arrows_equivalent clip collapse pinch reduce_to_rose
-        reverse_arrows""",
-    "toric": """MonomialBasis WeightedToricAction check_invariance integer_kernel hermite_rows
-        invariant_monomial_basis weight_matrix""",
-    "matrices": """PolarFactors cartan_involution hermitian_exp hermitian_log hermitian_power in_group
-        polar_decompose random_element""",
-    "representation": """GaugeElement Representation evaluate_word gauge_act identity_gauge induced_gauge
+    "rewrites": "CollapseStep ReductionTrace clip collapse pinch reduce_to_rose reverse_arrows",
+    "toric": """MonomialBasis WeightedToricAction check_invariance invariant_monomial_basis
+        weight_matrix""",
+    "matrices": "hermitian_exp random_element",
+    "representation": """GaugeElement Representation evaluate_word gauge_act induced_gauge
         normal_form_tree_gauge pushforward_collapse random_gauge random_representation
         reverse_representation satisfies_relations standard_word_menu trace_invariants
         weighted_act""",
     "kempfness": """FlowReport KNResidual action_pairing kn_flow kn_moment orbit_norm polar_retract
         retract_representation""",
     "additive": """AdditiveRep DegenerationWitness act_additive embed_additive sink_source_witness
-        to_representation unimodular_rescale""",
+        unimodular_rescale""",
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _MODULES = frozenset(_EXPORTS)

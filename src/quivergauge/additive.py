@@ -46,16 +46,6 @@ def embed_additive(f: Representation) -> AdditiveRep:
     return AdditiveRep(f.quiver, f.group.n, f.stack)
 
 
-def to_representation(x: AdditiveRep, group: GroupSpec) -> Representation:
-    """Round-trip back to a group-valued representation.
-
-    Succeeds exactly when every marking passes the group membership test.
-    """
-    if group.n != x.n:
-        raise ValueError("size mismatch")
-    return Representation(x.quiver, group, x.stack)
-
-
 def act_additive(g: GaugeElement, x: AdditiveRep) -> AdditiveRep:
     """Gauge action g(head) marking g(tail)^(-1) on an additive representation."""
     if g.quiver != x.quiver:

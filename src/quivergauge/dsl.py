@@ -401,7 +401,8 @@ def print_document(doc: QuiverDocument) -> str:
     """Canonical text: sections in fixed order, each sorted lexicographically.
 
     Empty relation words (which the grammar cannot express) are dropped; an
-    absent weights section stays absent.  Parsing the output reproduces the
+    absent weights section stays absent, and so does one with no arrow to
+    weigh (the grammar needs an entry).  Parsing the output reproduces the
     document up to canonical ordering.
     """
     header = "quiver {"
@@ -422,7 +423,7 @@ def print_document(doc: QuiverDocument) -> str:
     if nonempty:
         body = ", ".join(" ".join(names) for names in sorted(w.arrow_names() for w in nonempty))
         lines.append(f"  relations: {body};")
-    if doc.mu is not None and doc.nu is not None:
+    if doc.mu is not None and doc.nu is not None and doc.quiver.arrows:
         entries = " ".join(
             f"{a.name}({int(doc.mu[a.name])},{int(doc.nu[a.name])})"
             for a in sorted(doc.quiver.arrows, key=lambda a: a.name)

@@ -17,8 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import _polar_svd, as_matrix, as_stack, hermitian_exp, in_group_rows
-from .quiver import GroupSpec
+from .matrices import _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
+from .quiver import TOL_MEMBERSHIP, GroupSpec
 from .representation import Representation, RowView, _lie_action, act_on_stack
 
 _MAX_BACKTRACKS = 60
@@ -36,14 +36,16 @@ def polar_retract(gm, t: float) -> np.ndarray:
     t=0 returns g unchanged; t=1 returns the unitary polar factor U V*;
     unitary inputs are fixed for every t, and the path scales as
     c^(1-t) under g -> c g.  Requires t in [0, 1] and an invertible matrix
-    (the relative GL test of ``in_group_rows``).  A (k, n, n) stack is
+    (the relative GL test of ``in_group_rows`` on S).  A (k, n, n) stack is
     retracted matrix by matrix from one batched SVD.
     """
     _check_time(t)
     g = as_stack(gm)
     if t == 0.0:
         return g
-    u, sv, vh = _polar_svd(g, "retraction")
+    u, sv, vh = np.linalg.svd(g)
+    if not _invertible(sv, TOL_MEMBERSHIP).all():
+        raise ValueError("retraction needs an invertible matrix")
     return (u * (sv ** (1.0 - t))[..., None, :]) @ vh
 
 

@@ -1,17 +1,13 @@
 """Dense complex matrix routines for the supported group families.
 
-Membership tests, seeded sampling, the Cartan involution, polar
-decomposition, and Hermitian functions.  The polar form g = k e^p comes
-from one singular value decomposition g = U S V*, whose singular values
-also give the relative invertibility test; Hermitian functions go through
-an eigendecomposition.  GL and SL are sampled in that polar form, so no
+Membership tests, seeded sampling and the Hermitian exponential.  The
+GL test reads singular values; the exponential goes through an
+eigendecomposition.  GL and SL are sampled in polar form k e^p, so no
 general matrix exponential (and no dependency beyond numpy) is needed.
 Every validity test is relative, so it gives the same verdict on c m as on m.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +36,6 @@ def as_matrix(m, n: int | None = None) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def cartan_involution(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> np.ndarray:
@@ -77,11 +68,6 @@ def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSH
 def _invertible(sv: np.ndarray, tol: float) -> np.ndarray:
     """The relative GL test on singular values sorted in descending order."""
     return sv[..., -1] > tol * sv[..., 0]
-
-
-def in_group(m, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> bool:
-    """Membership test of one matrix at tolerance ``tol``; see ``in_group_rows``."""
-    return bool(in_group_rows(as_matrix(m, group.n), group, tol))
 
 
 def random_element(group: GroupSpec, seed: int) -> np.ndarray:
@@ -128,16 +114,8 @@ def _principal_root(value: complex, n: int) -> complex:
     return np.exp(np.log(value) / n)
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Unitary factor k and Hermitian exponent p with k e^p = g."""
-
-    k: np.ndarray
-    p: np.ndarray
-
-
-def _hermitian_functions(h, *fns, positive: bool = False) -> list[np.ndarray]:
-    """f(h) for each f from one eigendecomposition of a Hermitian matrix or stack.
+def hermitian_exp(h) -> np.ndarray:
+    """Exponential of a Hermitian matrix (or stack) via its eigendecomposition.
 
     Each matrix must satisfy ||h - h*|| <= TOL_EQ ||h|| (Frobenius), a test
     relative to its own norm; a (k, n, n) stack goes through one batched eigh.
@@ -147,46 +125,4 @@ def _hermitian_functions(h, *fns, positive: bool = False) -> list[np.ndarray]:
     if np.any(skew > TOL_EQ * np.linalg.norm(a, axis=(-2, -1))):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
-    if positive and np.any(vals <= 0):
-        raise ValueError("matrix is not positive definite")
-    adjoint = vecs.conj().swapaxes(-1, -2)
-    return [(vecs * f(vals)[..., None, :]) @ adjoint for f in fns]
-
-
-def hermitian_power(h, s: float) -> np.ndarray:
-    """Fractional power of a Hermitian positive-definite matrix (or stack)."""
-    return _hermitian_functions(h, lambda x: np.power(x, s), positive=True)[0]
-
-
-def hermitian_log(h) -> np.ndarray:
-    """Logarithm of a Hermitian positive-definite matrix (or stack)."""
-    return _hermitian_functions(h, np.log, positive=True)[0]
-
-
-def hermitian_exp(h) -> np.ndarray:
-    """Exponential of a Hermitian matrix (or stack) via its eigendecomposition."""
-    return _hermitian_functions(h, np.exp)[0]
-
-
-def _polar_svd(g: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U, S, V* of an invertible matrix or stack g = U S V*, from one batched SVD.
-
-    Invertibility is the relative GL test of ``in_group_rows`` at
-    ``TOL_MEMBERSHIP`` on those singular values; otherwise a ValueError says
-    that ``what`` needs an invertible matrix.
-    """
-    u, sv, vh = np.linalg.svd(g)
-    if not _invertible(sv, TOL_MEMBERSHIP).all():
-        raise ValueError(f"{what} needs an invertible matrix")
-    return u, sv, vh
-
-
-def polar_decompose(gm) -> PolarFactors:
-    """Unique polar factors of an invertible matrix.
-
-    With g = U S V*, k = U V* is unitary and p = V log(S) V* is Hermitian;
-    the pair reconstructs g as k e^p.  Invertibility is the relative GL
-    test of ``in_group_rows`` on S.
-    """
-    u, sv, vh = _polar_svd(as_matrix(gm), "polar decomposition")
-    return PolarFactors(k=u @ vh, p=(vh.conj().T * np.log(sv)) @ vh)
+    return (vecs * np.exp(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

@@ -205,15 +205,6 @@ def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
     return ends[-1][0], ends[0][1]
 
 
-def is_cycle(q: Quiver, w: Word) -> bool:
-    """True when the word composes and closes up (empty words count)."""
-    try:
-        ends = word_endpoints(q, w)
-    except ValueError:
-        return False
-    return ends is None or ends[0] == ends[1]
-
-
 @dataclass(frozen=True)
 class RelationViolation:
     word_index: int

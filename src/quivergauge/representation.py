@@ -152,10 +152,6 @@ class GaugeElement(_Stacked):
         return GaugeElement(self.quiver, self.group, np.linalg.inv(self.stack), membership_tol=0.0)
 
 
-def identity_gauge(q: Quiver, group: GroupSpec) -> GaugeElement:
-    return GaugeElement(q, group, np.broadcast_to(identity(group.n), (q.n_vertices, group.n, group.n)))
-
-
 def _check_compatible(a, b) -> None:
     if a.quiver != b.quiver:
         raise ValueError("quiver mismatch")

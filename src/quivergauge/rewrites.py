@@ -34,7 +34,7 @@ class CollapseStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Replayable record of a collapse sequence from ``source`` to ``final``.
+    """Record of a collapse sequence from ``source`` to ``final``; ``blocks`` validates it.
 
     Trace format 2 stores no vertex maps: they follow from the steps.  Each
     step merges two blocks of source vertices.  A single vertex is its own
@@ -82,16 +82,6 @@ class ReductionTrace:
         ]:
             raise ValueError("trace steps do not end at the trace's final quiver")
         return image, anchor
-
-    def replay(self, rels: RelationSet | None = None) -> tuple[Quiver, RelationSet]:
-        """Re-run the steps one collapse at a time; must reproduce ``final``."""
-        q = self.source
-        r = rels if rels is not None else RelationSet()
-        for step in self.steps:
-            q, r, replayed = collapse(q, r, step.arrow)
-            if replayed != step:
-                raise ValueError("trace does not replay on its source quiver")
-        return q, r
 
 
 def _merge_vertices(q: Quiver, v1: str, v2: str) -> tuple[Quiver, dict[str, str]]:
@@ -153,7 +143,7 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
     loops.  Tree arrows are collapsed in BFS discovery order, so each step
     merges a newly discovered vertex into the root's block, which keeps the
     root's (smallest) id; everything is read off the spanning forest's rows
-    in one pass and equals the stepwise ``ReductionTrace.replay``.
+    in one pass and equals folding ``collapse`` over the trace's steps.
     """
     roots, links = _forest(q)
     if len(roots) != 1:
@@ -184,8 +174,3 @@ def reverse_arrows(q: Quiver, subset: Iterable[str]) -> Quiver:
         Arrow(a.name, a.head, a.tail) if a.name in names else a for a in q.arrows
     )
     return Quiver(q.vertices, arrows)
-
-
-def arrows_equivalent(q1: Quiver, q2: Quiver) -> bool:
-    """True when the two quivers carry exactly the same arrow ids."""
-    return {a.name for a in q1.arrows} == {a.name for a in q2.arrows}

@@ -52,11 +52,12 @@ def dumps(payload: Any) -> str:
     return "".join(out)
 
 
-class _Written(list):
-    """A list that carries its own one-line JSON text, which ``dumps`` copies."""
+class _Written:
+    """One-line JSON text that ``dumps`` copies as it stands."""
 
-    def __init__(self, items, text: str) -> None:
-        super().__init__(items)
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
         self.text = text
 
 
@@ -321,9 +322,9 @@ def _int_vectors_text(nonzeros, n: int) -> str:
 
 
 def monomial_basis_to_json(b: MonomialBasis) -> dict:
-    """The basis; ``dumps`` writes its vectors from their nonzero entries."""
+    """The basis for ``dumps``; its vectors are one-line text from their nonzero entries, never dense."""
     return {
         "arrow_order": list(b.arrow_order),
-        "vectors": _Written(map(list, b.vectors), _int_vectors_text(b.nonzeros, len(b.arrow_order))),
+        "vectors": _Written(_int_vectors_text(b.nonzeros, len(b.arrow_order))),
         "cell_dimension": b.cell_dimension,
     }

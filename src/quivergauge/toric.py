@@ -10,13 +10,13 @@ columns (dicts from row to entry), where ties among the live columns of
 smallest |entry| go to the largest column index, then row Hermite form on
 sparse rows.  The Hermite form of a saturated lattice is unique, so the
 emitted basis does not depend on the elimination order; the tie-break only
-decides how much work the Hermite pass has left.  ``integer_kernel`` and
-``hermite_rows`` are dense adapters over the same engine.
+decides how much work the Hermite pass has left.  A basis stores those
+sparse rows only; its dense vectors are derived when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -168,73 +168,51 @@ def _hermite(rows: list[Sparse], n_cols: int) -> list[Sparse]:
     return [rows[p] for p in pivots]
 
 
-def _dense(row: Sparse, n: int) -> list[int]:
-    out = [0] * n
-    for i, x in row.items():
-        out[i] = x
-    return out
-
-
-def _sparse_rows(rows: Sequence[Sequence[int]], n_cols: int) -> list[Sparse]:
-    out = []
-    for row in rows:
-        if len(row) != n_cols:
-            raise ValueError("ragged matrix")
-        out.append({j: v for j, x in enumerate(row) if (v := int(x))})
-    return out
-
-
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
-    """Saturated lattice basis of {m : rows . m = 0} and the rank of ``rows``.
-
-    A dense adapter over the sparse column elimination.  A kernel basis is
-    not unique (any unimodular change of it is another), but this one is
-    fixed: columns are handed to the engine in reverse, so its
-    largest-index tie-break picks the smallest column index of ``rows``
-    among the live columns of smallest |entry|.  The basis lists the
-    never-pivoted columns in increasing order; ``hermite_rows`` of it is the
-    unique canonical form.
-    """
-    m = _sparse_rows(rows, ncols)
-    cols: list[Sparse] = [{} for _ in range(ncols)]
-    for r, row in enumerate(m):
-        for j, x in row.items():
-            cols[ncols - 1 - j][r] = x
-    basis, rank = _kernel(cols, len(m))
-    return [_dense(v, ncols)[::-1] for v in reversed(basis)], rank
-
-
-def hermite_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form (positive pivots, reduced entries above).
-
-    A dense adapter over the sparse Hermite pass.  The form is unique for
-    the row lattice; zero rows, one per lost rank, trail the pivot rows.
-    """
-    if len(rows) == 0:
-        return []
-    n_cols = len(rows[0])
-    reduced = _hermite(_sparse_rows(rows, n_cols), n_cols)
-    zeros = [[0] * n_cols for _ in range(len(rows) - len(reduced))]
-    return [_dense(row, n_cols) for row in reduced] + zeros
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MonomialBasis:
     """Lattice basis of invariant Laurent monomial exponents.
 
-    Each vector lists one integer exponent per arrow (in ``arrow_order``);
-    the corresponding monomial is the product of markings to those powers.
-    ``cell_dimension`` is the arrow count minus the rank of the weight
-    matrix: the dimension of the dense torus chart the monomials coordinatize.
-    ``nonzeros`` maps, per vector, each index with a nonzero exponent to
-    that exponent (the sparse rows of the elimination), so output can be
-    written in proportion to them; it takes no part in equality.
+    ``nonzeros`` maps, per basis vector, each index with a nonzero exponent
+    to that exponent (the sparse rows of the elimination); it is the one
+    stored form, so output can be written in proportion to it.  ``vectors``
+    lists each vector densely, one integer exponent per arrow (in
+    ``arrow_order``); the corresponding monomial is the product of markings
+    to those powers.  ``cell_dimension`` is the arrow count minus the rank
+    of the weight matrix: the dimension of the dense torus chart the
+    monomials coordinatize.  Equality, hash and repr read ``arrow_order``,
+    ``vectors`` and ``cell_dimension``.
     """
 
     arrow_order: tuple[str, ...]
-    vectors: tuple[tuple[int, ...], ...]
     cell_dimension: int
-    nonzeros: tuple[Mapping[int, int], ...] = field(compare=False, repr=False)
+    nonzeros: tuple[Mapping[int, int], ...]
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        n, out = len(self.arrow_order), []
+        for row in self.nonzeros:
+            dense = [0] * n
+            for i, x in row.items():
+                dense[i] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def _key(self) -> tuple:
+        return self.arrow_order, self.vectors, self.cell_dimension
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"MonomialBasis(arrow_order={self.arrow_order!r}, vectors={self.vectors!r}, "
+            f"cell_dimension={self.cell_dimension!r})"
+        )
 
 
 def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
@@ -261,13 +239,7 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
         col[t] = col.get(t, 0) - action.nu[name]
         cols.append({r: x for r, x in col.items() if x})
     kernel, rank = _kernel(cols, q.n_vertices)
-    reduced = _hermite(kernel, n_arrows)
-    return MonomialBasis(
-        arrow_order=names,
-        vectors=tuple(tuple(_dense(row, n_arrows)) for row in reduced),
-        cell_dimension=n_arrows - rank,
-        nonzeros=tuple(reduced),
-    )
+    return MonomialBasis(names, n_arrows - rank, tuple(_hermite(kernel, n_arrows)))
 
 
 def check_invariance(

@@ -11,6 +11,7 @@ from quivergauge import (
     GaugeElement,
     GroupSpec,
     Quiver,
+    Representation,
     act_additive,
     closed_orbit_certificate,
     directed_path,
@@ -22,7 +23,6 @@ from quivergauge import (
     random_gauge,
     random_representation,
     sink_source_witness,
-    to_representation,
     unimodular_rescale,
     word_endpoints,
 )
@@ -47,7 +47,7 @@ def test_embed_additive_and_roundtrip():
     x = embed_additive(f)
     for m in x.markings.values():
         assert abs(np.linalg.det(m)) > 1e-9
-    back = to_representation(x, GL3)
+    back = Representation(x.quiver, GL3, x.stack)
     for name in f.markings:
         assert np.array_equal(back.markings[name], f.markings[name])
 
@@ -58,7 +58,7 @@ def test_embed_additive_and_roundtrip():
 
     singular = AdditiveRep(one_loop(), 2, {"l0": np.zeros((2, 2))})
     with pytest.raises(ValueError):
-        to_representation(singular, GL2)
+        Representation(singular.quiver, GL2, singular.stack)
     with pytest.raises(ValueError):
         embed_additive(random_representation(one_loop(), GroupSpec("U", 2), 0))
 
@@ -76,7 +76,7 @@ def test_all_invertible_additive_reps_are_in_the_image():
                     break
             markings[a.name] = m
         x = AdditiveRep(q, 2, markings)
-        lifted = to_representation(x, GL2)
+        lifted = Representation(q, GL2, x.stack)
         assert embed_additive(lifted).markings.keys() == x.markings.keys()
         for name in markings:
             assert np.array_equal(embed_additive(lifted).markings[name], x.markings[name])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quivergauge import GroupSpec, parse, random_gauge, serialize
+from quivergauge import GroupSpec, invariant_monomial_basis, parse, random_gauge, serialize, weight_matrix
 from quivergauge.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -135,6 +135,19 @@ def test_collapse_and_clip_keep_the_surviving_weights(capsys, tmp_path, argv, ke
     assert "  weights: " + " ".join(f"{a}({m},{n})" for a, (m, n) in kept.items()) + ";\n" in out
     code, out, _ = run(capsys, *argv, str(doc), "--json")
     assert code == 0 and json.loads(out)["weights"] == kept
+
+
+@pytest.mark.parametrize(
+    "command, printed",
+    [("clip", "quiver {\n  vertices: v0 v1;\n}\n"), ("collapse", "quiver {\n  vertices: v0;\n}\n")],
+)
+def test_removing_the_last_weighted_arrow_prints_a_document_that_parses(capsys, tmp_path, command, printed):
+    # no arrow is left to weigh, and the grammar has no empty weights section
+    doc = tmp_path / "w.quiver"
+    doc.write_text("quiver { vertices: v0 v1; arrows: a: v0 -> v1; weights: a(2,1); }\n", encoding="utf-8")
+    code, out, _ = run(capsys, command, str(doc), "--arrow", "a")
+    assert (code, out) == (0, printed)
+    assert parse(out).quiver.n_arrows == 0
 
 
 def test_sample_deterministic_bytes(capsys):
@@ -293,7 +306,12 @@ def test_numeric_payloads_parse_as_their_indented_encoding(capsys, tmp_path, mon
     def check(*argv) -> str:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        old = json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        payload = payloads[-1]
+        if argv[0] == "toric":  # the payload holds the vectors as written text; encode the dense ones
+            doc = parse(Path(argv[1]).read_text(encoding="utf-8"))
+            basis = invariant_monomial_basis(weight_matrix(doc.quiver, *doc.effective_weights()))
+            payload = {**payload, "vectors": [list(v) for v in basis.vectors]}
+        old = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert json.loads(out, parse_float=str) == json.loads(old, parse_float=str), argv
         return out
 

@@ -50,7 +50,7 @@ def test_polar_retract_endpoints():
     g = mg.random_element(GL3, 1)
     assert np.array_equal(polar_retract(g, 0.0), g)  # exact identity at t=0
     k1 = polar_retract(g, 1.0)
-    assert mg.in_group(k1, GroupSpec("U", 3), 1e-8)
+    assert mg.in_group_rows(k1[None], GroupSpec("U", 3), 1e-8)[0]
     u = mg.random_element(U2, 2)
     for t in (0.0, 0.3, 1.0):
         assert np.linalg.norm(polar_retract(u, t) - u) <= 1e-12
@@ -92,8 +92,10 @@ def test_polar_form_near_singular_at_any_scale(s):
             for t in (0.25, 0.5, 0.75):
                 expected = c ** (1.0 - t) * polar_retract(g, t)
                 assert np.linalg.norm(polar_retract(c * g, t) - expected) <= 1e-8 * np.linalg.norm(expected)
-            pf = mg.polar_decompose(c * g)
-            assert np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - c * g) <= 1e-12 * np.linalg.norm(c * g)
+            # k e^(p/2) k* k e^(p/2) = k e^p: the t = 1/2 and t = 1 points reconstruct c g
+            half = polar_retract(c * g, 0.5)
+            reconstructed = half @ polar_retract(c * g, 1.0).conj().T @ half
+            assert np.linalg.norm(reconstructed - c * g) <= 1e-12 * np.linalg.norm(c * g)
 
 
 def test_retract_representation_unitary_at_one():
@@ -145,6 +147,12 @@ def test_retract_semigroup_law():
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 
+def hermitian_power(h, t: float) -> np.ndarray:
+    """h^t for a Hermitian positive-definite h, from numpy's eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * vals**t) @ vecs.conj().T
+
+
 def test_scalar_power_identity():
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -153,7 +161,7 @@ def test_scalar_power_identity():
         p = 0.5 * (z + z.conj().T)
         t = float(rng.uniform(0, 1))
         lhs = h @ mg.hermitian_exp(t * p) @ h.conj().T
-        rhs = mg.hermitian_power(h @ mg.hermitian_exp(p) @ h.conj().T, t)
+        rhs = hermitian_power(h @ mg.hermitian_exp(p) @ h.conj().T, t)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 

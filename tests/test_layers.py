@@ -1,5 +1,9 @@
-"""Import layers: every name resolves lazily, and each command loads only the modules it calls."""
+"""Import layers: every name resolves lazily, and each command loads only the modules it calls.
 
+Every exported name also has a user besides the unit tests.
+"""
+
+import ast
 import json
 import sys
 from importlib import import_module
@@ -15,24 +19,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # Every name the package exports, by the module that defines it.
 EXPORTED = {
     "additive": """AdditiveRep DegenerationWitness act_additive embed_additive sink_source_witness
-        to_representation unimodular_rescale""",
+        unimodular_rescale""",
     "dsl": "ParseError QuiverDocument canonicalize document_for parse print_document",
     "kempfness": """FlowReport KNResidual action_pairing kn_flow kn_moment orbit_norm polar_retract
         retract_representation""",
-    "matrices": """PolarFactors cartan_involution hermitian_exp hermitian_log hermitian_power in_group
-        polar_decompose random_element""",
+    "matrices": "hermitian_exp random_element",
     "quiver": """ALL_INVERTIBLE_ORBITS_CLOSED ENDS_OBSTRUCT INCONCLUSIVE TOL_EQ TOL_MEMBERSHIP Arrow
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word betti_number
         classify_vertex closed_orbit_certificate connected_components directed_path ends
-        euler_characteristic fundamental_cycles is_connected is_cycle is_strongly_connected
+        euler_characteristic fundamental_cycles is_connected is_strongly_connected
         is_super_cyclic moduli_dimension monotone_weights_force_constant spanning_forest
         strongly_connected_components validate_relations vertex_classes word_endpoints""",
-    "representation": """GaugeElement Representation evaluate_word gauge_act identity_gauge induced_gauge
+    "representation": """GaugeElement Representation evaluate_word gauge_act induced_gauge
         normal_form_tree_gauge pushforward_collapse random_gauge random_representation
         reverse_representation satisfies_relations standard_word_menu trace_invariants weighted_act""",
-    "rewrites": "CollapseStep ReductionTrace arrows_equivalent clip collapse pinch reduce_to_rose reverse_arrows",
-    "toric": """MonomialBasis WeightedToricAction check_invariance integer_kernel hermite_rows
-        invariant_monomial_basis weight_matrix""",
+    "rewrites": "CollapseStep ReductionTrace clip collapse pinch reduce_to_rose reverse_arrows",
+    "toric": """MonomialBasis WeightedToricAction check_invariance invariant_monomial_basis
+        weight_matrix""",
 }
 
 THETA = str(FIXTURES / "theta.quiver")
@@ -120,6 +123,49 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from quivergauge import *", namespace)
     assert {name for names in EXPORTED.values() for name in names.split()} <= set(namespace)
+
+
+# The code whose reads make an exported name used: the library, the demos,
+# the benchmark and the acceptance suite, but no unit test.
+ROOT = Path(__file__).resolve().parents[1]
+USERS = [
+    *ROOT.glob("src/quivergauge/*.py"),
+    *ROOT.glob("demos/**/*.py"),
+    *ROOT.glob("perfbench/**/*.py"),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+
+def _reads(path: Path) -> list[tuple[str, frozenset]]:
+    """Each name a file reads, as a variable or an attribute, with the definitions that enclose the read."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, inside))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return out
+
+
+def test_every_exported_name_has_a_user_besides_the_unit_tests():
+    # a read inside the name's own definition, or inside the definition of
+    # an unused name, is no use; strings and docstrings are never reads
+    reads = [read for path in USERS for read in _reads(path)]
+    unused: set[str] = set()
+    while True:
+        used = {name for name, inside in reads if not inside & (unused | {name})}
+        found = set(quivergauge.__all__) - used
+        if found == unused:
+            break
+        unused = found
+    assert not unused, f"exported but used only by unit tests: {sorted(unused)}"
 
 
 def test_certificate_lives_in_the_structural_layer_only():

@@ -1,4 +1,4 @@
-"""Matrix group numerics: involution, membership, sampling, polar factors."""
+"""Matrix group numerics: membership, sampling, the Hermitian exponential, polar factors."""
 
 import os
 import subprocess
@@ -13,13 +13,14 @@ from quivergauge import (
     AdditiveRep,
     GroupSpec,
     Quiver,
+    Representation,
     polar_retract,
     random_gauge,
     random_representation,
     sink_source_witness,
 )
 from quivergauge.quiver import GROUP_FAMILIES
-from conftest import one_arrow
+from conftest import one_arrow, one_loop
 
 GL3 = GroupSpec("GL", 3)
 SL3 = GroupSpec("SL", 3)
@@ -27,46 +28,43 @@ U2 = GroupSpec("U", 2)
 SU2 = GroupSpec("SU", 2)
 
 
-def test_cartan_involution():
-    m = np.array([[0, 1j], [0, 0]])
-    expected = np.array([[0, 0], [-1j, 0]])
-    assert np.array_equal(mg.cartan_involution(m), expected)
-    h = np.array([[2.0, 1 - 1j], [1 + 1j, 3.0]])
-    assert np.allclose(mg.cartan_involution(h), h)
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(
-        mg.cartan_involution(a @ b),
-        mg.cartan_involution(b) @ mg.cartan_involution(a),
-    )
+def in_group(m, group: GroupSpec, tol: float = mg.TOL_MEMBERSHIP) -> bool:
+    """Membership of one matrix, through the stack test."""
+    return bool(mg.in_group_rows(np.asarray(m, dtype=complex)[None], group, tol)[0])
+
+
+def hermitian_function(h, f):
+    """f(h) for a Hermitian matrix, from numpy's eigendecomposition: the oracle for ``hermitian_exp``."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * f(vals)) @ vecs.conj().T
 
 
 def test_in_group():
     for g in (GL3, SL3, GroupSpec("U", 3), GroupSpec("SU", 3)):
-        assert mg.in_group(np.eye(3), g, 1e-10)
-    assert not mg.in_group(np.diag([2.0, 1.0]), GroupSpec("SL", 2), 1e-10)
+        assert in_group(np.eye(3), g, 1e-10)
+    assert not in_group(np.diag([2.0, 1.0]), GroupSpec("SL", 2), 1e-10)
     theta = 0.7
     d = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    assert mg.in_group(d, SU2, 1e-10)
-    assert not mg.in_group(np.diag([2.0, 1.0]), U2, 1e-10)
-    assert mg.in_group(np.diag([2.0, 1.0]), GroupSpec("GL", 2), 1e-10)
-    with pytest.raises(ValueError):
-        mg.in_group(np.eye(3), U2, 1e-10)
-    with pytest.raises(ValueError):
-        mg.in_group(np.eye(2), U2, -1.0)
-    with pytest.raises(ValueError):
-        mg.in_group(np.array([[np.nan, 0], [0, 1]]), U2, 1e-10)
+    assert in_group(d, SU2, 1e-10)
+    assert not in_group(np.diag([2.0, 1.0]), U2, 1e-10)
+    assert in_group(np.diag([2.0, 1.0]), GroupSpec("GL", 2), 1e-10)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        in_group(np.eye(2), U2, -1.0)
+    # a marking of the wrong size or with a NaN is refused before any membership test
+    with pytest.raises(ValueError, match="expected size 2"):
+        Representation(one_loop(), U2, {"l0": np.eye(3)})
+    with pytest.raises(ValueError, match="non-finite"):
+        Representation(one_loop(), U2, {"l0": np.array([[np.nan, 0], [0, 1]])})
 
 
 def test_random_element_membership_and_determinism():
     for g, tol in ((U2, 1e-10), (GroupSpec("U", 5), 1e-10), (SU2, 1e-10)):
         m = mg.random_element(g, 42)
-        assert mg.in_group(m, g, tol)
+        assert in_group(m, g, tol)
     assert abs(np.linalg.det(mg.random_element(SL3, 7)) - 1) <= 1e-10
     assert abs(np.linalg.det(mg.random_element(GroupSpec("SU", 3), 7)) - 1) <= 1e-10
     m = mg.random_element(GL3, 3)
-    assert mg.in_group(m, GL3, 1e-9)
+    assert in_group(m, GL3, 1e-9)
     t = mg.random_element(GroupSpec("TORUS", 1), 3)
     assert t.shape == (1, 1) and abs(t[0, 0]) > 1e-9
     # bit-identical for equal seeds, different otherwise
@@ -80,8 +78,8 @@ def test_random_element_closure():
         for _ in range(10):
             a = mg.random_element(g, int(rng.integers(2**32)))
             b = mg.random_element(g, int(rng.integers(2**32)))
-            assert mg.in_group(a @ b, g, 1e-8)
-            assert mg.in_group(np.linalg.inv(a), g, 1e-8)
+            assert in_group(a @ b, g, 1e-8)
+            assert in_group(np.linalg.inv(a), g, 1e-8)
 
 
 # First rows of the U(3) and SU(3) samples at seeds 0..4.  GL and SL draw
@@ -115,10 +113,12 @@ def test_compact_samples_match_pinned_values():
 def test_gl_sample_has_unitary_and_hermitian_polar_factors():
     for seed in range(5):
         g = mg.random_element(GL3, seed)
-        pf = mg.polar_decompose(g)
-        assert np.linalg.norm(pf.k @ pf.k.conj().T - np.eye(3)) <= 1e-12
-        assert np.linalg.norm(pf.p - pf.p.conj().T) <= 1e-12
-        assert np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - g) <= 1e-12 * np.linalg.norm(g)
+        k = polar_retract(g, 1.0)
+        assert np.linalg.norm(k @ k.conj().T - np.eye(3)) <= 1e-12
+        # e^p = k* g is Hermitian positive definite
+        h = k.conj().T @ g
+        assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.eigvalsh(h).min() > 0
 
 
 def test_sl_samples_have_unit_determinant():
@@ -167,36 +167,39 @@ def test_package_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+# The polar form g = k e^p is read from the retraction path k e^((1-t) p):
+# k at t = 1, and g = half k* half with half = k e^(p/2) at t = 1/2.
+
+
 def test_polar_decompose_diagonal():
-    pf = mg.polar_decompose(np.diag([4.0, 1.0]))
-    assert np.allclose(pf.k, np.eye(2), atol=1e-12)
-    assert np.allclose(pf.p, np.diag([np.log(4.0), 0.0]), atol=1e-12)
+    assert np.allclose(polar_retract(np.diag([4.0, 1.0]), 1.0), np.eye(2), atol=1e-12)
+    assert np.allclose(polar_retract(np.diag([4.0, 1.0]), 0.5), np.diag([2.0, 1.0]), atol=1e-12)
 
 
 def test_polar_decompose_unitary_input():
     u = mg.random_element(U2, 5)
-    pf = mg.polar_decompose(u)
-    assert np.allclose(pf.k, u, atol=1e-10)
-    assert np.linalg.norm(pf.p) <= 1e-10
+    for t in (0.5, 1.0):
+        assert np.allclose(polar_retract(u, t), u, atol=1e-10)
 
 
 def test_polar_reconstruction_and_uniqueness():
     rng = np.random.default_rng(2)
     for _ in range(100):
         g = mg.random_element(GL3, int(rng.integers(2**32)))
-        pf = mg.polar_decompose(g)
-        assert mg.in_group(pf.k, GroupSpec("U", 3), 1e-9)
-        assert np.linalg.norm(pf.p - pf.p.conj().T) <= 1e-10
-        assert np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - g) <= 1e-10
-        # uniqueness: re-decomposing the reconstruction returns the factors
-        pf2 = mg.polar_decompose(pf.k @ mg.hermitian_exp(pf.p))
-        assert np.linalg.norm(pf2.k - pf.k) <= 1e-9
-        assert np.linalg.norm(pf2.p - pf.p) <= 1e-9
+        k, half = polar_retract(g, 1.0), polar_retract(g, 0.5)
+        assert in_group(k, GroupSpec("U", 3), 1e-9)
+        assert np.linalg.norm(half @ k.conj().T @ half - g) <= 1e-10
+        # uniqueness: k e^p for any Hermitian p has unitary factor k and half-way point k e^(p/2)
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        p = 0.25 * (z + z.conj().T)
+        g2 = k @ mg.hermitian_exp(p)
+        assert np.linalg.norm(polar_retract(g2, 1.0) - k) <= 1e-9
+        assert np.linalg.norm(polar_retract(g2, 0.5) - k @ mg.hermitian_exp(0.5 * p)) <= 1e-9
 
 
 def test_polar_decompose_singular():
-    with pytest.raises(ValueError):
-        mg.polar_decompose(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="retraction needs an invertible matrix"):
+        polar_retract(np.diag([1.0, 0.0]), 1.0)
 
 
 def test_gl_membership_is_relative():
@@ -204,17 +207,16 @@ def test_gl_membership_is_relative():
     # matrices are members, large but numerically singular ones are not
     small = 1e-4 * np.eye(3)
     skewed = np.diag([1e6, 1e-12, 1e6])
-    assert mg.in_group(small, GL3)
-    assert not mg.in_group(skewed, GL3)
-    assert mg.in_group(np.array([[1e-12]]), GroupSpec("TORUS", 1))
-    assert not mg.in_group(np.zeros((1, 1)), GroupSpec("TORUS", 1))
+    assert in_group(small, GL3)
+    assert not in_group(skewed, GL3)
+    assert in_group(np.array([[1e-12]]), GroupSpec("TORUS", 1))
+    assert not in_group(np.zeros((1, 1)), GroupSpec("TORUS", 1))
     stack = np.array([small, skewed, np.eye(3)])
     assert mg.in_group_rows(stack, GL3).tolist() == [True, False, True]
-    pf = mg.polar_decompose(small)
-    assert np.linalg.norm(pf.k - np.eye(3)) <= 1e-12
-    assert np.linalg.norm(pf.p - np.log(1e-4) * np.eye(3)) <= 1e-12
+    assert np.linalg.norm(polar_retract(small, 1.0) - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(polar_retract(small, 0.5) - 1e-2 * np.eye(3)) <= 1e-14
     with pytest.raises(ValueError, match="invertible"):
-        mg.polar_decompose(skewed)
+        polar_retract(skewed, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -239,49 +241,24 @@ def test_hermitian_functions_batch_over_stacks():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     h = z @ z.conj().transpose(0, 2, 1) + np.eye(3)
-    for fn in (mg.hermitian_exp, mg.hermitian_log, lambda m: mg.hermitian_power(m, -0.5)):
-        batched = fn(h)
-        for i in range(len(h)):
-            assert np.linalg.norm(batched[i] - fn(h[i])) <= 1e-12 * np.linalg.norm(fn(h[i]))
+    batched = mg.hermitian_exp(h)
+    for i in range(len(h)):
+        single = mg.hermitian_exp(h[i])
+        assert np.linalg.norm(batched[i] - single) <= 1e-12 * np.linalg.norm(single)
     h[2, 0, 1] += 1e-3
     with pytest.raises(ValueError, match="Hermitian"):
         mg.hermitian_exp(h)
-
-
-def test_hermitian_power_examples():
-    h = np.diag([16.0, 1.0])
-    assert np.allclose(mg.hermitian_power(h, -0.25), np.diag([0.5, 1.0]), atol=1e-12)
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    pd = z @ z.conj().T + 3 * np.eye(3)
-    assert np.allclose(mg.hermitian_power(pd, 0.0), np.eye(3), atol=1e-12)
-    root = mg.hermitian_power(pd, 0.5)
-    assert np.linalg.norm(root @ root - pd) <= 1e-10
-
-
-def test_hermitian_power_law():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        pd = z @ z.conj().T + 2 * np.eye(3)
-        s, t = rng.uniform(-1, 1, size=2)
-        lhs = mg.hermitian_power(pd, s) @ mg.hermitian_power(pd, t)
-        rhs = mg.hermitian_power(pd, s + t)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9
-
-
-def test_hermitian_power_errors():
-    with pytest.raises(ValueError):
-        mg.hermitian_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
-    with pytest.raises(ValueError):
-        mg.hermitian_power(np.diag([1.0, -1.0]), 0.5)
+    with pytest.raises(ValueError, match="Hermitian"):
+        mg.hermitian_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermitian_exp_log_roundtrip():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (z + z.conj().T)
-    assert np.linalg.norm(mg.hermitian_log(mg.hermitian_exp(h)) - h) <= 1e-10
+    e = mg.hermitian_exp(h)
+    assert np.linalg.norm(hermitian_function(e, np.log) - h) <= 1e-10
+    assert np.linalg.norm(e - hermitian_function(h, np.exp)) <= 1e-12 * np.linalg.norm(e)
 
 
 def _refusal(fn, *args):
@@ -303,15 +280,15 @@ def _verdicts(c: float) -> dict:
     negative = -(z @ z.conj().T) - np.eye(3)  # exp underflows rather than overflows at c = 1e8
     unit = np.zeros((3, 3))
     unit[0, 1] = np.linalg.norm(negative)
-    pf = mg.polar_decompose(c * g)
+    k, half = polar_retract(c * g, 1.0), polar_retract(c * g, 0.5)
     return {
         "GL": mg.in_group_rows(c * np.array([g, singular]), GroupSpec("GL", 3)).tolist(),
         "Hermitian": [_refusal(mg.hermitian_exp, c * (negative + e * unit)) for e in (1e-12, 1e-3)],
         "polar": [
-            mg.in_group(polar_retract(c * g, 1.0), u3, 1e-6),
-            bool(np.linalg.norm(pf.k @ mg.hermitian_exp(pf.p) - c * g) <= 1e-12 * np.linalg.norm(c * g)),
+            in_group(k, u3, 1e-6),
+            bool(np.linalg.norm(half @ k.conj().T @ half - c * g) <= 1e-12 * np.linalg.norm(c * g)),
             _refusal(polar_retract, c * singular, 0.5),
-            _refusal(mg.polar_decompose, c * singular),
+            _refusal(polar_retract, c * singular, 1.0),
         ],
         "witness": [
             _refusal(sink_source_witness, AdditiveRep(one_arrow(), 2, {"a0": c * m}), "v1")
@@ -329,7 +306,7 @@ def test_validity_verdicts_do_not_depend_on_scale(c):
             True,
             True,
             "retraction needs an invertible matrix",
-            "polar decomposition needs an invertible matrix",
+            "retraction needs an invertible matrix",
         ],
         "witness": [None, "all markings incident to 'v1' are already zero"],
     }

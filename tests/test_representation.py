@@ -17,7 +17,6 @@ from quivergauge import (
     evaluate_word,
     fundamental_cycles,
     gauge_act,
-    identity_gauge,
     induced_gauge,
     normal_form_tree_gauge,
     pushforward_collapse,
@@ -80,7 +79,7 @@ def test_representation_validation():
 
 def test_identity_gauge_fixes():
     f = random_representation(theta(), GL3, 0)
-    g = identity_gauge(theta(), GL3)
+    g = GaugeElement(theta(), GL3, {v: np.eye(3) for v in theta().vertices})
     acted = gauge_act(g, f)
     for name in f.markings:
         assert np.allclose(acted.markings[name], f.markings[name], atol=1e-14)

@@ -8,11 +8,10 @@ from sympy.matrices.normalforms import smith_normal_form
 from quivergauge import (
     Quiver,
     check_invariance,
-    hermite_rows,
-    integer_kernel,
     invariant_monomial_basis,
     weight_matrix,
 )
+from quivergauge.toric import _hermite, _kernel
 from conftest import (
     cycle_plus_extras,
     is_row_hermite,
@@ -22,6 +21,24 @@ from conftest import (
     tree_plus_extras,
     two_cycle,
 )
+
+
+# Dense adapters over the sparse engine, so it can be checked on general integer matrices.
+
+
+def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """A saturated basis of {m : rows . m = 0} and the rank of ``rows``, by ``_kernel``."""
+    cols = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)]
+    basis, rank = _kernel(cols, len(rows))
+    return [[v.get(c, 0) for c in range(ncols)] for v in basis], rank
+
+
+def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite form by ``_hermite``: its pivot rows, then one zero row per lost rank."""
+    ncols = len(rows[0]) if rows else 0
+    reduced = _hermite([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
+    zeros = [[0] * ncols for _ in range(len(rows) - len(reduced))]
+    return [[row.get(j, 0) for j in range(ncols)] for row in reduced] + zeros
 
 
 def double_arrow():
@@ -66,6 +83,13 @@ def test_monomial_basis_double_arrow():
     assert basis.vectors == ((1, -1),)
     assert basis.cell_dimension == 1
     assert basis.arrow_order == ("a0", "a1")
+    # equality, hash and repr read the dense vectors, not the stored sparse rows
+    again = invariant_monomial_basis(weight_matrix(q, ones(q), ones(q)))
+    assert basis == again and basis is not again
+    assert hash(basis) == hash(again) == hash((("a0", "a1"), ((1, -1),), 1))
+    assert repr(basis) == "MonomialBasis(arrow_order=('a0', 'a1'), vectors=((1, -1),), cell_dimension=1)"
+    assert basis != invariant_monomial_basis(weight_matrix(q, {"a0": 2, "a1": 1}, ones(q)))
+    assert basis != (("a0", "a1"), ((1, -1),), 1)
 
 
 def test_monomial_basis_loop_and_arrow():
