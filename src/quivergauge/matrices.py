@@ -41,6 +41,7 @@ def identity(n: int) -> np.ndarray:
 def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSHIP) -> np.ndarray:
     """Membership of a finite matrix, or of each matrix of a stack, at tolerance ``tol``.
 
+    A matrix of the wrong size or with a non-finite entry raises ValueError.
     GL/TORUS: sigma_min > tol * sigma_max, so the test does not depend on
     scale.  Since sigma_min / sigma_max >= |det| / ||m||_F^n, a matrix with
     |det| > 2 tol ||m||_F^n passes without an SVD (the factor 2 covers the
@@ -49,6 +50,7 @@ def in_group_rows(stack: np.ndarray, group: GroupSpec, tol: float = TOL_MEMBERSH
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    stack = as_stack(stack, group.n)
     if group.family in ("GL", "TORUS"):
         rows = stack.reshape(-1, *stack.shape[-2:])
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bound sends the row to the SVD

@@ -25,6 +25,7 @@ Nothing here imports numpy at module level; only the ``tails`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -34,8 +35,31 @@ if TYPE_CHECKING:
 
 GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
 COMPACT_FAMILIES = ("U", "SU")
-# cap on a toric weight, checked by the document reader and by ``toric.weight_matrix``
+# cap on a toric weight, checked by the document reader and by ``_checked_weights``
 MAX_WEIGHT = 10**6
+
+
+def _checked_weights(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> tuple[dict, dict]:
+    """The weights of the arrows of ``q`` as two int maps (mu, nu): the one weight rule.
+
+    Every arrow needs both weights, each an integer (anything
+    ``operator.index`` takes) with 0 <= w <= MAX_WEIGHT; else ValueError.
+    The toric action and ``weighted_act`` both take their weights from here.
+    """
+    checked = {}, {}
+    for a in q.arrows:
+        for label, w, out in zip(("mu", "nu"), (mu, nu), checked):
+            if a.name not in w:
+                raise ValueError(f"missing {label} weight for arrow {a.name!r}")
+            try:
+                out[a.name] = value = operator.index(w[a.name])
+            except TypeError:
+                raise ValueError("weights must be non-negative integers") from None
+            if value < 0:
+                raise ValueError("weights must be non-negative integers")
+            if value > MAX_WEIGHT:
+                raise ValueError(f"{label} weight for {a.name!r} exceeds the cap {MAX_WEIGHT}")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -164,12 +188,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple((n, -e) for n, e in reversed(self.letters)))
-
-    def is_positive(self) -> bool:
-        return all(e == 1 for _, e in self.letters)
-
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.letters)
 
@@ -220,10 +238,6 @@ class RelationSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(self.relations))
-
-    @classmethod
-    def from_names(cls, cycles: Iterable[Sequence[str]]) -> "RelationSet":
-        return cls(tuple(Word.from_arrow_names(c) for c in cycles))
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -277,11 +291,12 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         if self.family not in GROUP_FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
+            families = ", ".join(GROUP_FAMILIES)
+            raise ValueError(f"group family must be a string among {families}, got {self.family!r}")
         if self.n < 1:
-            raise ValueError("matrix size must be >= 1")
+            raise ValueError(f"group n must be >= 1, got {self.n}")
         if self.family == "TORUS" and self.n != 1:
-            raise ValueError("TORUS means GL(1); use n=1")
+            raise ValueError(f"TORUS means GL(1), so group n must be 1, got {self.n}")
 
     @property
     def is_compact(self) -> bool:

@@ -9,7 +9,6 @@ sequences, and computes trace invariants.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Mapping
@@ -23,6 +22,7 @@ from .quiver import (
     RelationSet,
     Word,
     _bfs,
+    _checked_weights,
     _forest,
     _incidence,
     fundamental_cycles,
@@ -147,9 +147,6 @@ class GaugeElement(_Stacked):
         """Vertex-wise product self * other."""
         _check_compatible(self, other)
         return GaugeElement(self.quiver, self.group, self.stack @ other.stack, membership_tol=0.0)
-
-    def inverse(self) -> "GaugeElement":
-        return GaugeElement(self.quiver, self.group, np.linalg.inv(self.stack), membership_tol=0.0)
 
 
 def _check_compatible(a, b) -> None:
@@ -352,7 +349,8 @@ def weighted_act(
 ) -> Representation:
     """Weighted action g(head)^mu(a) marking g(tail)^(-nu(a)) per arrow.
 
-    Weights are non-negative integers (anything ``operator.index`` takes).
+    Weights are integers from 0 to ``MAX_WEIGHT`` (anything
+    ``operator.index`` takes), by the rule of the toric action.
     Arrows with the same (mu, nu) are acted on together, with stacked
     matrix powers.  This is a genuine group action only when the matrices
     commute (or every weight is 0/1); for non-abelian values with a weight
@@ -360,17 +358,10 @@ def weighted_act(
     """
     _check_compatible(g, f)
     q = f.quiver
+    mu, nu = _checked_weights(q, mu, nu)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, a in enumerate(q.arrows):
-        if a.name not in mu or a.name not in nu:
-            raise ValueError(f"missing weights for arrow {a.name!r}")
-        try:
-            pair = (operator.index(mu[a.name]), operator.index(nu[a.name]))
-        except TypeError:
-            raise ValueError("weights must be non-negative integers") from None
-        if min(pair) < 0:
-            raise ValueError("weights must be non-negative integers")
-        groups.setdefault(pair, []).append(i)
+        groups.setdefault((mu[a.name], nu[a.name]), []).append(i)
     moved = np.empty_like(f.stack)
     for (m, k), rows in groups.items():
         left = np.linalg.matrix_power(g.stack[q.heads[rows]], m)

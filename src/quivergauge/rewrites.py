@@ -28,9 +28,6 @@ class CollapseStep:
     head: str
     merged: str
 
-    def map_vertex(self, v: str) -> str:
-        return self.merged if v in (self.tail, self.head) else v
-
 
 @dataclass(frozen=True)
 class ReductionTrace:

@@ -5,12 +5,14 @@ action whose characters are encoded by an integer matrix with one row per
 arrow and one column per vertex.  The Laurent monomials in the markings
 invariant under the action are exactly the integer kernel of the transposed
 matrix.  That matrix has at most two nonzeros per arrow, so one sparse
-exact engine does all the work: unimodular column elimination on sparse
-columns (dicts from row to entry), where ties among the live columns of
-smallest |entry| go to the largest column index, then row Hermite form on
-sparse rows.  The Hermite form of a saturated lattice is unique, so the
+exact loop does all the work: Euclidean row echelon on sparse rows (dicts
+from column to entry), where ties among the live rows of smallest |entry|
+go to the largest row index.  It runs twice: on the rows of the transposed
+matrix augmented by the identity, whose rows never pivoted carry the
+kernel, and on that kernel, whose echelon form is then reduced to row
+Hermite form.  The Hermite form of a saturated lattice is unique, so the
 emitted basis does not depend on the elimination order; the tie-break only
-decides how much work the Hermite pass has left.  A basis stores those
+decides how much work the second run has left.  A basis stores those
 sparse rows only; its dense vectors are derived when first read.
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .quiver import MAX_WEIGHT, Quiver
+from .quiver import Quiver, _checked_weights
 
 Sparse = dict[int, int]
 
@@ -40,8 +42,9 @@ class WeightedToricAction:
     nu: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", {k: int(v) for k, v in self.mu.items()})
-        object.__setattr__(self, "nu", {k: int(v) for k, v in self.nu.items()})
+        mu, nu = _checked_weights(self.quiver, self.mu, self.nu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -56,17 +59,6 @@ class WeightedToricAction:
 
 def weight_matrix(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> WeightedToricAction:
     """Build the weighted action for total weight maps on the arrows."""
-    for a in q.arrows:
-        for label, w in (("mu", mu), ("nu", nu)):
-            if a.name not in w:
-                raise ValueError(f"missing {label} weight for arrow {a.name!r}")
-            value = int(w[a.name])
-            if value < 0:
-                raise ValueError(f"{label} weight for {a.name!r} must be non-negative")
-            if value > MAX_WEIGHT:
-                raise ValueError(f"{label} weight for {a.name!r} exceeds the cap {MAX_WEIGHT}")
-    mu = {a.name: int(mu[a.name]) for a in q.arrows}
-    nu = {a.name: int(nu[a.name]) for a in q.arrows}
     return WeightedToricAction(q, mu, nu)
 
 
@@ -74,98 +66,77 @@ def weight_matrix(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> We
 # exact sparse integer linear algebra (arbitrary-precision Python ints)
 
 
-def _addmul(dst: Sparse, src: Sparse, k: int, key: int = -1, index: list[set[int]] | None = None) -> None:
+def _addmul(dst: Sparse, src: Sparse, k: int, key: int, index: list[set[int]]) -> None:
     """dst += k * src, dropping zeros.
 
-    With ``index``, ``dst`` is vector ``key`` of a family and ``index[i]``
-    the set of vectors nonzero at i; it is kept in step.
+    ``dst`` is row ``key`` of a family and ``index[j]`` the set of rows
+    nonzero at column j, kept in step for the columns it covers.
     """
+    n = len(index)
     for i, x in src.items():
         y = dst.get(i, 0) + k * x
         if y:
-            if index is not None and i not in dst:
+            if i < n and i not in dst:
                 index[i].add(key)
             dst[i] = y
         elif i in dst:
             del dst[i]
-            if index is not None:
+            if i < n:
                 index[i].discard(key)
 
 
-def _kernel(cols: list[Sparse], n_rows: int) -> tuple[list[Sparse], int]:
-    """Saturated kernel basis of sparse columns, by unimodular column elimination.
+def _echelon(rows: list[Sparse], n_cols: int) -> tuple[list[tuple[int, int]], list[set[int]]]:
+    """Row echelon form of sparse rows (in place) on columns 0 .. n_cols - 1.
 
-    Rows are eliminated in order.  Per row, the live (unpivoted, nonzero)
-    columns are combined by Euclidean steps: the base is the live column of
-    smallest |entry|, ties going to the largest column index, and every
-    other live column is reduced by it, until one column is left; it
-    becomes that row's pivot.  Columns never pivoted end up zero, and the
-    matching columns of the accumulated transform are a basis of the
-    integer kernel, saturated because the transform is unimodular.
-    ``cols`` is consumed.  Returns the basis in increasing column order and
-    the rank.
+    Column by column, the unpivoted rows with a nonzero entry are combined
+    by Euclidean steps: the base is the row of smallest |entry|, ties going
+    to the largest row index, and every other such row is reduced by it,
+    until one row is left; it becomes that column's pivot.  Entries at
+    columns n_cols and beyond ride along, neither eliminated nor indexed.
+    Rows never pivoted end up zero on the eliminated columns.  Returns the
+    (column, row) pivots in column order and the index from each
+    eliminated column to the rows nonzero there.
     """
-    transform = [{c: 1} for c in range(len(cols))]
-    live_at: list[set[int]] = [set() for _ in range(n_rows)]
-    for c, col in enumerate(cols):
-        for r in col:
-            live_at[r].add(c)
-    pivoted = [False] * len(cols)
-    for r in range(n_rows):
-        live = live_at[r]
+    at: list[set[int]] = [set() for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < n_cols:
+                at[j].add(i)
+    is_pivot = [False] * len(rows)
+    pivots = []
+    for j, nonzero in enumerate(at):
+        live = [i for i in nonzero if not is_pivot[i]]
         while len(live) > 1:
-            base = min(live, key=lambda c: (abs(cols[c][r]), -c))
-            entry = cols[base][r]
-            for c in [c for c in live if c != base]:
-                k = -(cols[c][r] // entry)
-                _addmul(cols[c], cols[base], k, c, live_at)
-                _addmul(transform[c], transform[base], k)
-        for c in live:
-            pivoted[c] = True
-            for i in cols[c]:
-                if i != r:
-                    live_at[i].discard(c)
-    rank = sum(pivoted)
-    return [t for t, p in zip(transform, pivoted) if not p], rank
+            base = min(live, key=lambda i: (abs(rows[i][j]), -i))
+            entry = rows[base][j]
+            for i in live:
+                if i != base:
+                    _addmul(rows[i], rows[base], -(rows[i][j] // entry), i, at)
+            live = [i for i in nonzero if not is_pivot[i]]
+        for p in live:
+            is_pivot[p] = True
+            pivots.append((j, p))
+    return pivots, at
 
 
 def _hermite(rows: list[Sparse], n_cols: int) -> list[Sparse]:
     """Nonzero rows of the row Hermite form of sparse rows (consumed), in pivot order.
 
-    Column by column, the unpivoted rows with a nonzero entry are combined
-    by Euclidean steps until one is left; it becomes the pivot, made
-    positive, and the entries above it are reduced into [0, pivot).  A
-    column-to-rows index finds the rows of each column.
+    After ``_echelon``, each pivot in turn is made positive and the entries
+    above it, the other rows nonzero in its column, are reduced into
+    [0, pivot).
     """
-    at: list[set[int]] = [set() for _ in range(n_cols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            at[j].add(i)
-    is_pivot = [False] * len(rows)
-    pivots: list[int] = []
-    for j in range(n_cols):
-        live = [i for i in at[j] if not is_pivot[i]]
-        while len(live) > 1:
-            base = min(live, key=lambda i: abs(rows[i][j]))
-            entry = rows[base][j]
-            for i in live:
-                if i != base:
-                    _addmul(rows[i], rows[base], -(rows[i][j] // entry), i, at)
-            live = [i for i in at[j] if not is_pivot[i]]
-        if not live:
-            continue
-        p = live[0]
+    pivots, at = _echelon(rows, n_cols)
+    for j, p in pivots:
         pivot = rows[p]
         if pivot[j] < 0:
             for c in pivot:
                 pivot[c] = -pivot[c]
-        for i in [i for i in at[j] if is_pivot[i]]:
+        for i in [i for i in at[j] if i != p]:
             k = rows[i][j] // pivot[j]
             if k:
                 _addmul(rows[i], pivot, -k, i, at)
-        is_pivot[p] = True
-        pivots.append(p)
-    return [rows[p] for p in pivots]
+    return [rows[p] for _, p in pivots]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -218,28 +189,33 @@ class MonomialBasis:
 def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
     """Exact basis of the exponent vectors killed by the transposed weights.
 
-    One sparse column per arrow (mu at its head row, -nu at its tail row)
-    goes through the column elimination; its kernel is then put in row
-    Hermite form with positive leading entries.  That form of a saturated
+    Arrow k gives the augmented row of its weight column (mu at its head,
+    -nu at its tail) followed by the unit vector e_k.  ``_echelon`` on the
+    vertex columns gives the rank as its pivot count, and the rows never
+    pivoted carry, in their unit part, a basis of the kernel, saturated
+    because the steps are unimodular.  That basis is then put in row
+    Hermite form with positive leading entries, which for a saturated
     lattice is unique, so equal actions always produce identical output.
 
-    Among the live columns of smallest |entry|, the elimination's base is
-    the one with the largest arrow index.  That choice changes only the
-    speed: with unit weights the pivots then grow a spanning forest
-    greedily from the last arrow, and each kernel vector is the fundamental
-    cycle of one non-tree arrow (+1 there, +-1 on later tree arrows),
-    already the Hermite form up to row order.
+    Among the live rows of smallest |entry|, the elimination's base is the
+    one with the largest arrow index.  That choice changes only the speed:
+    with unit weights the pivots then grow a spanning forest greedily from
+    the last arrow, and each kernel vector is the fundamental cycle of one
+    non-tree arrow (+1 there, +-1 on later tree arrows), already the
+    Hermite form up to row order.
     """
     q = action.quiver
-    n_arrows = q.n_arrows
-    names = tuple(a.name for a in q.arrows)
-    cols: list[Sparse] = []
-    for name, t, h in zip(names, q.tail_rows, q.head_rows):
-        col = {h: action.mu[name]}
-        col[t] = col.get(t, 0) - action.nu[name]
-        cols.append({r: x for r, x in col.items() if x})
-    kernel, rank = _kernel(cols, q.n_vertices)
-    return MonomialBasis(names, n_arrows - rank, tuple(_hermite(kernel, n_arrows)))
+    n_vertices, names = q.n_vertices, tuple(a.name for a in q.arrows)
+    rows: list[Sparse] = []
+    for k, (name, t, h) in enumerate(zip(names, q.tail_rows, q.head_rows)):
+        row = {h: action.mu[name]}
+        row[t] = row.get(t, 0) - action.nu[name]
+        row = {r: x for r, x in row.items() if x}
+        row[n_vertices + k] = 1
+        rows.append(row)
+    pivoted = {p for _, p in _echelon(rows, n_vertices)[0]}
+    kernel = [{i - n_vertices: x for i, x in row.items()} for k, row in enumerate(rows) if k not in pivoted]
+    return MonomialBasis(names, len(names) - len(pivoted), tuple(_hermite(kernel, len(names))))
 
 
 def check_invariance(

@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import quivergauge
-from quivergauge import Arrow, GroupSpec, Quiver, RelationSet
+from quivergauge import Arrow, GroupSpec, Quiver, RelationSet, Word
 
 SRC = Path(quivergauge.__file__).resolve().parents[1]
 
@@ -50,7 +50,7 @@ def triangle() -> tuple[Quiver, RelationSet]:
         ("v0", "v1", "v2"),
         (("a0", "v0", "v1"), ("a1", "v1", "v2"), ("a2", "v2", "v0")),
     )
-    return q, RelationSet.from_names([("a2", "a1", "a0")])
+    return q, RelationSet((Word.from_arrow_names(("a2", "a1", "a0")),))
 
 
 def long_loop(m: int) -> Quiver:

@@ -109,7 +109,7 @@ def test_parse_duplicate_and_unknown_weights_rejected_with_spans():
 
 
 def test_parse_weight_over_cap_rejected_with_span():
-    from quivergauge.toric import MAX_WEIGHT
+    from quivergauge.quiver import MAX_WEIGHT
 
     # a literal past Python's 4300-digit int() limit, and one just over the cap
     for literal in ("9" * 5000, str(MAX_WEIGHT + 1)):

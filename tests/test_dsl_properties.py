@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from quivergauge import Quiver, canonicalize, document_for, parse, print_document
 from quivergauge.dsl import Span
-from quivergauge.toric import MAX_WEIGHT
+from quivergauge.quiver import MAX_WEIGHT
 
 from conftest import PROPERTY
 

@@ -1,11 +1,15 @@
 """Import layers: every name resolves lazily, and each command loads only the modules it calls.
 
-Every exported name also has a user besides the unit tests.
+Every exported name, every public method and property of an exported class,
+and every public function of ``serialize`` also has a user besides the unit
+tests.
 """
 
 import ast
+import inspect
 import json
 import sys
+from functools import cache, cached_property
 from importlib import import_module
 from pathlib import Path
 
@@ -154,18 +158,60 @@ def _reads(path: Path) -> list[tuple[str, frozenset]]:
     return out
 
 
-def test_every_exported_name_has_a_user_besides_the_unit_tests():
-    # a read inside the name's own definition, or inside the definition of
-    # an unused name, is no use; strings and docstrings are never reads
+def _members() -> set[str]:
+    """Public methods and properties of exported classes, as ``Class.name``, and public functions of serialize.
+
+    The functions are named ``serialize.name``.  A class's members include those of its bases in the package.  A member
+    that a base outside the package defines is an override of that base's
+    hook, which the base calls (as argparse calls ``ArgumentParser.error``),
+    so it is left out.
+    """
+    members = set()
+    for name in quivergauge.__all__:
+        cls = getattr(quivergauge, name)
+        if not isinstance(cls, type):
+            continue
+        outside = [base for base in cls.__mro__ if not base.__module__.startswith("quivergauge")]
+        for base in (base for base in cls.__mro__ if base not in outside):
+            for attr, value in vars(base).items():
+                routine = inspect.isfunction(value) or isinstance(value, (property, cached_property, classmethod, staticmethod))
+                if routine and not attr.startswith("_") and not any(hasattr(b, attr) for b in outside):
+                    members.add(f"{name}.{attr}")
+    serialize = import_module("quivergauge.serialize")
+    for name, value in vars(serialize).items():
+        if inspect.isfunction(value) and value.__module__ == serialize.__name__ and not name.startswith("_"):
+            members.add(f"serialize.{name}")
+    return members
+
+
+@cache
+def _unused() -> frozenset[str]:
+    """The exported names and members whose (last) name has no use in USERS.
+
+    A read inside the name's own definition, or inside the definition of an
+    unused name, is no use; strings and docstrings are never reads.  Reads
+    match by name only, so a member counts as used when any object's
+    attribute of that name is read.
+    """
     reads = [read for path in USERS for read in _reads(path)]
     unused: set[str] = set()
     while True:
-        used = {name for name, inside in reads if not inside & (unused | {name})}
-        found = set(quivergauge.__all__) - used
+        names = {name.rpartition(".")[2] for name in unused}
+        used = {name for name, inside in reads if not inside & (names | {name})}
+        found = {name for name in {*quivergauge.__all__, *_members()} if name.rpartition(".")[2] not in used}
         if found == unused:
-            break
+            return frozenset(unused)
         unused = found
+
+
+def test_every_exported_name_has_a_user_besides_the_unit_tests():
+    unused = _unused() & set(quivergauge.__all__)
     assert not unused, f"exported but used only by unit tests: {sorted(unused)}"
+
+
+def test_every_public_member_and_serialize_function_has_a_user_besides_the_unit_tests():
+    unused = _unused() - set(quivergauge.__all__)
+    assert not unused, f"public but used only by unit tests: {sorted(unused)}"
 
 
 def test_certificate_lives_in_the_structural_layer_only():

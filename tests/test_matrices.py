@@ -57,6 +57,17 @@ def test_in_group():
         Representation(one_loop(), U2, {"l0": np.array([[np.nan, 0], [0, 1]])})
 
 
+def test_in_group_rows_refuses_a_wrong_size_or_a_non_finite_entry():
+    # a 3x3 identity used to pass as GL(2) and SL(2), to fail in numpy's
+    # broadcasting for U(2), and a NaN to end in an SVD that did not converge
+    for family in ("GL", "SL", "U", "SU"):
+        with pytest.raises(ValueError, match="expected size 2, got 3"):
+            mg.in_group_rows(np.eye(3)[None], GroupSpec(family, 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            mg.in_group_rows(np.array([[[np.nan, 0], [0, 1]]]), GroupSpec(family, 2))
+    assert mg.in_group_rows(np.eye(2)[None], GroupSpec("GL", 2)).tolist() == [True]
+
+
 def test_random_element_membership_and_determinism():
     for g, tol in ((U2, 1e-10), (GroupSpec("U", 5), 1e-10), (SU2, 1e-10)):
         m = mg.random_element(g, 42)

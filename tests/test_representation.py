@@ -143,7 +143,7 @@ def test_satisfies_relations_and_gauge_preservation():
     g = random_gauge(f.quiver, GL3, 99)
     assert not satisfies_relations(gauge_act(g, broken), rels)
     with pytest.raises(ValueError):
-        satisfies_relations(f, RelationSet.from_names([("a0",)]))
+        satisfies_relations(f, RelationSet((Word.from_arrow_names(("a0",)),)))
 
 
 def test_trace_invariants_basics():

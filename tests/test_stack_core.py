@@ -75,10 +75,11 @@ def stepwise(f: Representation, trace: ReductionTrace) -> tuple[Quiver, dict]:
                 left = f0 if a.head == step.tail else np.eye(len(f0))
                 right = f0_inv if a.tail == step.tail else np.eye(len(f0))
                 markings[a.name] = left @ markings[a.name] @ right
+        moved = {step.tail: step.merged, step.head: step.merged}
         current = Quiver(
             tuple(v for v in current.vertices if v == step.merged or v not in (step.tail, step.head)),
             tuple(
-                Arrow(a.name, step.map_vertex(a.tail), step.map_vertex(a.head))
+                Arrow(a.name, moved.get(a.tail, a.tail), moved.get(a.head, a.head))
                 for a in current.arrows
                 if a.name != step.arrow
             ),

@@ -11,7 +11,7 @@ from quivergauge import (
     invariant_monomial_basis,
     weight_matrix,
 )
-from quivergauge.toric import _hermite, _kernel
+from quivergauge.toric import _echelon, _hermite
 from conftest import (
     cycle_plus_extras,
     is_row_hermite,
@@ -27,10 +27,16 @@ from conftest import (
 
 
 def integer_kernel(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
-    """A saturated basis of {m : rows . m = 0} and the rank of ``rows``, by ``_kernel``."""
-    cols = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)]
-    basis, rank = _kernel(cols, len(rows))
-    return [[v.get(c, 0) for c in range(ncols)] for v in basis], rank
+    """A saturated basis of {m : rows . m = 0} and the rank of ``rows``, by ``_echelon``.
+
+    Column c of ``rows``, augmented by e_c, is row c of the elimination;
+    only the ``len(rows)`` columns of ``rows`` are eliminated.
+    """
+    nr = len(rows)
+    augmented = [{r: row[c] for r, row in enumerate(rows) if row[c]} | {nr + c: 1} for c in range(ncols)]
+    pivoted = {p for _, p in _echelon(augmented, nr)[0]}
+    basis = [[row.get(nr + c, 0) for c in range(ncols)] for i, row in enumerate(augmented) if i not in pivoted]
+    return basis, len(pivoted)
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -75,6 +81,23 @@ def test_weight_matrix_validation():
         weight_matrix(q, {"a0": -1}, ones(q))
     with pytest.raises(ValueError):
         weight_matrix(q, {"a0": 10**7}, ones(q))
+
+
+def test_one_weight_rule_refuses_fractional_and_negative_weights():
+    # 1.5 and 0.7 used to truncate to (1, 0) in weight_matrix, and the action
+    # class took -3 as is; all three entries now share one rule
+    from quivergauge import GroupSpec, WeightedToricAction, random_gauge, random_representation, weighted_act
+
+    q = one_arrow()
+    torus = GroupSpec("TORUS", 1)
+    f, g = random_representation(q, torus, 0), random_gauge(q, torus, 0)
+    for mu, nu in (({"a0": 1.5}, {"a0": 0.7}), ({"a0": -3}, {"a0": 2}), ({"a0": 1}, {"a0": -1})):
+        for build in (weight_matrix, WeightedToricAction, lambda q, mu, nu: weighted_act(g, f, mu, nu)):
+            with pytest.raises(ValueError, match="^weights must be non-negative integers$"):
+                build(q, mu, nu)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        weighted_act(g, f, {"a0": 10**6 + 1}, {"a0": 0})
+    assert WeightedToricAction(q, {"a0": np.int64(2)}, {"a0": True}).matrix == ((-1, 2),)
 
 
 def test_monomial_basis_double_arrow():
