@@ -11,26 +11,24 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .matrices import _principal_root
-from .quiver import GroupSpec, Quiver, classify_vertex
+from .quiver import GroupSpec, Quiver, _Record, _setfield, classify_vertex
 from .representation import GaugeElement, Representation, _Stacked, act_on_stack
 
 
-@dataclass(frozen=True, eq=False)
 class AdditiveRep(_Stacked):
     """Arrow markings by arbitrary (possibly singular) n x n matrices."""
 
-    quiver: Quiver
-    n: int
-    markings: Mapping[str, np.ndarray]
+    _fields = ("quiver", "n", "markings")
 
-    def __post_init__(self) -> None:
-        self._validate(self.n, None, 0.0)
+    def __init__(self, quiver: Quiver, n: int, markings: Mapping[str, np.ndarray] | np.ndarray) -> None:
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "n", n)
+        self._validate(markings, n, None, 0.0)
 
     matrix = _Stacked._row
 
@@ -56,8 +54,7 @@ def act_additive(g: GaugeElement, x: AdditiveRep) -> AdditiveRep:
     return AdditiveRep(q, x.n, act_on_stack(g.stack, x.stack, q.tails, q.heads))
 
 
-@dataclass(frozen=True, eq=False)
-class DegenerationWitness:
+class DegenerationWitness(_Record):
     """A one-parameter gauge degeneration at an end vertex.
 
     The gauge is t * I at ``vertex`` and the identity elsewhere; for a sink
@@ -69,12 +66,25 @@ class DegenerationWitness:
     whenever one degenerated marking was nonzero.
     """
 
-    vertex: str
-    direction: str
-    parameters: tuple[float, ...]
-    samples: tuple[AdditiveRep, ...]
-    limit: AdditiveRep
-    degenerated_arrows: tuple[str, ...]
+    _fields = ("vertex", "direction", "parameters", "samples", "limit", "degenerated_arrows")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        vertex: str,
+        direction: str,
+        parameters: tuple[float, ...],
+        samples: tuple[AdditiveRep, ...],
+        limit: AdditiveRep,
+        degenerated_arrows: tuple[str, ...],
+    ) -> None:
+        _setfield(self, "vertex", vertex)
+        _setfield(self, "direction", direction)
+        _setfield(self, "parameters", parameters)
+        _setfield(self, "samples", samples)
+        _setfield(self, "limit", limit)
+        _setfield(self, "degenerated_arrows", degenerated_arrows)
 
 
 def _scale_rows(x: AdditiveRep, rows: np.ndarray, t: float, direction: str) -> AdditiveRep:

@@ -25,12 +25,18 @@ this module imports only what argument parsing and document reading need
 (``dsl``, ``quiver`` and ``serialize``).  A command therefore loads only
 the modules it calls: info, reduce, collapse, pinch, clip, reverse,
 certificate and toric never load numpy, and info and certificate load
-neither ``rewrites`` nor ``toric``.
+neither ``rewrites`` nor ``toric``.  The numeric commands sample,
+kn-residual, kn-flow and retract do not load ``rewrites``.  The structural
+commands do not load ``inspect`` either: every record is a plain class with
+a hand-written constructor (see ``quiver``), so no code is generated at
+import.
 
 Library warnings are written to stderr as ``warning: <message>`` lines.
 
-Exit codes: 0 success, 1 usage or unwritable stdout, 2 parse diagnostics or
-a malformed payload file, 3 numeric precondition failure.
+Exit codes: 0 success, 1 usage (a ``--group``/``--n`` pair its family
+refuses included) or unwritable stdout, 2 parse diagnostics or a malformed
+payload file, 3 numeric precondition failure (a size past
+``MAX_MATRIX_SIZE`` included).
 
 ``main(argv) -> int`` is the in-process API: it writes and flushes stdout,
 returns the exit code and leaves the interpreter running.  ``run()`` is the
@@ -81,6 +87,15 @@ def _check_size(n: int) -> int:
     if n > MAX_MATRIX_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported limit {MAX_MATRIX_SIZE}")
     return n
+
+
+def _group(args) -> GroupSpec:
+    """The ``--group``/``--n`` pair: a size past the limit exits 3, a size the family refuses is a usage error."""
+    _check_size(args.n)
+    try:
+        return GroupSpec(args.group, args.n)
+    except ValueError as exc:
+        raise _UsageError(f"argument --n: {exc}") from None
 
 
 def _load(path: str, decode, quiver):
@@ -168,7 +183,7 @@ def _cmd_info(args, doc):
     lines.append(f"super-cyclic: {'yes' if payload['super_cyclic'] else 'no'}")
     lines.append(f"strongly connected: {'yes' if payload['strongly_connected'] else 'no'}")
     if args.group:
-        group = GroupSpec(args.group, _check_size(args.n))
+        group = _group(args)
         dim = _moduli_dimension(group, payload["betti_number"], components)
         payload["group"] = serialize.group_to_json(group)
         payload["moduli_dimension"] = dim
@@ -239,8 +254,7 @@ def _cmd_reverse(args, doc):
 def _cmd_sample(args, doc):
     from .representation import random_representation
 
-    group = GroupSpec(args.group, _check_size(args.n))
-    return serialize.representation_to_json(random_representation(doc.quiver, group, args.seed)), None
+    return serialize.representation_to_json(random_representation(doc.quiver, _group(args), args.seed)), None
 
 
 def _cmd_act(args, doc):

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, validate_relations
+from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _Record, _setfield, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT = r"[A-Za-z_]\w*"
@@ -107,8 +106,7 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
-@dataclass(frozen=True)
-class QuiverDocument:
+class QuiverDocument(_Record):
     """Parsed quiver with relations, optional weights, and source spans.
 
     ``mu``/``nu`` are None when the document has no weights section;
@@ -116,12 +114,24 @@ class QuiverDocument:
     in equality, so parsing the canonical printout reproduces the document.
     """
 
-    name: str | None
-    quiver: Quiver
-    relations: RelationSet
-    mu: Mapping[str, int] | None
-    nu: Mapping[str, int] | None
-    spans: Mapping[str, Span] = field(compare=False, default_factory=dict)
+    _fields = ("name", "quiver", "relations", "mu", "nu", "spans")
+    _compared = _fields[:5]
+
+    def __init__(
+        self,
+        name: str | None,
+        quiver: Quiver,
+        relations: RelationSet,
+        mu: Mapping[str, int] | None,
+        nu: Mapping[str, int] | None,
+        spans: Mapping[str, Span] | None = None,
+    ) -> None:
+        _setfield(self, "name", name)
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "relations", relations)
+        _setfield(self, "mu", mu)
+        _setfield(self, "nu", nu)
+        _setfield(self, "spans", {} if spans is None else spans)
 
     def effective_weights(self) -> tuple[dict[str, int], dict[str, int]]:
         names = [a.name for a in self.quiver.arrows]

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .matrices import _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
-from .quiver import TOL_MEMBERSHIP, GroupSpec
+from .quiver import TOL_MEMBERSHIP, GroupSpec, _Record, _setfield
 from .representation import Representation, RowView, _lie_action, act_on_stack
 
 _MAX_BACKTRACKS = 60
@@ -69,8 +68,7 @@ def retract_representation(f: Representation, t: float) -> Representation:
     return Representation(f.quiver, f.group, markings, membership_tol=f.membership_tol)
 
 
-@dataclass(frozen=True)
-class KNResidual:
+class KNResidual(_Record):
     """Per-vertex Hermitian moment matrices and their aggregate norm.
 
     ``per_vertex`` holds, for each vertex, the sum of marking* marking over
@@ -84,9 +82,14 @@ class KNResidual:
     condition, and unitary-valued representations always satisfy it.
     """
 
-    per_vertex: Mapping[str, np.ndarray]
-    projected: Mapping[str, np.ndarray]
-    aggregate: float
+    _fields = ("per_vertex", "projected", "aggregate")
+
+    def __init__(
+        self, per_vertex: Mapping[str, np.ndarray], projected: Mapping[str, np.ndarray], aggregate: float
+    ) -> None:
+        _setfield(self, "per_vertex", per_vertex)
+        _setfield(self, "projected", projected)
+        _setfield(self, "aggregate", aggregate)
 
 
 def _moments(q, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,8 +130,7 @@ def action_pairing(u: Mapping[str, np.ndarray], f: Representation) -> complex:
     return complex(np.vdot(m, _lie_action(us, m, q.tails, q.heads)))
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(_Record):
     """Outcome of a norm-minimizing flow run.
 
     ``norm_history`` and ``residual_history`` record the state after each
@@ -137,11 +139,21 @@ class FlowReport:
     residual is at or below the requested tolerance.
     """
 
-    iterations: int
-    residual_history: tuple[float, ...]
-    norm_history: tuple[float, ...]
-    final: Representation
-    converged: bool
+    _fields = ("iterations", "residual_history", "norm_history", "final", "converged")
+
+    def __init__(
+        self,
+        iterations: int,
+        residual_history: tuple[float, ...],
+        norm_history: tuple[float, ...],
+        final: Representation,
+        converged: bool,
+    ) -> None:
+        _setfield(self, "iterations", iterations)
+        _setfield(self, "residual_history", residual_history)
+        _setfield(self, "norm_history", norm_history)
+        _setfield(self, "final", final)
+        _setfield(self, "converged", converged)
 
 
 def kn_flow(

@@ -21,12 +21,17 @@ orbit.
 
 Nothing here imports numpy at module level; only the ``tails`` and
 ``heads`` index arrays load it, on first use.
+
+Every record of the package (``Arrow``, ``Quiver``, ``QuiverDocument``,
+``Representation``, ...) is a plain class on one private base,
+``_Record``, with a hand-written ``__init__``.  No method is generated at
+import: a decorator that generates them would load ``inspect`` and ``exec``
+source for every class in every process, a large share of a short CLI call.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -37,6 +42,51 @@ GROUP_FAMILIES = ("GL", "SL", "U", "SU", "TORUS")
 COMPACT_FAMILIES = ("U", "SU")
 # cap on a toric weight, checked by the document reader and by ``_checked_weights``
 MAX_WEIGHT = 10**6
+
+
+# How a record's ``__init__`` stores a field past ``_Record.__setattr__``.
+# Unlike writing to ``self.__dict__``, it keeps the instance's compact
+# attribute storage, so a record costs no more memory than before.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Immutable record: ``repr``, ``==`` and ``hash`` from the field names in ``_fields``.
+
+    A subclass names its fields in ``_fields`` and writes its own
+    ``__init__``, which stores each with ``_setfield`` (assignment and
+    deletion raise AttributeError).  ``repr`` shows ``Name(field=value,
+    ...)`` over ``_fields``; ``==`` (between instances of the same class)
+    and ``hash`` compare ``_compared``, which is ``_fields`` unless a class
+    narrows it.  A record with identity equality sets ``__eq__ =
+    object.__eq__`` and ``__hash__ = object.__hash__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in (self._fields if self._compared is None else self._compared)])
+
+    def __eq__(self, other):
+        if other is self:  # what comparing the two keys would give, as their items are identical
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
 
 
 def _checked_weights(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> tuple[dict, dict]:
@@ -62,21 +112,22 @@ def _checked_weights(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) ->
     return checked
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Record):
     """A named arrow from ``tail`` to ``head``; loops (tail == head) allowed."""
 
-    name: str
-    tail: str
-    head: str
+    _fields = ("name", "tail", "head")
+
+    def __init__(self, name: str, tail: str, head: str) -> None:
+        _setfield(self, "name", name)
+        _setfield(self, "tail", tail)
+        _setfield(self, "head", head)
 
     @property
     def is_loop(self) -> bool:
         return self.tail == self.head
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(_Record):
     """Finite directed multigraph with named vertices and arrows.
 
     Parallel arrows and loops are permitted.  At least one vertex is
@@ -88,35 +139,28 @@ class Quiver:
     runs without numpy.
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    _arrow_row: dict[str, int] = field(init=False, repr=False, compare=False)
-    _vertex_row: dict[str, int] = field(init=False, repr=False, compare=False)
-    tail_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    head_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("vertices", "arrows")  # the row maps and rows are derived: not shown, not compared
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self,
-            "arrows",
-            tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in self.arrows),
-        )
-        if not self.vertices:
+    def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow | tuple[str, str, str]]) -> None:
+        vertices = tuple(vertices)
+        arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
+        if not vertices:
             raise ValueError("a quiver needs at least one vertex")
-        rows = {v: i for i, v in enumerate(self.vertices)}
-        if len(rows) != len(self.vertices):
+        rows = {v: i for i, v in enumerate(vertices)}
+        if len(rows) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        arrow_rows = {a.name: i for i, a in enumerate(self.arrows)}
-        if len(arrow_rows) != len(self.arrows):
+        arrow_rows = {a.name: i for i, a in enumerate(arrows)}
+        if len(arrow_rows) != len(arrows):
             raise ValueError("duplicate arrow ids")
-        for a in self.arrows:
+        for a in arrows:
             if a.tail not in rows or a.head not in rows:
                 raise ValueError(f"arrow {a.name!r} references undeclared vertex")
-        object.__setattr__(self, "_vertex_row", rows)
-        object.__setattr__(self, "_arrow_row", arrow_rows)
-        object.__setattr__(self, "tail_rows", tuple(rows[a.tail] for a in self.arrows))
-        object.__setattr__(self, "head_rows", tuple(rows[a.head] for a in self.arrows))
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "arrows", arrows)
+        _setfield(self, "_vertex_row", rows)
+        _setfield(self, "_arrow_row", arrow_rows)
+        _setfield(self, "tail_rows", tuple(rows[a.tail] for a in arrows))
+        _setfield(self, "head_rows", tuple(rows[a.head] for a in arrows))
 
     @cached_property
     def tails(self) -> np.ndarray:
@@ -157,8 +201,7 @@ def _index_array(rows: tuple[int, ...]) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """Sequence of arrow letters with exponents in {+1, -1}.
 
     Letters are stored in composition order: the first entry is applied
@@ -167,13 +210,14 @@ class Word:
     reproduces the conventional right-to-left display of the word.
     """
 
-    letters: tuple[tuple[str, int], ...]
+    _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple((str(n), int(e)) for n, e in self.letters))
-        for name, exp in self.letters:
+    def __init__(self, letters: Iterable[tuple[str, int]]) -> None:
+        letters = tuple((str(n), int(e)) for n, e in letters)
+        for name, exp in letters:
             if exp not in (1, -1):
                 raise ValueError(f"letter {name!r} has exponent {exp}; only +1/-1 allowed")
+        _setfield(self, "letters", letters)
 
     @classmethod
     def from_arrow_names(cls, names: Sequence[str]) -> "Word":
@@ -223,21 +267,22 @@ def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
     return ends[-1][0], ends[0][1]
 
 
-@dataclass(frozen=True)
-class RelationViolation:
-    word_index: int
-    letter_index: int | None
-    message: str
+class RelationViolation(_Record):
+    _fields = ("word_index", "letter_index", "message")
+
+    def __init__(self, word_index: int, letter_index: int | None, message: str) -> None:
+        _setfield(self, "word_index", word_index)
+        _setfield(self, "letter_index", letter_index)
+        _setfield(self, "message", message)
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(_Record):
     """Finite set of relations, each a positively oriented cycle."""
 
-    relations: tuple[Word, ...] = ()
+    _fields = ("relations",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(self, relations: Iterable[Word] = ()) -> None:
+        _setfield(self, "relations", tuple(relations))
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -277,8 +322,7 @@ TOL_MEMBERSHIP = 1e-9
 TOL_EQ = 1e-8
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Record):
     """Matrix group family and size.
 
     Families: GL, SL, U, SU, and TORUS (= GL(1), so n must be 1).  Dimension
@@ -286,17 +330,18 @@ class GroupSpec:
     non-compact families.
     """
 
-    family: str
-    n: int
+    _fields = ("family", "n")
 
-    def __post_init__(self) -> None:
-        if self.family not in GROUP_FAMILIES:
+    def __init__(self, family: str, n: int) -> None:
+        if family not in GROUP_FAMILIES:
             families = ", ".join(GROUP_FAMILIES)
-            raise ValueError(f"group family must be a string among {families}, got {self.family!r}")
-        if self.n < 1:
-            raise ValueError(f"group n must be >= 1, got {self.n}")
-        if self.family == "TORUS" and self.n != 1:
-            raise ValueError(f"TORUS means GL(1), so group n must be 1, got {self.n}")
+            raise ValueError(f"group family must be a string among {families}, got {family!r}")
+        if n < 1:
+            raise ValueError(f"group n must be >= 1, got {n}")
+        if family == "TORUS" and n != 1:
+            raise ValueError(f"TORUS means GL(1), so group n must be 1, got {n}")
+        _setfield(self, "family", family)
+        _setfield(self, "n", n)
 
     @property
     def is_compact(self) -> bool:
@@ -502,8 +547,7 @@ def _forest(q: Quiver) -> tuple[list[int], list[tuple]]:
     return roots, links
 
 
-@dataclass(frozen=True)
-class SpanningForest:
+class SpanningForest(_Record):
     """Deterministic BFS spanning forest of the underlying undirected graph.
 
     ``parent`` maps each non-root vertex to (parent vertex, arrow id,
@@ -512,9 +556,14 @@ class SpanningForest:
     and ``parent`` is filled in that same order.
     """
 
-    roots: tuple[str, ...]
-    parent: dict[str, tuple[str, str, bool]]
-    tree_arrows: tuple[str, ...]
+    _fields = ("roots", "parent", "tree_arrows")
+
+    def __init__(
+        self, roots: tuple[str, ...], parent: dict[str, tuple[str, str, bool]], tree_arrows: tuple[str, ...]
+    ) -> None:
+        _setfield(self, "roots", roots)
+        _setfield(self, "parent", parent)
+        _setfield(self, "tree_arrows", tree_arrows)
 
 
 def spanning_forest(q: Quiver) -> SpanningForest:
@@ -617,8 +666,7 @@ def directed_path(q: Quiver, src: str, dst: str) -> list[str] | None:
     return path
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(_Record):
     """Outcome of the weight-monotonicity check.
 
     ``ok`` means the assignment is constant.  Otherwise
@@ -628,9 +676,12 @@ class MonotoneReport:
     non-constant assignment can be monotone on a strongly connected quiver.
     """
 
-    ok: bool
-    violating_arrow: str | None = None
-    witness_cycle: Word | None = None
+    _fields = ("ok", "violating_arrow", "witness_cycle")
+
+    def __init__(self, ok: bool, violating_arrow: str | None = None, witness_cycle: Word | None = None) -> None:
+        _setfield(self, "ok", ok)
+        _setfield(self, "violating_arrow", violating_arrow)
+        _setfield(self, "witness_cycle", witness_cycle)
 
 
 def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> MonotoneReport:
@@ -659,8 +710,7 @@ def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> Mono
     return MonotoneReport(ok=False, violating_arrow=violating.name, witness_cycle=cycle)
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(_Record):
     """Verdict on the scalar degenerations of invertible representations.
 
     ``ends_obstruct`` lists the sink/source vertices at which every
@@ -672,10 +722,19 @@ class OrbitCertificate:
     monotonicity are attached as constructive evidence.
     """
 
-    verdict: str
-    ends: tuple[str, ...] = ()
-    sample_alpha: tuple[tuple[str, int], ...] | None = None
-    sample_violation: MonotoneReport | None = None
+    _fields = ("verdict", "ends", "sample_alpha", "sample_violation")
+
+    def __init__(
+        self,
+        verdict: str,
+        ends: tuple[str, ...] = (),
+        sample_alpha: tuple[tuple[str, int], ...] | None = None,
+        sample_violation: MonotoneReport | None = None,
+    ) -> None:
+        _setfield(self, "verdict", verdict)
+        _setfield(self, "ends", ends)
+        _setfield(self, "sample_alpha", sample_alpha)
+        _setfield(self, "sample_violation", sample_violation)
 
 
 def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:

@@ -10,8 +10,7 @@ sequences, and computes trace invariants.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,11 +24,15 @@ from .quiver import (
     _checked_weights,
     _forest,
     _incidence,
+    _Record,
+    _setfield,
     fundamental_cycles,
     validate_relations,
     word_endpoints,
 )
-from .rewrites import ReductionTrace, reverse_arrows
+
+if TYPE_CHECKING:
+    from .rewrites import ReductionTrace
 
 
 class RowView(Mapping):
@@ -56,27 +59,27 @@ class RowView(Mapping):
         return repr(dict(self))
 
 
-class _Stacked:
+class _Stacked(_Record):
     """Shared core of markings and gauge values: one validated stack.
 
     ``stack`` is a read-only (k, n, n) complex array in quiver order (arrows
     for markings, vertices for gauge values); the mapping field named by
     ``_field`` is a read-only ``RowView`` of its rows.  The constructors
-    take that mapping, or a stack already in quiver order.
+    take that mapping, or a stack already in quiver order.  Equality is
+    identity.
     """
 
     _field: ClassVar[str] = "markings"
     _kind: ClassVar[str] = "marking"
     _id: ClassVar[str] = "arrow"
     stack: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        self._validate(self.group.n, self.group, self.membership_tol)
-
-    def _validate(self, n: int, group: GroupSpec | None, tol: float) -> None:
-        """Store the stack: finite, and in ``group`` when tol > 0; errors name the first bad id."""
+    def _validate(self, data, n: int, group: GroupSpec | None, tol: float) -> None:
+        """Store the stack of ``data``: finite, and in ``group`` when tol > 0; errors name the first bad id."""
         rows = self.quiver._arrow_row if self._id == "arrow" else self.quiver._vertex_row
-        keys, data, kind = list(rows), getattr(self, self._field), self._kind
+        keys, kind = list(rows), self._kind
         if isinstance(data, Mapping):
             missing = next((k for k in keys if k not in data), None)
             if missing is not None:
@@ -101,8 +104,8 @@ class _Stacked:
                 k = keys[np.argmin(member)]
                 raise ValueError(f"{kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
         stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, self._field, RowView(rows, stack))
+        _setfield(self, "stack", stack)
+        _setfield(self, self._field, RowView(rows, stack))
 
     def _row(self, key: str) -> np.ndarray:
         view = getattr(self, self._field)
@@ -111,7 +114,6 @@ class _Stacked:
         return view[key]
 
 
-@dataclass(frozen=True, eq=False)
 class Representation(_Stacked):
     """Map from arrows to group matrices, all of one GroupSpec.
 
@@ -120,26 +122,42 @@ class Representation(_Stacked):
     enforced).
     """
 
-    quiver: Quiver
-    group: GroupSpec
-    markings: Mapping[str, np.ndarray]
-    membership_tol: float = field(default=TOL_MEMBERSHIP, repr=False)
+    _fields = ("quiver", "group", "markings")
+
+    def __init__(
+        self,
+        quiver: Quiver,
+        group: GroupSpec,
+        markings: Mapping[str, np.ndarray] | np.ndarray,
+        membership_tol: float = TOL_MEMBERSHIP,
+    ) -> None:
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "group", group)
+        _setfield(self, "membership_tol", membership_tol)
+        self._validate(markings, group.n, group, membership_tol)
 
     matrix = _Stacked._row
 
 
-@dataclass(frozen=True, eq=False)
 class GaugeElement(_Stacked):
     """Map from vertices to group matrices; multiplies vertex-wise."""
 
     _field: ClassVar[str] = "values"
     _kind: ClassVar[str] = "gauge value"
     _id: ClassVar[str] = "vertex"
+    _fields = ("quiver", "group", "values")
 
-    quiver: Quiver
-    group: GroupSpec
-    values: Mapping[str, np.ndarray]
-    membership_tol: float = field(default=TOL_MEMBERSHIP, repr=False)
+    def __init__(
+        self,
+        quiver: Quiver,
+        group: GroupSpec,
+        values: Mapping[str, np.ndarray] | np.ndarray,
+        membership_tol: float = TOL_MEMBERSHIP,
+    ) -> None:
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "group", group)
+        _setfield(self, "membership_tol", membership_tol)
+        self._validate(values, group.n, group, membership_tol)
 
     value = _Stacked._row
 
@@ -333,6 +351,8 @@ def normal_form_tree_gauge(f: Representation) -> tuple[GaugeElement, Representat
 
 def reverse_representation(f: Representation, subset: Iterable[str]) -> Representation:
     """Representation on the arrow-reversed quiver with inverted markings."""
+    from .rewrites import reverse_arrows
+
     names = set(subset)
     reversed_q = reverse_arrows(f.quiver, names)
     flip = np.array([a.name in names for a in f.quiver.arrows], dtype=bool)

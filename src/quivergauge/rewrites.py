@@ -9,28 +9,28 @@ carried along afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .quiver import Arrow, Quiver, RelationSet, Word, _forest, validate_relations
+from .quiver import Arrow, Quiver, RelationSet, Word, _forest, _Record, _setfield, validate_relations
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(_Record):
     """One collapse: the removed arrow, its endpoints, and the merged vertex.
 
     ``tail`` and ``head`` both map to ``merged`` (the smaller id) and every
     other vertex to itself.
     """
 
-    arrow: str
-    tail: str
-    head: str
-    merged: str
+    _fields = ("arrow", "tail", "head", "merged")
+
+    def __init__(self, arrow: str, tail: str, head: str, merged: str) -> None:
+        _setfield(self, "arrow", arrow)
+        _setfield(self, "tail", tail)
+        _setfield(self, "head", head)
+        _setfield(self, "merged", merged)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Record):
     """Record of a collapse sequence from ``source`` to ``final``; ``blocks`` validates it.
 
     Trace format 2 stores no vertex maps: they follow from the steps.  Each
@@ -39,10 +39,15 @@ class ReductionTrace:
     collapsed arrow's head, so the pushforward gauge never moves an anchor.
     """
 
-    source: Quiver
-    steps: tuple[CollapseStep, ...]
-    final: Quiver
-    final_relations: RelationSet
+    _fields = ("source", "steps", "final", "final_relations")
+
+    def __init__(
+        self, source: Quiver, steps: tuple[CollapseStep, ...], final: Quiver, final_relations: RelationSet
+    ) -> None:
+        _setfield(self, "source", source)
+        _setfield(self, "steps", steps)
+        _setfield(self, "final", final)
+        _setfield(self, "final_relations", final_relations)
 
     def blocks(self) -> tuple[list[int], list[int]]:
         """Source rows of each source vertex's final vertex and of its block's anchor, in one pass.

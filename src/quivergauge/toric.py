@@ -18,17 +18,15 @@ sparse rows only; its dense vectors are derived when first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .quiver import Quiver, _checked_weights
+from .quiver import Quiver, _checked_weights, _Record, _setfield
 
 Sparse = dict[int, int]
 
 
-@dataclass(frozen=True)
-class WeightedToricAction:
+class WeightedToricAction(_Record):
     """Integer weight maps per arrow and the induced character matrix.
 
     Row a of ``matrix`` has mu(a) in the head column and -nu(a) in the tail
@@ -37,14 +35,13 @@ class WeightedToricAction:
     derived from the weight maps on first access; the kernel never reads it.
     """
 
-    quiver: Quiver
-    mu: Mapping[str, int]
-    nu: Mapping[str, int]
+    _fields = ("quiver", "mu", "nu")
 
-    def __post_init__(self) -> None:
-        mu, nu = _checked_weights(self.quiver, self.mu, self.nu)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
+    def __init__(self, quiver: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> None:
+        mu, nu = _checked_weights(quiver, mu, nu)
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "mu", mu)
+        _setfield(self, "nu", nu)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -139,8 +136,7 @@ def _hermite(rows: list[Sparse], n_cols: int) -> list[Sparse]:
     return [rows[p] for _, p in pivots]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class MonomialBasis:
+class MonomialBasis(_Record):
     """Lattice basis of invariant Laurent monomial exponents.
 
     ``nonzeros`` maps, per basis vector, each index with a nonzero exponent
@@ -154,9 +150,14 @@ class MonomialBasis:
     ``vectors`` and ``cell_dimension``.
     """
 
-    arrow_order: tuple[str, ...]
-    cell_dimension: int
-    nonzeros: tuple[Mapping[int, int], ...]
+    _fields = ("arrow_order", "vectors", "cell_dimension")
+
+    def __init__(
+        self, arrow_order: tuple[str, ...], cell_dimension: int, nonzeros: tuple[Mapping[int, int], ...]
+    ) -> None:
+        _setfield(self, "arrow_order", arrow_order)
+        _setfield(self, "cell_dimension", cell_dimension)
+        _setfield(self, "nonzeros", nonzeros)
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -167,23 +168,6 @@ class MonomialBasis:
                 dense[i] = x
             out.append(tuple(dense))
         return tuple(out)
-
-    def _key(self) -> tuple:
-        return self.arrow_order, self.vectors, self.cell_dimension
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"MonomialBasis(arrow_order={self.arrow_order!r}, vectors={self.vectors!r}, "
-            f"cell_dimension={self.cell_dimension!r})"
-        )
 
 
 def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:

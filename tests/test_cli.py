@@ -364,6 +364,19 @@ def test_exit_code_usage(capsys):
     assert run(capsys, "info", "/no/such/file.quiver")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["info", fx("theta.quiver"), "--group", "GL", "--n", "0"], "group n must be >= 1, got 0"),
+        (["sample", fx("theta.quiver"), "--group", "TORUS", "--n", "2"], "group n must be 1, got 2"),
+    ],
+)
+def test_exit_code_usage_for_a_group_size_the_family_refuses(capsys, argv, refused):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and refused in err
+
+
 def test_exit_code_parse_diagnostics(capsys, tmp_path):
     bad = tmp_path / "bad.quiver"
     bad.write_text("quiver { vertices: v0 v0; }")

@@ -15,12 +15,11 @@ spaced text.
 """
 
 import random
-from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivergauge import Quiver, canonicalize, document_for, parse, print_document
+from quivergauge import Quiver, QuiverDocument, canonicalize, document_for, parse, print_document
 from quivergauge.dsl import Span
 from quivergauge.quiver import MAX_WEIGHT
 
@@ -116,7 +115,8 @@ def test_print_parse_round_trip_and_idempotent_canonical_form(source):
     text, doc = source
     printed = print_document(doc)
     # with no arrow, weights and no weights are the same document
-    assert parse(printed) == (doc if doc.quiver.arrows else replace(doc, mu=None, nu=None))
+    unweighted = QuiverDocument(doc.name, doc.quiver, doc.relations, None, None, doc.spans)
+    assert parse(printed) == (doc if doc.quiver.arrows else unweighted)
     if text is not None:
         assert canonicalize(text) == printed
     assert canonicalize(printed) == printed

@@ -1,5 +1,8 @@
 """Import layers: every name resolves lazily, and each command loads only the modules it calls.
 
+No module imports ``dataclasses``, and no structural command loads it or
+``inspect``.
+
 Every exported name, every public method and property of an exported class,
 and every public function of ``serialize`` also has a user besides the unit
 tests.
@@ -55,39 +58,63 @@ STRUCTURAL = {
     "toric": ["toric", str(FIXTURES / "double_arrow_weighted.quiver")],
 }
 
-# Runs the CLI in this process, then reports whether numpy got loaded, the
-# exit code and the quivergauge modules loaded.
-PROBE = """
+# Runs the CLI in this process, then reports which of the WATCHED modules
+# got loaded, the exit code and the quivergauge modules loaded.
+WATCHED = ("numpy", "dataclasses", "inspect")
+PROBE = f"""
 import sys
 from quivergauge.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".")[-1] for m in sys.modules if m.startswith("quivergauge."))
-print("numpy" in sys.modules, code, *loaded, file=sys.stderr)
+print(*(m in sys.modules for m in {WATCHED!r}), code, *loaded, file=sys.stderr)
 """
 # Structural modules a command does not call, so may not load.
 NOT_CALLED = {"info": ("rewrites", "toric"), "certificate": ("rewrites", "toric"), "toric": ("rewrites",)}
+# Numeric commands: none loads ``rewrites``.  Extra options; the ones with a
+# payload read a GL(2) sample on theta.
+NUMERIC = {"sample": ["--n", "2"], "kn-residual": [], "kn-flow": ["--max-iter", "3"], "retract": ["--t", "0.5"]}
 
 
-def probe(argv) -> tuple[str, str, list[str]]:
+def probe(argv) -> tuple[dict[str, bool], str, list[str]]:
     done = python("-c", PROBE, *argv)
     assert done.stdout
-    numpy, code, *loaded = done.stderr.splitlines()[-1].split()
-    return numpy, code, loaded
+    words = done.stderr.splitlines()[-1].split()
+    watched = {m: flag == "True" for m, flag in zip(WATCHED, words)}
+    return watched, words[len(WATCHED)], words[len(WATCHED) + 1 :]
 
 
 @pytest.mark.parametrize("argv", STRUCTURAL.values(), ids=STRUCTURAL.keys())
 def test_structural_command_does_not_load_numpy(argv):
-    numpy, code, loaded = probe(argv)
-    assert (numpy, code) == ("False", "0")
+    watched, code, loaded = probe(argv)
+    assert code == "0"
+    assert watched == {"numpy": False, "dataclasses": False, "inspect": False}
     assert not {"matrices", "representation", "kempfness", "additive"} & set(loaded), loaded
 
 
 @pytest.mark.parametrize("command", NOT_CALLED)
 def test_command_loads_only_the_structural_modules_it_calls(command):
-    numpy, code, loaded = probe(STRUCTURAL[command])
+    _, code, loaded = probe(STRUCTURAL[command])
     assert code == "0"
     assert {"cli", "dsl", "quiver", "serialize"} <= set(loaded)
     assert not set(NOT_CALLED[command]) & set(loaded), loaded
+
+
+@pytest.fixture(scope="module")
+def theta_rep(tmp_path_factory) -> str:
+    done = python("-m", "quivergauge.cli", "sample", THETA, "--n", "2", "--seed", "4")
+    assert done.returncode == 0, done.stderr
+    path = tmp_path_factory.mktemp("rep") / "theta.rep.json"
+    path.write_text(done.stdout)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", NUMERIC)
+def test_numeric_command_does_not_load_rewrites(command, theta_rep):
+    payload = [] if command == "sample" else ["--rep", theta_rep]
+    watched, code, loaded = probe([command, THETA, *payload, *NUMERIC[command]])
+    assert (watched["numpy"], watched["dataclasses"], code) == (True, False, "0")
+    assert {"representation", "matrices"} <= set(loaded)
+    assert "rewrites" not in loaded, loaded
 
 
 def test_importing_the_cli_does_not_load_numpy():
@@ -212,6 +239,18 @@ def test_every_exported_name_has_a_user_besides_the_unit_tests():
 def test_every_public_member_and_serialize_function_has_a_user_besides_the_unit_tests():
     unused = _unused() - set(quivergauge.__all__)
     assert not unused, f"public but used only by unit tests: {sorted(unused)}"
+
+
+def test_no_module_imports_dataclasses():
+    for path in ROOT.glob("src/quivergauge/*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules if m.partition(".")[0] == "dataclasses"], f"{path.name}:{node.lineno}"
 
 
 def test_certificate_lives_in_the_structural_layer_only():
