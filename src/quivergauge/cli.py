@@ -195,11 +195,10 @@ def _cmd_info(args, doc):
 
 
 def _cmd_reduce(args, doc):
-    from .quiver import betti_number
     from .rewrites import reduce_to_rose
 
     rose, rels, trace = reduce_to_rose(doc.quiver, doc.relations)
-    r = betti_number(doc.quiver)
+    r = rose.n_arrows  # the quiver is connected, so its rose has b1 loops
     payload = {
         "rose": serialize.quiver_to_json(rose),
         "relations": serialize.relations_to_json(rels),
@@ -210,6 +209,8 @@ def _cmd_reduce(args, doc):
     if r == 0:
         payload["message"] = "moduli is a point"
         notes.append("# moduli is a point")
+    if args.json:  # the payload is printed: rendering the rose's text would be wasted
+        return payload, None
     return payload, "\n".join(notes) + "\n" + dsl.print_document(dsl.document_for(rose, rels))
 
 

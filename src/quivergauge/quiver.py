@@ -58,12 +58,19 @@ class _Record:
     deletion raise AttributeError).  ``repr`` shows ``Name(field=value,
     ...)`` over ``_fields``; ``==`` (between instances of the same class)
     and ``hash`` compare ``_compared``, which is ``_fields`` unless a class
-    narrows it.  A record with identity equality sets ``__eq__ =
-    object.__eq__`` and ``__hash__ = object.__hash__``.
+    narrows it, read by one ``operator.attrgetter`` per class (``_key``,
+    built when the class is defined).  A record with identity equality
+    sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        compared = cls._compared or cls._fields
+        if compared:
+            cls._key = operator.attrgetter(*compared)  # a plain callable: not bound as a method
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -71,18 +78,16 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in (self._fields if self._compared is None else self._compared)])
-
     def __eq__(self, other):
         if other is self:  # what comparing the two keys would give, as their items are identical
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])

@@ -79,29 +79,29 @@ class _Stacked(_Record):
     def _validate(self, data, n: int, group: GroupSpec | None, tol: float) -> None:
         """Store the stack of ``data``: finite, and in ``group`` when tol > 0; errors name the first bad id."""
         rows = self.quiver._arrow_row if self._id == "arrow" else self.quiver._vertex_row
-        keys, kind = list(rows), self._kind
+        kind = self._kind
         if isinstance(data, Mapping):
-            missing = next((k for k in keys if k not in data), None)
+            missing = next((k for k in rows if k not in data), None)
             if missing is not None:
                 raise ValueError(f"missing {kind} for {missing!r}")
             extra = next((k for k in data if k not in rows), None)
             if extra is not None:
                 raise ValueError(f"unexpected {kind} for {extra!r}")
-            data = [np.asarray(data[k], dtype=complex) for k in keys]
+            data = [np.asarray(data[k], dtype=complex) for k in rows]
             for m in data:
                 if m.shape != (n, n):
                     as_matrix(m, n)
-            data = np.reshape(data, (len(keys), n, n))
+            data = np.reshape(data, (len(rows), n, n))
         stack = np.array(data, dtype=complex)
-        if stack.shape != (len(keys), n, n):
-            raise ValueError(f"expected a ({len(keys)}, {n}, {n}) stack, got shape {stack.shape}")
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"{kind} at {keys[np.argmin(finite)]!r}: matrix has non-finite entries")
+        if stack.shape != (len(rows), n, n):
+            raise ValueError(f"expected a ({len(rows)}, {n}, {n}) stack, got shape {stack.shape}")
+        if not np.isfinite(stack).all():  # one reduction; the offending id is looked up only on failure
+            k = list(rows)[np.argmin(np.isfinite(stack).all(axis=(1, 2)))]
+            raise ValueError(f"{kind} at {k!r}: matrix has non-finite entries")
         if group is not None and tol > 0:
             member = in_group_rows(stack, group, tol)
             if not member.all():
-                k = keys[np.argmin(member)]
+                k = list(rows)[np.argmin(member)]
                 raise ValueError(f"{kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
         stack.flags.writeable = False
         _setfield(self, "stack", stack)
@@ -259,25 +259,25 @@ def _tree_gauge(f: Representation, roots: list[int], links: list[tuple[int, int,
 
     ``links`` are the (child, parent, arrow, forward) rows of ``quiver._bfs``
     from ``roots``, in discovery order, so the parents' places
-    in that order never decrease and each depth level is a contiguous run.
-    A child's value is its parent's times the link's marking, inverted when
-    the arrow points to the child.  All forward markings are inverted in one
-    call, and each level is one batched product, written in BFS order and
-    scattered to vertex rows at the end.  Vertices that are neither roots
-    nor children are left unset.
+    in that order never decrease and each depth level is a contiguous run;
+    every vertex is a root or a child.  A child's value is its parent's
+    times the link's marking, inverted when the arrow points to the child.
+    The forward markings, if any, are inverted in one call, and each level
+    is one batched product, written in BFS order; one gather through each
+    vertex's place in that order returns the stack in vertex rows.
     """
     n, first = f.group.n, len(roots)
-    order = list(roots)
-    buf = np.empty((first + len(links), n, n), dtype=complex)
+    kids, parents, arrows, forward = zip(*links) if links else ((),) * 4
+    order = [*roots, *kids]
+    place = np.empty(f.quiver.n_vertices, dtype=np.intp)
+    place[order] = np.arange(len(order))
+    buf = np.empty((len(order), n, n), dtype=complex)
     buf[:first] = identity(n)
     if links:
-        kids, parents, arrows, forward = zip(*links)
-        order += kids
         factors = f.stack[list(arrows)]
-        forward = np.array(forward, dtype=bool)
-        factors[forward] = np.linalg.inv(factors[forward])
-        place = np.empty(f.quiver.n_vertices, dtype=np.intp)
-        place[order] = np.arange(len(order))
+        forward = [k for k, fw in enumerate(forward) if fw]
+        if forward:
+            factors[forward] = np.linalg.inv(factors[forward])
         above = place[list(parents)]  # buffer row of each link's parent
         marks = above.tolist()
         s, e = 0, bisect_left(marks, first)
@@ -287,9 +287,7 @@ def _tree_gauge(f: Representation, roots: list[int], links: list[tuple[int, int,
             else:
                 np.matmul(buf[above[s:e]], factors[s:e], out=buf[first + s : first + e])
             s, e = e, bisect_left(marks, first + e)
-    gauge = np.empty((f.quiver.n_vertices, n, n), dtype=complex)
-    gauge[order] = buf
-    return gauge
+    return buf[place]
 
 
 def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representation:
@@ -298,24 +296,23 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
     The surviving markings are gauged by the unique gauge that marks every
     collapsed arrow I and is I at every block anchor (``ReductionTrace``),
     the composite of gauging each step's collapsed marking away at its tail
-    block, so closed-word evaluations change only by conjugation.  The
-    collapsed arrows form a tree on each block, so one ``_bfs`` over them from
-    the anchors orders the tree links and ``_tree_gauge`` fills the gauge one
-    depth level at a time.  Raises ValueError when the steps do not apply in
-    turn or do not end at ``trace.final``.  ``membership_tol`` is 0: long
-    tree products are too ill-conditioned for the relative GL test.
+    block, so closed-word evaluations change only by conjugation.  One
+    replay of the steps (``ReductionTrace.blocks``) gives the anchors and
+    the collapsed and kept arrow rows.  The collapsed arrows form a tree on
+    each block, so one ``_bfs`` over them from the anchors orders the tree
+    links and ``_tree_gauge`` fills the gauge one depth level at a time.
+    Raises ValueError when the steps do not apply in turn or do not end at
+    ``trace.final``.  ``membership_tol`` is 0: long tree products are too
+    ill-conditioned for the relative GL test.
     """
     q = trace.source
     if f.quiver != q:
         raise ValueError("representation does not live on the trace's source quiver")
-    _, anchor = trace.blocks()
-    collapsed = [q._arrow_row[step.arrow] for step in trace.steps]
+    _, anchor, collapsed, kept = trace.blocks()
     roots = [v for v, a in enumerate(anchor) if v == a]
     links = _bfs(q, _incidence(q, collapsed, directed=False), roots, [False] * q.n_vertices)
     gauge = _tree_gauge(f, roots, links)
-    kept = np.ones(q.n_arrows, dtype=bool)
-    kept[collapsed] = False
-    kept = np.flatnonzero(kept)
+    kept = np.array(kept, dtype=np.intp)  # one index array for the three gathers
     moved = act_on_stack(gauge, f.stack[kept], q.tails[kept], q.heads[kept])
     return Representation(trace.final, f.group, moved, membership_tol=0.0)
 
@@ -329,8 +326,8 @@ def induced_gauge(g: GaugeElement, trace: ReductionTrace) -> GaugeElement:
     """
     if g.quiver != trace.source:
         raise ValueError("gauge does not live on the trace's source quiver")
-    image, anchor = trace.blocks()
-    values = g.stack[[anchor[r] for r in sorted(set(image))]]  # final vertices, in source row order
+    image, anchor, _, _ = trace.blocks()
+    values = g.stack[[anchor[v] for v, w in enumerate(image) if v == w]]  # final vertices, in source row order
     return GaugeElement(trace.final, g.group, values, membership_tol=g.membership_tol)
 
 

@@ -37,6 +37,8 @@ class ReductionTrace(_Record):
     step merges two blocks of source vertices.  A single vertex is its own
     block's **anchor**; a merged block keeps the anchor of the block at the
     collapsed arrow's head, so the pushforward gauge never moves an anchor.
+    ``blocks`` replays the steps once, on vertex and arrow rows, with a
+    union-find whose roots are the anchors.
     """
 
     _fields = ("source", "steps", "final", "final_relations")
@@ -49,41 +51,51 @@ class ReductionTrace(_Record):
         _setfield(self, "final", final)
         _setfield(self, "final_relations", final_relations)
 
-    def blocks(self) -> tuple[list[int], list[int]]:
-        """Source rows of each source vertex's final vertex and of its block's anchor, in one pass.
+    def blocks(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Replay the steps once: per source vertex row, the row of its final vertex and of its anchor,
+        then the collapsed arrow rows in step order and the kept ones in source order.
 
-        Raises ValueError when a step does not match the blocks it joins, or
-        the steps do not end at ``final``.
+        Raises ValueError when a step names an unknown arrow, does not match
+        the blocks it joins (a loop joins a block to itself), or the steps do
+        not end at ``final``.
         """
-        q, names = self.source, self.source.vertices
-        rows = q._vertex_row
+        q, final = self.source, self.final
+        names, arrow_rows = q.vertices, q._arrow_row
+        tails, heads = q.tail_rows, q.head_rows
         parent = list(range(q.n_vertices))  # the root of a block is its anchor
-        current = list(range(q.n_vertices))  # row of a block's current vertex, read at its root
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]  # path halving
-                i = parent[i]
-            return i
-
+        current = parent[:]  # row of a block's current vertex, read at its root
+        collapsed = []
         for step in self.steps:
-            a = q.arrow(step.arrow)
-            t, h = find(rows[a.tail]), find(rows[a.head])
-            ends = (names[current[t]], names[current[h]])
-            if ends != (step.tail, step.head) or t == h or step.merged != min(ends):
+            i = arrow_rows.get(step.arrow)
+            if i is None:
+                raise ValueError(f"unknown arrow id {step.arrow!r}")
+            t, h = tails[i], heads[i]
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]  # path halving
+            while parent[h] != h:
+                parent[h] = h = parent[parent[h]]
+            tail, head = names[current[t]], names[current[h]]
+            if t == h or tail != step.tail or head != step.head or step.merged != min(tail, head):
                 raise ValueError("step does not match the quiver it is applied to")
-            parent[t], current[h] = h, rows[step.merged]
-        anchor = [find(i) for i in range(q.n_vertices)]
+            parent[t] = h
+            if tail < head:
+                current[h] = current[t]
+            collapsed.append(i)
+        anchor = []
+        for r in range(q.n_vertices):
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            anchor.append(r)
         image = [current[r] for r in anchor]
         to = [names[j] for j in image]
-        collapsed = {step.arrow for step in self.steps}
-        tails, heads, final = q.tail_rows, q.head_rows, self.final
-        arrows = [(a.name, to[t], to[h]) for a, t, h in zip(q.arrows, tails, heads) if a.name not in collapsed]
-        if tuple(v for v, w in zip(names, to) if v == w) != final.vertices or arrows != [
+        gone = set(collapsed)
+        kept = [i for i in range(q.n_arrows) if i not in gone]
+        arrows = [(q.arrows[i].name, to[tails[i]], to[heads[i]]) for i in kept]
+        if tuple([v for v, w in zip(names, to) if v == w]) != final.vertices or arrows != [
             (a.name, a.tail, a.head) for a in final.arrows
         ]:
             raise ValueError("trace steps do not end at the trace's final quiver")
-        return image, anchor
+        return image, anchor, collapsed, kept
 
 
 def _merge_vertices(q: Quiver, v1: str, v2: str) -> tuple[Quiver, dict[str, str]]:
@@ -154,17 +166,18 @@ def reduce_to_rose(q: Quiver, rels: RelationSet | None = None) -> tuple[Quiver, 
     bad = validate_relations(q, rels)
     if bad:
         raise ValueError(f"invalid relation set: {bad[0].message}")
-    vertices, names, root = q.vertices, [a.name for a in q.arrows], q.vertices[roots[0]]
-    steps = tuple(
-        CollapseStep(names[i], root, vertices[c], root) if fw else CollapseStep(names[i], vertices[c], root, root)
-        for c, _, i, fw in links
-    )
-    tree = {names[i] for _, _, i, _ in links}
-    rose = Quiver((root,), tuple(Arrow(a.name, root, root) for a in q.arrows if a.name not in tree))
+    vertices, arrows, root = q.vertices, q.arrows, q.vertices[roots[0]]
+    in_tree, steps, tree = [False] * q.n_arrows, [], set()
+    for c, _, i, fw in links:
+        in_tree[i] = True
+        name = arrows[i].name
+        tree.add(name)
+        steps.append(CollapseStep(name, root, vertices[c], root) if fw else CollapseStep(name, vertices[c], root, root))
+    rose = Quiver((root,), [Arrow(a.name, root, root) for a, t in zip(arrows, in_tree) if not t])
     rose_rels = _translate_relations(rels, tree)
     if validate_relations(rose, rose_rels):
         raise ValueError("translated relations fail to validate after collapse")
-    return rose, rose_rels, ReductionTrace(q, steps, rose, rose_rels)
+    return rose, rose_rels, ReductionTrace(q, tuple(steps), rose, rose_rels)
 
 
 def reverse_arrows(q: Quiver, subset: Iterable[str]) -> Quiver:

@@ -344,6 +344,26 @@ def test_trace_validation_names_the_mismatch():
     with pytest.raises(ValueError, match="^step does not match the quiver it is applied to$"):
         induced_gauge(g, bad)
 
+
+def test_trace_replay_refuses_an_unknown_arrow_and_a_loop():
+    # a step naming an arrow the source quiver lacks, and a step collapsing a
+    # loop (it would join a block to itself), each on an otherwise valid trace
+    q = Quiver(("v0", "v1"), (("a", "v0", "v1"), ("l", "v1", "v1")))
+    rose, rels, trace = reduce_to_rose(q)
+    f = random_representation(q, GL2, 4)
+    g = random_gauge(q, GL2, 5)
+    cases = (
+        (CollapseStep("x", "v0", "v1", "v0"), "^unknown arrow id 'x'$"),
+        (CollapseStep("l", "v1", "v1", "v1"), "^step does not match the quiver it is applied to$"),
+    )
+    for step, message in cases:
+        bad = ReductionTrace(q, (step, *trace.steps), rose, rels)
+        with pytest.raises(ValueError, match=message):
+            pushforward_collapse(f, bad)
+        with pytest.raises(ValueError, match=message):
+            induced_gauge(g, bad)
+
+
 def test_normal_form_one_arrow():
     f = random_representation(one_arrow(), GL3, 4)
     gauge, normal = normal_form_tree_gauge(f)
