@@ -70,22 +70,6 @@ class DegenerationWitness(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        vertex: str,
-        direction: str,
-        parameters: tuple[float, ...],
-        samples: tuple[AdditiveRep, ...],
-        limit: AdditiveRep,
-        degenerated_arrows: tuple[str, ...],
-    ) -> None:
-        _setfield(self, "vertex", vertex)
-        _setfield(self, "direction", direction)
-        _setfield(self, "parameters", parameters)
-        _setfield(self, "samples", samples)
-        _setfield(self, "limit", limit)
-        _setfield(self, "degenerated_arrows", degenerated_arrows)
-
 
 def _scale_rows(x: AdditiveRep, rows: np.ndarray, t: float, direction: str) -> AdditiveRep:
     markings = x.stack.copy()

@@ -27,9 +27,9 @@ the modules it calls: info, reduce, collapse, pinch, clip, reverse,
 certificate and toric never load numpy, and info and certificate load
 neither ``rewrites`` nor ``toric``.  The numeric commands sample,
 kn-residual, kn-flow and retract do not load ``rewrites``.  The structural
-commands do not load ``inspect`` either: every record is a plain class with
-a hand-written constructor (see ``quiver``), so no code is generated at
-import.
+commands do not load ``inspect`` either: every record is a plain class on
+``quiver._Record``, whose one constructor binds arguments to the fields
+the class names, so no code is generated at import.
 
 Library warnings are written to stderr as ``warning: <message>`` lines.
 
@@ -99,7 +99,7 @@ def _group(args) -> GroupSpec:
 
 
 def _load(path: str, decode, quiver):
-    """Decode a JSON payload file; malformed JSON or payload types are an _InputError."""
+    """Decode a JSON payload file; errors name it: _InputError for bad JSON or types, ValueError for bad values."""
     try:
         data = json.loads(_read_file(path))
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -108,9 +108,11 @@ def _load(path: str, decode, quiver):
         if not isinstance(data, dict):
             raise TypeError("payload must be a JSON object")
         value = decode(data, quiver)
+        _check_size(value.stack.shape[-1])
     except (KeyError, TypeError) as exc:
         raise _InputError(f"{path}: bad payload: {exc}") from exc
-    _check_size(value.stack.shape[-1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return value
 
 

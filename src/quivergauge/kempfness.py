@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .matrices import _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
-from .quiver import TOL_MEMBERSHIP, GroupSpec, _Record, _setfield
+from .quiver import TOL_MEMBERSHIP, GroupSpec, _Record
 from .representation import Representation, RowView, _lie_action, act_on_stack
 
 _MAX_BACKTRACKS = 60
@@ -84,13 +84,6 @@ class KNResidual(_Record):
 
     _fields = ("per_vertex", "projected", "aggregate")
 
-    def __init__(
-        self, per_vertex: Mapping[str, np.ndarray], projected: Mapping[str, np.ndarray], aggregate: float
-    ) -> None:
-        _setfield(self, "per_vertex", per_vertex)
-        _setfield(self, "projected", projected)
-        _setfield(self, "aggregate", aggregate)
-
 
 def _moments(q, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-vertex moment stack of markings ``m`` on ``q``, and its trace-free projection."""
@@ -141,20 +134,6 @@ class FlowReport(_Record):
 
     _fields = ("iterations", "residual_history", "norm_history", "final", "converged")
 
-    def __init__(
-        self,
-        iterations: int,
-        residual_history: tuple[float, ...],
-        norm_history: tuple[float, ...],
-        final: Representation,
-        converged: bool,
-    ) -> None:
-        _setfield(self, "iterations", iterations)
-        _setfield(self, "residual_history", residual_history)
-        _setfield(self, "norm_history", norm_history)
-        _setfield(self, "final", final)
-        _setfield(self, "converged", converged)
-
 
 def kn_flow(
     f: Representation,
@@ -174,6 +153,7 @@ def kn_flow(
     |det|, so a trial that makes a marking numerically singular is an
     overflowed step, never progress.  The flow stops at residual <=
     tol, after max_iter accepted steps, or when no step size descends.
+    A tol that is negative or NaN raises ValueError.
 
     For representations whose gauge orbit is not closed the flow descends
     toward the minimal-norm representative in the orbit closure; trace
@@ -183,8 +163,8 @@ def kn_flow(
         raise ValueError("flow applies to GL/SL/TORUS representations")
     if not (0 < step0 < math.inf):
         raise ValueError(f"step0 must be positive and finite, got {step0}")
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
 

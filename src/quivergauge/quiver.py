@@ -23,10 +23,12 @@ Nothing here imports numpy at module level; only the ``tails`` and
 ``heads`` index arrays load it, on first use.
 
 Every record of the package (``Arrow``, ``Quiver``, ``QuiverDocument``,
-``Representation``, ...) is a plain class on one private base,
-``_Record``, with a hand-written ``__init__``.  No method is generated at
-import: a decorator that generates them would load ``inspect`` and ``exec``
-source for every class in every process, a large share of a short CLI call.
+``Representation``, ...) is a plain class on one private base, ``_Record``,
+whose one ``__init__`` binds arguments to the fields a record declares in
+``_fields`` (and ``_defaults``); a record writes its own only to validate or
+normalize.  No method is generated at import: a decorator that generates
+them would load ``inspect`` and ``exec`` source for every class in every
+process, a large share of a short CLI call.
 """
 
 from __future__ import annotations
@@ -51,19 +53,24 @@ _setfield = object.__setattr__
 
 
 class _Record:
-    """Immutable record: ``repr``, ``==`` and ``hash`` from the field names in ``_fields``.
+    """Immutable record: constructor, ``repr``, ``==`` and ``hash`` from the field names in ``_fields``.
 
-    A subclass names its fields in ``_fields`` and writes its own
-    ``__init__``, which stores each with ``_setfield`` (assignment and
-    deletion raise AttributeError).  ``repr`` shows ``Name(field=value,
-    ...)`` over ``_fields``; ``==`` (between instances of the same class)
-    and ``hash`` compare ``_compared``, which is ``_fields`` unless a class
-    narrows it, read by one ``operator.attrgetter`` per class (``_key``,
-    built when the class is defined).  A record with identity equality
-    sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    A subclass names its fields in ``_fields`` and the defaults of trailing
+    optional ones in ``_defaults``.  ``__init__`` binds arguments to them as
+    a signature ``(field, ..., optional=default)`` would and stores each with
+    ``_setfield`` (assignment and deletion raise AttributeError).  A
+    subclass overrides it only to validate or normalize, then passes its
+    fields on to it or stores them with ``_setfield`` itself.  ``repr``
+    shows ``Name(field=value, ...)`` over ``_fields``; ``==`` (between
+    instances of the same class) and ``hash`` compare ``_compared``, which is
+    ``_fields`` unless a class narrows it, read by one ``operator.attrgetter``
+    per class (``_key``, built when the class is defined).  A record with
+    identity equality sets ``__eq__ = object.__eq__`` and ``__hash__ =
+    object.__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
     _compared: tuple[str, ...] | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -71,6 +78,31 @@ class _Record:
         compared = cls._compared or cls._fields
         if compared:
             cls._key = operator.attrgetter(*compared)  # a plain callable: not bound as a method
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for i, name in enumerate(fields):  # indexing beats unpacking ``zip`` pairs here
+            _setfield(self, name, args[i])
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field, in order, for a call with keywords or omitted fields; else TypeError."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments {fields} but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        bound = {**cls._defaults, **given, **kwargs}
+        for key in fields:
+            if key not in bound:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+        return [bound[key] for key in fields]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -121,11 +153,6 @@ class Arrow(_Record):
     """A named arrow from ``tail`` to ``head``; loops (tail == head) allowed."""
 
     _fields = ("name", "tail", "head")
-
-    def __init__(self, name: str, tail: str, head: str) -> None:
-        _setfield(self, "name", name)
-        _setfield(self, "tail", tail)
-        _setfield(self, "head", head)
 
     @property
     def is_loop(self) -> bool:
@@ -275,11 +302,6 @@ def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
 class RelationViolation(_Record):
     _fields = ("word_index", "letter_index", "message")
 
-    def __init__(self, word_index: int, letter_index: int | None, message: str) -> None:
-        _setfield(self, "word_index", word_index)
-        _setfield(self, "letter_index", letter_index)
-        _setfield(self, "message", message)
-
 
 class RelationSet(_Record):
     """Finite set of relations, each a positively oriented cycle."""
@@ -330,7 +352,8 @@ TOL_EQ = 1e-8
 class GroupSpec(_Record):
     """Matrix group family and size.
 
-    Families: GL, SL, U, SU, and TORUS (= GL(1), so n must be 1).  Dimension
+    Families: GL, SL, U, SU, and TORUS (= GL(1), so n must be 1); ``n`` is
+    anything ``operator.index`` takes, stored as int.  Dimension
     metadata is the complex dimension and is defined only for the
     non-compact families.
     """
@@ -341,12 +364,15 @@ class GroupSpec(_Record):
         if family not in GROUP_FAMILIES:
             families = ", ".join(GROUP_FAMILIES)
             raise ValueError(f"group family must be a string among {families}, got {family!r}")
+        try:
+            n = operator.index(n)  # as the weight rule: ints and numpy integers, stored as int
+        except TypeError:
+            raise ValueError(f"group n must be an integer, got {n!r}") from None
         if n < 1:
             raise ValueError(f"group n must be >= 1, got {n}")
         if family == "TORUS" and n != 1:
             raise ValueError(f"TORUS means GL(1), so group n must be 1, got {n}")
-        _setfield(self, "family", family)
-        _setfield(self, "n", n)
+        super().__init__(family, n)
 
     @property
     def is_compact(self) -> bool:
@@ -563,13 +589,6 @@ class SpanningForest(_Record):
 
     _fields = ("roots", "parent", "tree_arrows")
 
-    def __init__(
-        self, roots: tuple[str, ...], parent: dict[str, tuple[str, str, bool]], tree_arrows: tuple[str, ...]
-    ) -> None:
-        _setfield(self, "roots", roots)
-        _setfield(self, "parent", parent)
-        _setfield(self, "tree_arrows", tree_arrows)
-
 
 def spanning_forest(q: Quiver) -> SpanningForest:
     """BFS forest with roots at the smallest vertex id of each component.
@@ -682,11 +701,7 @@ class MonotoneReport(_Record):
     """
 
     _fields = ("ok", "violating_arrow", "witness_cycle")
-
-    def __init__(self, ok: bool, violating_arrow: str | None = None, witness_cycle: Word | None = None) -> None:
-        _setfield(self, "ok", ok)
-        _setfield(self, "violating_arrow", violating_arrow)
-        _setfield(self, "witness_cycle", witness_cycle)
+    _defaults = {"violating_arrow": None, "witness_cycle": None}
 
 
 def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> MonotoneReport:
@@ -728,18 +743,7 @@ class OrbitCertificate(_Record):
     """
 
     _fields = ("verdict", "ends", "sample_alpha", "sample_violation")
-
-    def __init__(
-        self,
-        verdict: str,
-        ends: tuple[str, ...] = (),
-        sample_alpha: tuple[tuple[str, int], ...] | None = None,
-        sample_violation: MonotoneReport | None = None,
-    ) -> None:
-        _setfield(self, "verdict", verdict)
-        _setfield(self, "ends", ends)
-        _setfield(self, "sample_alpha", sample_alpha)
-        _setfield(self, "sample_violation", sample_violation)
+    _defaults = {"ends": (), "sample_alpha": None, "sample_violation": None}
 
 
 def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:

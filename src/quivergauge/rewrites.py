@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .quiver import Arrow, Quiver, RelationSet, Word, _forest, _Record, _setfield, validate_relations
+from .quiver import Arrow, Quiver, RelationSet, Word, _forest, _Record, validate_relations
 
 
 class CollapseStep(_Record):
@@ -22,12 +22,6 @@ class CollapseStep(_Record):
     """
 
     _fields = ("arrow", "tail", "head", "merged")
-
-    def __init__(self, arrow: str, tail: str, head: str, merged: str) -> None:
-        _setfield(self, "arrow", arrow)
-        _setfield(self, "tail", tail)
-        _setfield(self, "head", head)
-        _setfield(self, "merged", merged)
 
 
 class ReductionTrace(_Record):
@@ -42,14 +36,6 @@ class ReductionTrace(_Record):
     """
 
     _fields = ("source", "steps", "final", "final_relations")
-
-    def __init__(
-        self, source: Quiver, steps: tuple[CollapseStep, ...], final: Quiver, final_relations: RelationSet
-    ) -> None:
-        _setfield(self, "source", source)
-        _setfield(self, "steps", steps)
-        _setfield(self, "final", final)
-        _setfield(self, "final_relations", final_relations)
 
     def blocks(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Replay the steps once: per source vertex row, the row of its final vertex and of its anchor,

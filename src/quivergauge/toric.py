@@ -39,9 +39,7 @@ class WeightedToricAction(_Record):
 
     def __init__(self, quiver: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> None:
         mu, nu = _checked_weights(quiver, mu, nu)
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "mu", mu)
-        _setfield(self, "nu", nu)
+        super().__init__(quiver, mu, nu)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:

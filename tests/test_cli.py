@@ -520,7 +520,15 @@ def test_well_formed_invalid_payloads_keep_exit_3(capsys, tmp_path):
         rep = tmp_path / "rep.json"
         rep.write_text(json.dumps({"group": group, "markings": {"l0": matrix}}))
         code, _, err = run(capsys, "kn-residual", fx("one_loop.quiver"), "--rep", str(rep))
-        assert code == 3 and message in err, err
+        assert code == 3 and message in err and str(rep) in err, err
+    # of rescale's three payloads, the message names the one that is wrong
+    gauge, x, x_prime = tmp_path / "gauge.json", tmp_path / "x.json", tmp_path / "x_prime.json"
+    gauge.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "values": {"v0": IDENTITY_2}}))
+    x.write_text(json.dumps({"n": 2, "markings": {"l0": IDENTITY_2}}))
+    x_prime.write_text(json.dumps({"n": 2, "markings": {}}))
+    argv = ("rescale", fx("one_loop.quiver"), "--gauge", str(gauge), "--x", str(x), "--x-prime", str(x_prime))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and f"error: {x_prime}: missing marking for 'l0'" in err, err
 
 
 def test_non_utf8_payload_exits_2(capsys, tmp_path):
@@ -554,6 +562,7 @@ def test_nan_and_negative_tolerances_exit_3(capsys, tmp_path):
         (["kn-flow", q, "--rep", rep, "--step", "nan"], "step0"),
         (["kn-flow", q, "--rep", rep, "--step", "inf"], "step0"),
         (["kn-flow", q, "--rep", rep, "--tol", "nan"], "tol"),
+        (["kn-flow", q, "--rep", rep, "--tol", "-1", "--max-iter", "5"], "tol must be non-negative"),
         (["rescale", q, "--gauge", gauge, "--x", rep, "--x-prime", rep, "--tol", "nan"], "tol"),
         (["rescale", q, "--gauge", gauge, "--x", rep, "--x-prime", rep, "--tol", "-1"], "tol"),
         (["check-relations", q, "--rep", rep, "--tol", "nan"], "tol"),

@@ -358,7 +358,9 @@ def test_kn_flow_one_arrow_balances_singular_values():
     assert np.linalg.norm(gram - scalar * np.eye(2)) <= 1e-5
 
 
-@pytest.mark.parametrize("kwargs", [{"step0": float("nan")}, {"step0": float("inf")}, {"tol": float("nan")}])
+@pytest.mark.parametrize(
+    "kwargs", [{"step0": float("nan")}, {"step0": float("inf")}, {"tol": float("nan")}, {"tol": -1.0}]
+)
 def test_kn_flow_rejects_non_finite_step_and_nan_tol(kwargs):
     with pytest.raises(ValueError, match="step0|tol"):
         kn_flow(jordan_loop_rep(), **kwargs)

@@ -253,6 +253,35 @@ def test_no_module_imports_dataclasses():
             assert not [m for m in modules if m.partition(".")[0] == "dataclasses"], f"{path.name}:{node.lineno}"
 
 
+def _stores_only(init: ast.FunctionDef, fields: tuple[str, ...]) -> bool:
+    """Whether ``init`` takes exactly ``fields`` in order and only stores them, one by one or through the base."""
+    params = [a.arg for a in init.args.posonlyargs + init.args.args + init.args.kwonlyargs][1:]
+    statements = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    body = sorted(ast.unparse(s) for s in statements)
+    stores = sorted(f"_setfield(self, {f!r}, {f})" for f in fields)
+    return params == list(fields) and body in (stores, [f"super().__init__({', '.join(fields)})"])
+
+
+def test_no_record_writes_a_constructor_that_only_stores_its_fields():
+    # the check itself: a constructor the shared one makes redundant is caught
+    for body in ("_setfield(self, 'b', b)\n    _setfield(self, 'a', a)", "super().__init__(a, b)"):
+        redundant = ast.parse(f"def __init__(self, a, b):\n    {body}").body[0]
+        assert _stores_only(redundant, ("a", "b")) and not _stores_only(redundant, ("b", "a"))
+    from quivergauge.quiver import _Record
+
+    checked = 0
+    for path in ROOT.glob("src/quivergauge/*.py"):
+        module = import_module(f"quivergauge.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, _Record)):
+                continue
+            for init in [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]:
+                checked += 1
+                assert not _stores_only(init, cls._fields), f"{path.name}:{init.lineno} {node.name}: use _Record's"
+    assert checked >= 10  # the records that validate or normalize their inputs
+
+
 def test_certificate_lives_in_the_structural_layer_only():
     from quivergauge import additive
 

@@ -174,6 +174,19 @@ def test_group_spec_metadata():
         GroupSpec("TORUS", 2)
 
 
+def test_group_spec_takes_n_through_operator_index():
+    # a float or string size is refused up front, not deep in numpy
+    for n in (2.0, "2", None):
+        with pytest.raises(ValueError, match=rf"^group n must be an integer, got {n!r}$"):
+            GroupSpec("GL", n)
+    # numpy integers keep working and are stored as int, equal to the plain spec
+    spec = GroupSpec("GL", np.int64(2))
+    assert type(spec.n) is int and spec == GroupSpec("GL", 2) and hash(spec) == hash(GroupSpec("GL", 2))
+    assert repr(spec) == "GroupSpec(family='GL', n=2)"
+    with pytest.raises(ValueError, match=r"^group n must be >= 1, got 0$"):
+        GroupSpec("SL", np.int32(0))
+
+
 def test_validate_relations():
     q, rels = triangle()
     assert validate_relations(q, rels) == ()

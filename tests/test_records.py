@@ -1,10 +1,11 @@
 """Record semantics of every record class, pinned to what the package printed and compared before.
 
-Each class is a plain class on ``quiver._Record`` with a hand-written
-constructor.  For one small instance of each, the ``repr`` string is pinned;
-``==`` and ``hash`` read the compared fields only; the identity-equal
-classes stay identity-equal; and assignment and deletion raise
-AttributeError.
+Each class is a plain class on ``quiver._Record``, built by the base's one
+constructor or, where it validates, by its own.  For one small instance of
+each, the ``repr`` string is pinned; ``==`` and ``hash`` read the compared
+fields only; the identity-equal classes stay identity-equal; and assignment
+and deletion raise AttributeError.  The shared constructor binds arguments
+as a signature would and refuses a bad binding with TypeError.
 """
 
 import numpy as np
@@ -263,3 +264,41 @@ def test_constructors_keep_their_keywords_and_defaults():
     assert Arrow(name="a", tail="x", head="y") == Arrow("a", "x", "y")
     assert Word(letters=[("a", 1)]).letters == (("a", 1),)
     assert GroupSpec(family="GL", n=2) == GroupSpec("GL", 2)
+
+
+# Each bad binding, by what is wrong: the TypeError names the class and the argument.
+BAD_BINDINGS = {
+    "missing": (lambda: Arrow("a", "x"), r"Arrow\(\) missing required argument 'head'"),
+    "missing-after-keywords": (
+        lambda: CollapseStep(arrow="a", tail="x", head="y"),
+        r"CollapseStep\(\) missing required argument 'merged'",
+    ),
+    "missing-without-default": (lambda: MonotoneReport(), r"MonotoneReport\(\) missing required argument 'ok'"),
+    "unknown": (lambda: Arrow("a", "x", "y", colour="red"), r"Arrow\(\) got an unexpected keyword argument 'colour'"),
+    "repeated": (
+        lambda: OrbitCertificate("v", verdict="w"),
+        r"OrbitCertificate\(\) got multiple values for argument 'verdict'",
+    ),
+    "surplus": (
+        lambda: Arrow("a", "x", "y", "z"),
+        r"Arrow\(\) takes 3 arguments \('name', 'tail', 'head'\) but 4 were given",
+    ),
+    "surplus-past-defaults": (
+        lambda: MonotoneReport(True, None, None, None),
+        r"MonotoneReport\(\) takes 3 arguments .* but 4 were given",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BINDINGS)
+def test_the_shared_constructor_refuses_a_bad_binding(case):
+    build, message = BAD_BINDINGS[case]
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
+
+
+def test_the_shared_constructor_binds_positions_then_keywords_then_defaults():
+    assert OrbitCertificate("v", sample_alpha=(("x", 0),)) == OrbitCertificate("v", (), (("x", 0),), None)
+    assert MonotoneReport(False, witness_cycle=None, violating_arrow="a").violating_arrow == "a"
+    # like a signature's defaults, one default object serves every instance
+    assert OrbitCertificate("v").ends is OrbitCertificate("w").ends == ()
