@@ -36,7 +36,7 @@ import re
 from bisect import bisect_right
 from typing import Mapping, NamedTuple
 
-from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _Record, validate_relations
+from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _Record, _setfield, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT = r"[A-Za-z_]\w*"
@@ -126,7 +126,12 @@ class QuiverDocument(_Record):
         nu: Mapping[str, int] | None,
         spans: Mapping[str, Span] | None = None,
     ) -> None:
-        super().__init__(name, quiver, relations, mu, nu, {} if spans is None else spans)
+        _setfield(self, "name", name)
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "relations", relations)
+        _setfield(self, "mu", mu)
+        _setfield(self, "nu", nu)
+        _setfield(self, "spans", {} if spans is None else spans)
 
     def effective_weights(self) -> tuple[dict[str, int], dict[str, int]]:
         names = [a.name for a in self.quiver.arrows]

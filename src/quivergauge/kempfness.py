@@ -153,7 +153,6 @@ def kn_flow(
     |det|, so a trial that makes a marking numerically singular is an
     overflowed step, never progress.  The flow stops at residual <=
     tol, after max_iter accepted steps, or when no step size descends.
-    A tol that is negative or NaN raises ValueError.
 
     For representations whose gauge orbit is not closed the flow descends
     toward the minimal-norm representative in the orbit closure; trace

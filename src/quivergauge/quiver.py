@@ -22,13 +22,12 @@ orbit.
 Nothing here imports numpy at module level; only the ``tails`` and
 ``heads`` index arrays load it, on first use.
 
-Every record of the package (``Arrow``, ``Quiver``, ``QuiverDocument``,
-``Representation``, ...) is a plain class on one private base, ``_Record``,
-whose one ``__init__`` binds arguments to the fields a record declares in
-``_fields`` (and ``_defaults``); a record writes its own only to validate or
-normalize.  No method is generated at import: a decorator that generates
-them would load ``inspect`` and ``exec`` source for every class in every
-process, a large share of a short CLI call.
+Every record of the package (``Arrow``, ``Quiver``, ``Representation``, ...)
+is a plain class on one private base, ``_Record``: it declares ``_fields``
+(plus ``_defaults``) and writes an ``__init__`` only to validate.  No method
+is generated at import: a decorator that generates them would load
+``inspect`` and ``exec`` source for every class in every process, a large
+share of a short CLI call.
 """
 
 from __future__ import annotations
@@ -56,17 +55,13 @@ class _Record:
     """Immutable record: constructor, ``repr``, ``==`` and ``hash`` from the field names in ``_fields``.
 
     A subclass names its fields in ``_fields`` and the defaults of trailing
-    optional ones in ``_defaults``.  ``__init__`` binds arguments to them as
-    a signature ``(field, ..., optional=default)`` would and stores each with
-    ``_setfield`` (assignment and deletion raise AttributeError).  A
-    subclass overrides it only to validate or normalize, then passes its
-    fields on to it or stores them with ``_setfield`` itself.  ``repr``
-    shows ``Name(field=value, ...)`` over ``_fields``; ``==`` (between
-    instances of the same class) and ``hash`` compare ``_compared``, which is
-    ``_fields`` unless a class narrows it, read by one ``operator.attrgetter``
-    per class (``_key``, built when the class is defined).  A record with
-    identity equality sets ``__eq__ = object.__eq__`` and ``__hash__ =
-    object.__hash__``.
+    optional ones in ``_defaults``; ``__init__`` binds arguments to them as
+    ``(field, ..., optional=default)`` would.  A subclass writes an
+    ``__init__`` only to validate or normalize, and stores each field there
+    with ``_setfield`` (assignment and deletion raise AttributeError).  ``==``
+    (same class only) and ``hash`` compare ``_compared`` (default ``_fields``)
+    by one ``operator.attrgetter`` per class, ``_key``.  A record with identity
+    equality sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -353,9 +348,8 @@ class GroupSpec(_Record):
     """Matrix group family and size.
 
     Families: GL, SL, U, SU, and TORUS (= GL(1), so n must be 1); ``n`` is
-    anything ``operator.index`` takes, stored as int.  Dimension
-    metadata is the complex dimension and is defined only for the
-    non-compact families.
+    stored as int.  Dimension metadata is the complex dimension and is
+    defined only for the non-compact families.
     """
 
     _fields = ("family", "n")
@@ -372,7 +366,8 @@ class GroupSpec(_Record):
             raise ValueError(f"group n must be >= 1, got {n}")
         if family == "TORUS" and n != 1:
             raise ValueError(f"TORUS means GL(1), so group n must be 1, got {n}")
-        super().__init__(family, n)
+        _setfield(self, "family", family)
+        _setfield(self, "n", n)
 
     @property
     def is_compact(self) -> bool:

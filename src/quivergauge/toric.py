@@ -39,7 +39,9 @@ class WeightedToricAction(_Record):
 
     def __init__(self, quiver: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> None:
         mu, nu = _checked_weights(quiver, mu, nu)
-        super().__init__(quiver, mu, nu)
+        _setfield(self, "quiver", quiver)
+        _setfield(self, "mu", mu)
+        _setfield(self, "nu", nu)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
