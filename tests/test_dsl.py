@@ -310,3 +310,58 @@ def reader_outcomes() -> str:
 
 def test_reader_outcomes_match_golden():
     assert reader_outcomes() == (FIXTURES / "diagnostics.golden").read_text(encoding="utf-8")
+
+
+# The second golden pins the reader where a whole declaration stops matching
+# and the symbol-by-symbol reading takes over: seeded insertions of whole tokens
+# (keywords, punctuation, out-of-range and negative weights, comments, newlines
+# and runs of spaces) into the fixtures and into copies of them with a weights
+# section, mostly among the declarations, at random offsets and at symbol
+# boundaries.
+TOKEN_INSERTS = (
+    "quiver", "vertices", "arrows", "relations", "weights",
+    "->", ";", "(", ")", ":", ",", "9999999", "-1", "#c\n", "\n", "spaces",
+)
+
+
+def weighted_fixtures() -> list[str]:
+    """Each fixture, then each fixture with every arrow weighed, compactly or spaced."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.quiver"))]
+    weighted = []
+    for index, text in enumerate(texts):
+        names = [a.name for a in parse(text).quiver.arrows]
+        entry = "{}({},{})" if index % 2 else "{} ( {} , {} )"
+        entries = " ".join(entry.format(n, k % 4, (k + index) % 3) for k, n in enumerate(names))
+        if entries:
+            body, close = text.rstrip().rsplit("}", 1)
+            weighted.append(f"{body}  weights: {entries};\n}}{close}\n")
+    return texts + weighted
+
+
+def token_mutations(count: int = 600, seed: int = 1):
+    import random
+
+    texts = weighted_fixtures()
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            # mostly between "arrows:" and the closing brace, where declarations are
+            start, end = (text.find("arrows:"), text.rfind("}")) if rng.random() < 0.85 else (0, len(text))
+            boundaries = [i for i in range(start, end + 1) if text[i - 1 : i] in (" ", ";", ":", "(", ",", ")", "\n")]
+            pos = rng.choice(boundaries) if rng.random() < 0.5 else rng.randint(start, end)
+            token = rng.choice(TOKEN_INSERTS)
+            if token == "spaces":
+                token = " " * rng.randint(2, 80)
+            pad = rng.choice(("", " "))
+            text = f"{text[:pos]}{pad}{token}{pad}{text[pos:]}"
+        yield text
+
+
+def token_outcomes() -> str:
+    """The contents of ``fixtures/diagnostics_tokens.golden``."""
+    return "".join(f"=== insertion {i}\n{reader_outcome(t)}" for i, t in enumerate(token_mutations()))
+
+
+def test_token_insertions_match_golden():
+    assert token_outcomes() == (FIXTURES / "diagnostics_tokens.golden").read_text(encoding="utf-8")
