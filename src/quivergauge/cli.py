@@ -135,16 +135,6 @@ def _document_payload(doc: dsl.QuiverDocument, extra: dict) -> dict:
     return {**payload, **extra}
 
 
-def _surviving_weights(doc: dsl.QuiverDocument, quiver) -> tuple[dict | None, dict | None]:
-    if doc.mu is None:
-        return None, None
-    names = {a.name for a in quiver.arrows}
-    return (
-        {k: v for k, v in doc.mu.items() if k in names},
-        {k: v for k, v in doc.nu.items() if k in names},
-    )
-
-
 def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple[RelationSet, int]:
     kept = tuple(w for w in relations.relations if names.isdisjoint(w.arrow_names()))
     return RelationSet(kept), len(relations.relations) - len(kept)
@@ -220,8 +210,7 @@ def _cmd_collapse(args, doc):
     from .rewrites import collapse
 
     new_q, new_rels, step = collapse(doc.quiver, doc.relations, args.arrow)
-    mu, nu = _surviving_weights(doc, new_q)
-    out = dsl.document_for(new_q, new_rels, mu, nu, name=doc.name)
+    out = dsl.document_for(new_q, new_rels, doc.mu, doc.nu, name=doc.name)
     return _document_payload(out, {"step": serialize.step_to_json(step)}), dsl.print_document(out)
 
 
@@ -238,8 +227,7 @@ def _cmd_clip(args, doc):
 
     new_q = clip(doc.quiver, args.arrow)
     rels, dropped = _drop_relations_mentioning(doc.relations, {args.arrow})
-    mu, nu = _surviving_weights(doc, new_q)
-    out = dsl.document_for(new_q, rels, mu, nu, name=doc.name)
+    out = dsl.document_for(new_q, rels, doc.mu, doc.nu, name=doc.name)
     note = f"# dropped {dropped} relation(s) mentioning {args.arrow}\n" if dropped else ""
     return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)
 
@@ -257,6 +245,8 @@ def _cmd_reverse(args, doc):
 def _cmd_sample(args, doc):
     from .representation import random_representation
 
+    if args.seed < 0:
+        raise _UsageError(f"argument --seed: must be a non-negative integer, got {args.seed}")
     return serialize.representation_to_json(random_representation(doc.quiver, _group(args), args.seed)), None
 
 

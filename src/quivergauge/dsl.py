@@ -17,17 +17,15 @@ documents are canonically ordered (vertices, arrows, and relations
 sorted), so printing and reparsing reproduces them exactly.  Parsing
 failures raise ParseError carrying line/column diagnostics.
 
-The reader is one linear pass over tokens from one regular expression.
-A whole arrow declaration (``id : id -> id ;``) or weight entry (``id (
-int , int )``) with at most spaces inside is one token, so a document
-costs a regular-expression match per declaration, not per symbol; every
-other token is one symbol, ``(kind, text, offset)``.  Where a declaration
-token is out of place, uses a keyword, or carries a weight over the cap,
-it is split back into its symbols, and the token-by-token ``expect`` chain,
-the only source of syntax diagnostics, reads them.  Declarations are
-checked against sets and dicts in declaration order, and a ``Span`` (a
-named tuple, cheap to make) is made from an offset (by bisecting the line
-starts) only where one is stored or reported.
+The reader keeps one cursor over the text and no token list.  One match
+of whitespace, comments and symbols from offset 0 first reports the first
+character no symbol can start.  The cursor holds the next symbol, ``(kind,
+text, offset)``, and ``advance`` reads the one after it.  ``take`` reads a
+run of whole arrow declarations or weight entries with at most spaces
+inside, one match each, and stops before one that uses a keyword or a
+weight over the cap; the symbol-by-symbol ``expect`` chain, the only source
+of syntax diagnostics, reads on from there.  A ``Span`` is made from an
+offset (by bisecting the line starts) only where one is stored or reported.
 """
 
 from __future__ import annotations
@@ -36,28 +34,26 @@ import re
 from bisect import bisect_right
 from typing import Mapping, NamedTuple
 
-from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _Record, _setfield, validate_relations
+from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _checked_weights, _Record, _setfield, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT = r"[A-Za-z_]\w*"
-# Patterns are ASCII, so \w is [A-Za-z0-9_] and \d is [0-9].  Whitespace
-# and comments are unnamed, so their matches have no lastgroup.  An
-# identifier followed by the rest of an arrow declaration or weight entry,
-# with at most spaces inside, is one declaration token: group 1 is its id,
-# lastindex + 1 and lastindex + 2 its tail and head ids or its weights.
-# Weights have at most as many digits as MAX_WEIGHT, so int() is safe.
+# ASCII patterns: \w is [A-Za-z0-9_], \d is [0-9].  The skip matches
+# whitespace and comments in one way only (whitespace runs between whole
+# comments), so a pattern failing after it backtracks in linear time and
+# never finds a declaration inside a comment.  Weights have at most as many
+# digits as MAX_WEIGHT, so int() is safe.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_SYMBOLS = {"ident": _IDENT, "arrowop": "->", "int": r"-?\d+", "punct": r"[{}:;,()]"}
 _WEIGHT = rf"(-?\d{{1,{len(str(MAX_WEIGHT))}}})"
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n]+|#[^\n]*"
-    rf"|(?P<ident>{_IDENT})"
-    rf"(?:(?P<arrow> *: *({_IDENT}) *-> *({_IDENT}) *;)|(?P<weight> *\( *{_WEIGHT} *, *{_WEIGHT} *\)))?"
-    r"|(?P<arrowop>->)"
-    r"|(?P<int>-?\d+)"
-    r"|(?P<punct>[{}:;,()])"
-    r"|(?P<bad>.)",
-    re.ASCII | re.DOTALL,
+_LEXICAL_RE = re.compile(rf"(?:{_SKIP}(?:{'|'.join(_SYMBOLS.values())}))*{_SKIP}", re.ASCII)
+_SYMBOL_RE = re.compile(
+    rf"{_SKIP}(?:{'|'.join(f'(?P<{kind}>{p})' for kind, p in _SYMBOLS.items())})?", re.ASCII
 )
-_DECLARATIONS = ("arrow", "weight")
+_DECLARATION_RES = {
+    "arrow": re.compile(rf"{_SKIP}({_IDENT}) *: *({_IDENT}) *-> *({_IDENT}) *;", re.ASCII),
+    "weight": re.compile(rf"{_SKIP}({_IDENT}) *\( *{_WEIGHT} *, *{_WEIGHT} *\)", re.ASCII),
+}
 
 
 class Span(NamedTuple):
@@ -82,28 +78,6 @@ class ParseError(ValueError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = tuple(diagnostics)
         super().__init__("; ".join(str(d) for d in diagnostics))
-
-
-def _tokenize(text: str) -> list[tuple]:
-    """Tokens, ending in ``eof`` or at the first ``bad`` character.
-
-    A symbol is ``(kind, text, offset)``; a declaration token is ``(kind,
-    match, offset)``.
-    """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind in _DECLARATIONS:
-            append((kind, m, m.start()))
-        else:
-            append((kind, m.group(), m.start()))
-            if kind == "bad":
-                return tokens
-    append(("eof", "", len(text)))
-    return tokens
 
 
 class QuiverDocument(_Record):
@@ -141,23 +115,16 @@ class QuiverDocument(_Record):
 
 
 class _Parser:
-    """Cursor over the tokens.
-
-    ``take`` consumes the declaration tokens the fast path accepts.  Every
-    other method sees symbols only: a declaration token at the cursor is
-    split into its symbols first (``at_ident`` and ``at_punct`` answer from
-    its first symbol without splitting it).
-    """
+    """Cursor over the text, holding the next symbol ``tok`` and the offset ``end`` after it."""
 
     def __init__(self, text: str):
         self.text = text
         self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
-        self.tokens = _tokenize(text)
-        self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        kind, bad, offset = self.tokens[-1]
-        if kind == "bad":
-            raise self.fail(offset, f"unexpected character {bad!r}")
+        bad = _LEXICAL_RE.match(text).end()
+        if bad < len(text):
+            raise self.fail(bad, f"unexpected character {text[bad]!r}")
+        self.read(0)
 
     def span(self, offset: int) -> Span:
         line = bisect_right(self.line_starts, offset)
@@ -170,32 +137,16 @@ class _Parser:
         self.report(offset, message)
         return ParseError(self.diagnostics)
 
-    def split(self) -> None:
-        """Replace the declaration token at the cursor by its symbols.
-
-        The declaration's last character (``;`` or ``)``) is outside the
-        rescan, so no declaration token can match inside it.
-        """
-        m = self.tokens[self.pos][1]
-        last = m.end() - 1
-        found = _TOKEN_RE.finditer(self.text, m.start(), last)
-        symbols = [(t.lastgroup, t.group(), t.start()) for t in found if t.lastgroup]
-        symbols.append(("punct", self.text[last], last))
-        self.tokens[self.pos : self.pos + 1] = symbols
-
     def take(self, kind: str) -> list[tuple]:
-        """The run of ``kind`` declaration tokens at the cursor, consumed, as (id, a, b, offset).
+        """The run of ``kind`` declarations at the cursor, consumed, as (id, a, b, offset).
 
         ``a``, ``b`` are the tail and head ids of an arrow or the two weights
-        of a weight entry.  The run ends at the first token that is not such
-        a declaration, or that uses a keyword or exceeds the weight cap; a
-        declaration token there is split.
+        of a weight entry.  The run ends before the first text that is not
+        such a declaration, or that uses a keyword or exceeds the weight cap.
         """
-        tokens, pos, run = self.tokens, self.pos, []
-        while tokens[pos][0] == kind:
-            _, m, offset = tokens[pos]
-            i = m.lastindex
-            aid, a, b = m.group(1, i + 1, i + 2)
+        match, text, pos, run = _DECLARATION_RES[kind].match, self.text, self.tok[2], []
+        while m := match(text, pos):
+            aid, a, b = m.groups()
             if kind == "arrow":
                 accepted = a not in KEYWORDS and b not in KEYWORDS
             else:
@@ -203,36 +154,35 @@ class _Parser:
                 accepted = abs(a) <= MAX_WEIGHT and abs(b) <= MAX_WEIGHT
             if not accepted or aid in KEYWORDS:
                 break
-            run.append((aid, a, b, offset))
-            pos += 1
-        self.pos = pos
-        if tokens[pos][0] in _DECLARATIONS:
-            self.split()
+            run.append((aid, a, b, m.start(1)))
+            pos = m.end()
+        if run:
+            self.read(pos)
         return run
 
-    def peek(self) -> tuple[str, str, int]:
-        if self.tokens[self.pos][0] in _DECLARATIONS:
-            self.split()
-        return self.tokens[self.pos]
+    def read(self, pos: int) -> None:
+        """Move the cursor to the first symbol at or after ``pos``, or to ``eof``."""
+        m = _SYMBOL_RE.match(self.text, pos)
+        kind = m.lastgroup
+        self.tok = (kind, m[kind], m.start(kind)) if kind else ("eof", "", m.end())
+        self.end = m.end()
 
     def advance(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.pos += 1
+        """The symbol at the cursor, which moves on to the next one."""
+        tok = self.tok
+        self.read(self.end)
         return tok
 
     def at_ident(self) -> bool:
         """The next symbol is an identifier that is not a keyword."""
-        kind, text, _ = self.tokens[self.pos]
-        if kind in _DECLARATIONS:
-            kind, text = "ident", text.group(1)
+        kind, text, _ = self.tok
         return kind == "ident" and text not in KEYWORDS
 
     def at_punct(self, text: str) -> bool:
-        return self.tokens[self.pos][:2] == ("punct", text)
+        return self.tok[:2] == ("punct", text)
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> tuple[str, str, int]:
-        tok_kind, tok_text, offset = self.peek()
+        tok_kind, tok_text, offset = self.tok
         if tok_kind != kind or (text is not None and tok_text != text):
             expected = what or (text if text is not None else kind)
             shown = tok_text if tok_kind != "eof" else "end of input"
@@ -241,13 +191,13 @@ class _Parser:
 
     def expect_ident(self, what: str) -> tuple[str, int]:
         """(identifier, offset) of the next symbol, which must not be a keyword."""
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tok
         if kind != "ident":
             shown = text if kind != "eof" else "end of input"
             raise self.fail(offset, f"expected {what}, found {shown!r}")
         if text in KEYWORDS:
             raise self.fail(offset, f"keyword {text!r} cannot be used as {what}")
-        self.pos += 1
+        self.advance()
         return text, offset
 
     def expect_weight(self) -> int:
@@ -275,7 +225,7 @@ def parse(text: str) -> QuiverDocument:
     weight_entries: list[tuple[str, int, int, int]] = []
 
     while not parser.at_punct("}"):
-        kind, section, offset = parser.peek()
+        kind, section, offset = parser.tok
         if kind == "eof":
             raise parser.fail(offset, "expected a section or '}', found end of input")
         if kind != "ident" or section not in ("vertices", "arrows", "relations", "weights"):
@@ -331,7 +281,7 @@ def parse(text: str) -> QuiverDocument:
             parser.expect("punct", ";")
     parser.advance()
 
-    kind, trailing, offset = parser.peek()
+    kind, trailing, offset = parser.tok
     if kind != "eof":
         raise parser.fail(offset, f"unexpected trailing input {trailing!r}")
 
@@ -401,8 +351,7 @@ def parse(text: str) -> QuiverDocument:
 
 
 def _check_ident(value: str, what: str) -> str:
-    m = _TOKEN_RE.fullmatch(value)
-    if m is None or m.lastgroup != "ident" or value in KEYWORDS:
+    if re.fullmatch(_IDENT, value, re.ASCII) is None or value in KEYWORDS:
         raise ValueError(f"{what} {value!r} is not printable as an identifier")
     return value
 
@@ -450,10 +399,15 @@ def document_for(
     nu: Mapping[str, int] | None = None,
     name: str | None = None,
 ) -> QuiverDocument:
-    """Wrap computed structures as a document (canonically ordered)."""
+    """Wrap computed structures as a document (canonically ordered).
+
+    Weights, if given, pass ``_checked_weights``: each arrow needs both; others are dropped.
+    """
     q = Quiver(tuple(sorted(quiver.vertices)), tuple(sorted(quiver.arrows, key=lambda a: a.name)))
     rels = relations if relations is not None else RelationSet()
     kept = tuple(sorted((w for w in rels.relations if len(w) > 0), key=lambda w: w.arrow_names()))
+    if mu is not None or nu is not None:
+        mu, nu = _checked_weights(q, mu or {}, nu or {})
     return QuiverDocument(name, q, RelationSet(kept), mu, nu)
 
 

@@ -81,9 +81,15 @@ def random_element(group: GroupSpec, seed: int) -> np.ndarray:
     sampled in polar form k e^p: k is that U(n) sample and p = (W + W*) /
     (2 sqrt(n)) is Hermitian Gaussian from a second Ginibre draw W.  SL
     takes k in SU and the traceless part of p, so det = 1 up to rounding.
-    U and SU consume only the first draw.
+    U and SU consume only the first draw.  A negative seed is a ValueError.
     """
-    return _random_elements(group, [seed])[0]
+    return _random_elements(group, [_checked_seed(seed)])[0]
+
+
+def _checked_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _random_elements(group: GroupSpec, seeds: list[int]) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .matrices import TOL_EQ, TOL_MEMBERSHIP, _random_elements, as_matrix, identity, in_group_rows
+from .matrices import TOL_EQ, TOL_MEMBERSHIP, _checked_seed, _random_elements, as_matrix, identity, in_group_rows
 from .quiver import (
     GroupSpec,
     Quiver,
@@ -388,9 +388,9 @@ def weighted_act(
 
 
 def _random_values(ids: Iterable[str], group: GroupSpec, seed: int) -> dict[str, np.ndarray]:
-    """Independent seeded group elements, drawn in sorted id order."""
+    """Independent seeded group elements, drawn in sorted id order; a negative seed is a ValueError."""
     keys = sorted(ids)
-    seeds = np.random.default_rng(seed).integers(2**62, size=len(keys)).tolist()
+    seeds = np.random.default_rng(_checked_seed(seed)).integers(2**62, size=len(keys)).tolist()
     return dict(zip(keys, _random_elements(group, seeds)))
 
 

@@ -377,6 +377,12 @@ def test_exit_code_usage_for_a_group_size_the_family_refuses(capsys, argv, refus
     assert err.startswith("error: ") and refused in err
 
 
+def test_exit_code_usage_for_a_negative_seed(capsys):
+    code, out, err = run(capsys, "sample", fx("theta.quiver"), "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --seed: must be a non-negative integer, got -1\n"
+
+
 def test_exit_code_parse_diagnostics(capsys, tmp_path):
     bad = tmp_path / "bad.quiver"
     bad.write_text("quiver { vertices: v0 v0; }")

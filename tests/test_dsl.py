@@ -188,6 +188,19 @@ def test_print_rejects_bad_identifiers():
         print_document(bad)
 
 
+def test_document_for_applies_the_one_weight_rule():
+    q = parse("quiver { vertices: v0 v1; arrows: a: v0 -> v1; b: v1 -> v0; }").quiver
+    with pytest.raises(ValueError, match="missing mu weight for arrow 'b'"):
+        document_for(q, mu={"a": 2}, nu={"a": 1})
+    with pytest.raises(ValueError, match="missing nu weight for arrow 'a'"):
+        document_for(q, mu={"a": 2, "b": 1})
+    # weights of arrows the quiver lacks are dropped
+    doc = document_for(q, mu={"a": 2, "b": 1, "zz": 5}, nu={"a": 1, "b": 3, "zz": 1})
+    assert (doc.mu, doc.nu) == ({"a": 2, "b": 1}, {"a": 1, "b": 3})
+    assert "weights: a(2,1) b(1,3);" in print_document(doc)
+    assert document_for(q).mu is None
+
+
 def test_spans_not_compared():
     doc = parse("quiver { vertices: v0; arrows: l: v0 -> v0; }")
     other = parse("quiver {\n\n vertices: v0; arrows: l: v0 -> v0; }")
@@ -365,3 +378,32 @@ def token_outcomes() -> str:
 
 def test_token_insertions_match_golden():
     assert token_outcomes() == (FIXTURES / "diagnostics_tokens.golden").read_text(encoding="utf-8")
+
+
+# Long runs of spaces or comments where a declaration pattern fails: after
+# "arrows:", after a whole declaration, inside a weight entry, and between an
+# arrow id and its tail.  A reader that backtracks more than linearly over them
+# would take hours; a linear one takes milliseconds.
+LINEAR_HEAD = "quiver T { vertices: v0; arrows: "
+LINEAR_CASES = [
+    ("", "}", "expected an arrow id, found '}'"),
+    ("a0: v0 -> v0;", "a1 }", "expected :, found '}'"),
+    ("a0: v0 -> v0; weights: a0(", "}", "expected an integer weight, found '}'"),
+    ("a0:", "}", "expected a tail vertex, found '}'"),
+]
+
+
+@pytest.mark.parametrize("fill", [" " * 200_000, "#c\n" * 50_000], ids=["spaces", "comments"])
+@pytest.mark.parametrize("before, after, message", LINEAR_CASES)
+def test_reader_is_linear_where_declarations_fail(fill, before, after, message):
+    import time
+
+    text = LINEAR_HEAD + before + fill + after
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    elapsed = time.perf_counter() - start
+    # the diagnostic points at the closing brace, the last character
+    line, column = (1, len(text)) if fill[0] == " " else (50_001, len(after))
+    assert [str(d) for d in err.value.diagnostics] == [f"{line}:{column}: {message}"]
+    assert elapsed < 2.0

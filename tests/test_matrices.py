@@ -83,6 +83,11 @@ def test_random_element_membership_and_determinism():
     assert not np.array_equal(mg.random_element(GL3, 11), mg.random_element(GL3, 12))
 
 
+def test_random_element_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        mg.random_element(GL3, -1)
+
+
 def test_random_element_closure():
     rng = np.random.default_rng(1)
     for g in (GL3, SL3, U2, SU2):

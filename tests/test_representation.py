@@ -85,6 +85,12 @@ def test_identity_gauge_fixes():
         assert np.allclose(acted.markings[name], f.markings[name], atol=1e-14)
 
 
+def test_random_samplers_refuse_a_negative_seed():
+    for sample in (random_representation, random_gauge):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sample(theta(), GL3, -1)
+
+
 def test_loop_action_is_conjugation():
     f = jordan_loop_rep()
     p = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
