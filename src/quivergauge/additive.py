@@ -11,12 +11,10 @@ action.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .matrices import _principal_root
-from .quiver import GroupSpec, Quiver, _Record, _setfield, classify_vertex
+from .quiver import GroupSpec, _Record, classify_vertex
 from .representation import GaugeElement, Representation, _Stacked, act_on_stack
 
 
@@ -24,11 +22,7 @@ class AdditiveRep(_Stacked):
     """Arrow markings by arbitrary (possibly singular) n x n matrices."""
 
     _fields = ("quiver", "n", "markings")
-
-    def __init__(self, quiver: Quiver, n: int, markings: Mapping[str, np.ndarray] | np.ndarray) -> None:
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "n", n)
-        self._validate(markings, n, None, 0.0)
+    _defaults = {}  # no ``membership_tol``: any matrix is a marking
 
     matrix = _Stacked._row
 

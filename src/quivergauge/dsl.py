@@ -83,9 +83,10 @@ class ParseError(ValueError):
 class QuiverDocument(_Record):
     """Parsed quiver with relations, optional weights, and source spans.
 
-    ``mu``/``nu`` are None when the document has no weights section;
-    ``effective_weights`` fills the default (1, 1).  Spans do not take part
-    in equality, so parsing the canonical printout reproduces the document.
+    ``mu``/``nu`` are None when the document has no weights section, else
+    they pass ``_checked_weights`` (every arrow needs both; others are
+    dropped); ``effective_weights`` fills the default (1, 1).  Spans do not
+    take part in equality, so parsing the canonical printout reproduces it.
     """
 
     _fields = ("name", "quiver", "relations", "mu", "nu", "spans")
@@ -100,6 +101,8 @@ class QuiverDocument(_Record):
         nu: Mapping[str, int] | None,
         spans: Mapping[str, Span] | None = None,
     ) -> None:
+        if mu is not None or nu is not None:
+            mu, nu = _checked_weights(quiver, mu or {}, nu or {})
         _setfield(self, "name", name)
         _setfield(self, "quiver", quiver)
         _setfield(self, "relations", relations)
@@ -108,10 +111,8 @@ class QuiverDocument(_Record):
         _setfield(self, "spans", {} if spans is None else spans)
 
     def effective_weights(self) -> tuple[dict[str, int], dict[str, int]]:
-        names = [a.name for a in self.quiver.arrows]
-        mu = dict(self.mu) if self.mu is not None else {n: 1 for n in names}
-        nu = dict(self.nu) if self.nu is not None else {n: 1 for n in names}
-        return mu, nu
+        ones = {a.name: 1 for a in self.quiver.arrows}
+        return (dict(self.mu), dict(self.nu)) if self.mu is not None else (ones, dict(ones))
 
 
 class _Parser:
@@ -382,9 +383,9 @@ def print_document(doc: QuiverDocument) -> str:
     if nonempty:
         body = ", ".join(" ".join(names) for names in sorted(w.arrow_names() for w in nonempty))
         lines.append(f"  relations: {body};")
-    if doc.mu is not None and doc.nu is not None and doc.quiver.arrows:
+    if doc.mu is not None and doc.quiver.arrows:
         entries = " ".join(
-            f"{a.name}({int(doc.mu[a.name])},{int(doc.nu[a.name])})"
+            f"{a.name}({doc.mu[a.name]},{doc.nu[a.name]})"
             for a in sorted(doc.quiver.arrows, key=lambda a: a.name)
         )
         lines.append(f"  weights: {entries};")
@@ -399,15 +400,10 @@ def document_for(
     nu: Mapping[str, int] | None = None,
     name: str | None = None,
 ) -> QuiverDocument:
-    """Wrap computed structures as a document (canonically ordered).
-
-    Weights, if given, pass ``_checked_weights``: each arrow needs both; others are dropped.
-    """
+    """Wrap computed structures as a document (canonically ordered); weights as ``QuiverDocument`` takes them."""
     q = Quiver(tuple(sorted(quiver.vertices)), tuple(sorted(quiver.arrows, key=lambda a: a.name)))
     rels = relations if relations is not None else RelationSet()
     kept = tuple(sorted((w for w in rels.relations if len(w) > 0), key=lambda w: w.arrow_names()))
-    if mu is not None or nu is not None:
-        mu, nu = _checked_weights(q, mu or {}, nu or {})
     return QuiverDocument(name, q, RelationSet(kept), mu, nu)
 
 

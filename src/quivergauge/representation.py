@@ -60,33 +60,41 @@ class RowView(Mapping):
 
 
 class _Stacked(_Record):
-    """Shared core of markings and gauge values: one validated stack.
+    """The one constructor and shared core of the matrix-stack records: one validated stack.
 
-    ``stack`` is a read-only (k, n, n) complex array in quiver order (arrows
-    for markings, vertices for gauge values); the mapping field named by
-    ``_field`` is a read-only ``RowView`` of its rows.  The constructors
-    take that mapping, or a stack already in quiver order.  Equality is
-    identity.
+    A subclass declares ``_fields`` (quiver, group or n, mapping field) and,
+    in ``_defaults``, its optional ``membership_tol`` if it takes one; they
+    bind as ``__init__(self, *_fields, *_defaults)`` would, with Python's
+    TypeError messages.  ``stack`` is a read-only (k, n, n) complex array in
+    quiver order (arrows or vertices, by ``_id``), given as such or as the
+    mapping field, a read-only ``RowView`` of its rows.  Equality is identity.
     """
 
-    _field: ClassVar[str] = "markings"
     _kind: ClassVar[str] = "marking"
     _id: ClassVar[str] = "arrow"
+    _defaults = {"membership_tol": TOL_MEMBERSHIP}
     stack: np.ndarray
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def _validate(self, data, n: int, group: GroupSpec | None, tol: float) -> None:
-        """Store the stack of ``data``: finite, and in ``group`` when tol > 0; errors name the first bad id."""
-        rows = self.quiver._arrow_row if self._id == "arrow" else self.quiver._vertex_row
-        kind = self._kind
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or not 3 <= len(args) <= 3 + len(self._defaults):
+            args = self._bind(args, kwargs)
+        quiver, spec, data = args[0], args[1], args[2]
+        _setfield(self, "quiver", quiver)
+        _setfield(self, self._fields[1], spec)
+        group, n = (spec, spec.n) if self._defaults else (None, spec)  # only the group-valued take a tolerance
+        if group is not None:
+            tol = args[3] if len(args) > 3 else TOL_MEMBERSHIP
+            _setfield(self, "membership_tol", tol)
+        rows = quiver._arrow_row if self._id == "arrow" else quiver._vertex_row
         if isinstance(data, Mapping):
             missing = next((k for k in rows if k not in data), None)
             if missing is not None:
-                raise ValueError(f"missing {kind} for {missing!r}")
+                raise ValueError(f"missing {self._kind} for {missing!r}")
             extra = next((k for k in data if k not in rows), None)
             if extra is not None:
-                raise ValueError(f"unexpected {kind} for {extra!r}")
+                raise ValueError(f"unexpected {self._kind} for {extra!r}")
             data = [np.asarray(data[k], dtype=complex) for k in rows]
             for m in data:
                 if m.shape != (n, n):
@@ -97,18 +105,38 @@ class _Stacked(_Record):
             raise ValueError(f"expected a ({len(rows)}, {n}, {n}) stack, got shape {stack.shape}")
         if not np.isfinite(stack).all():  # one reduction; the offending id is looked up only on failure
             k = list(rows)[np.argmin(np.isfinite(stack).all(axis=(1, 2)))]
-            raise ValueError(f"{kind} at {k!r}: matrix has non-finite entries")
+            raise ValueError(f"{self._kind} at {k!r}: matrix has non-finite entries")
         if group is not None and tol > 0:
             member = in_group_rows(stack, group, tol)
             if not member.all():
                 k = list(rows)[np.argmin(member)]
-                raise ValueError(f"{kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
+                raise ValueError(f"{self._kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
         stack.flags.writeable = False
         _setfield(self, "stack", stack)
-        _setfield(self, self._field, RowView(rows, stack))
+        _setfield(self, self._fields[2], RowView(rows, stack))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each parameter, in order, for a call with keywords or a wrong count; else TypeError."""
+        params, name = cls._fields + tuple(cls._defaults), f"{cls.__qualname__}.__init__()"
+        bound = dict(zip(params, args))
+        for key, value in kwargs.items():
+            if key in bound or key not in params:
+                got = "multiple values for" if key in bound else "an unexpected keyword"
+                raise TypeError(f"{name} got {got} argument '{key}'")
+            bound[key] = value
+        if len(args) > len(params):  # Python's counts include ``self``
+            takes = f"from 4 to {len(params) + 1}" if cls._defaults else len(params) + 1
+            raise TypeError(f"{name} takes {takes} positional arguments but {len(args) + 1} were given")
+        missing = [f"'{key}'" for key in cls._fields if key not in bound]
+        if missing:  # worded as Python words them: 'c', 'b' and 'c', or 'a', 'b', and 'c'
+            names = ", ".join(missing[:-1]) + "," * (len(missing) > 2) + " and " * (len(missing) > 1) + missing[-1]
+            plural = "s" * (len(missing) > 1)
+            raise TypeError(f"{name} missing {len(missing)} required positional argument{plural}: {names}")
+        return [bound.get(key, cls._defaults.get(key)) for key in params]
 
     def _row(self, key: str) -> np.ndarray:
-        view = getattr(self, self._field)
+        view = getattr(self, self._fields[2])
         if key not in view:
             raise ValueError(f"unknown {self._id} id {key!r}")
         return view[key]
@@ -124,40 +152,15 @@ class Representation(_Stacked):
 
     _fields = ("quiver", "group", "markings")
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        group: GroupSpec,
-        markings: Mapping[str, np.ndarray] | np.ndarray,
-        membership_tol: float = TOL_MEMBERSHIP,
-    ) -> None:
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "group", group)
-        _setfield(self, "membership_tol", membership_tol)
-        self._validate(markings, group.n, group, membership_tol)
-
     matrix = _Stacked._row
 
 
 class GaugeElement(_Stacked):
     """Map from vertices to group matrices; multiplies vertex-wise."""
 
-    _field: ClassVar[str] = "values"
     _kind: ClassVar[str] = "gauge value"
     _id: ClassVar[str] = "vertex"
     _fields = ("quiver", "group", "values")
-
-    def __init__(
-        self,
-        quiver: Quiver,
-        group: GroupSpec,
-        values: Mapping[str, np.ndarray] | np.ndarray,
-        membership_tol: float = TOL_MEMBERSHIP,
-    ) -> None:
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "group", group)
-        _setfield(self, "membership_tol", membership_tol)
-        self._validate(values, group.n, group, membership_tol)
 
     value = _Stacked._row
 

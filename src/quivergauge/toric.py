@@ -224,7 +224,9 @@ def check_invariance(
         raise ValueError("exponent vector length must match the arrow count")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    from .matrices import _checked_seed
+
+    rng = np.random.default_rng(_checked_seed(seed))
 
     for _ in range(trials):
         gauge = {}

@@ -137,6 +137,23 @@ def test_collapse_and_clip_keep_the_surviving_weights(capsys, tmp_path, argv, ke
     assert code == 0 and json.loads(out)["weights"] == kept
 
 
+def test_reverse_swaps_the_weights_of_the_reversed_arrows(capsys, tmp_path):
+    # the reversed arrow carries the inverse marking, g_t^nu m^-1 g_h^-mu: its weights are (nu, mu)
+    doc = tmp_path / "w.quiver"
+    doc.write_text(WEIGHTED, encoding="utf-8")
+    code, out, _ = run(capsys, "reverse", str(doc), "--arrows", "a0", "a2")
+    assert code == 0 and "  weights: a0(3,2) a1(0,1) a2(0,4);\n" in out
+    # parallel arrows a0(2,1) a1(1,2): reversing a0 keeps cell dimension 0 (kept weights made it 1, vector [1, 1])
+    doc.write_text("quiver { vertices: x y; arrows: a0: x -> y; a1: x -> y; weights: a0(2,1) a1(1,2); }\n")
+    _, out, _ = run(capsys, "toric", str(doc))
+    assert json.loads(out)["cell_dimension"] == 0
+    _, out, _ = run(capsys, "reverse", str(doc), "--arrows", "a0")
+    assert "  weights: a0(1,2) a1(1,2);\n" in out
+    doc.write_text(out, encoding="utf-8")
+    _, out, _ = run(capsys, "toric", str(doc))
+    assert json.loads(out) == {"arrow_order": ["a0", "a1"], "cell_dimension": 0, "vectors": []}
+
+
 @pytest.mark.parametrize(
     "command, printed",
     [("clip", "quiver {\n  vertices: v0 v1;\n}\n"), ("collapse", "quiver {\n  vertices: v0;\n}\n")],

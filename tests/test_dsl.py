@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quivergauge import ParseError, Word, canonicalize, document_for, parse, print_document
+from quivergauge import ParseError, QuiverDocument, RelationSet, Word, canonicalize, document_for, parse, print_document
 from quivergauge.dsl import Diagnostic, Span
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,6 +199,22 @@ def test_document_for_applies_the_one_weight_rule():
     assert (doc.mu, doc.nu) == ({"a": 2, "b": 1}, {"a": 1, "b": 3})
     assert "weights: a(2,1) b(1,3);" in print_document(doc)
     assert document_for(q).mu is None
+
+
+@pytest.mark.parametrize(
+    "mu, nu, message",
+    [
+        ({"a": 2}, {"a": 1}, "missing mu weight for arrow 'b'"),  # printing it raised KeyError: 'b'
+        ({"a": -2, "b": 1}, {"a": 1, "b": 1}, "weights must be non-negative integers"),
+        ({"a": 2, "b": 1.5}, {"a": 1, "b": 1}, "weights must be non-negative integers"),  # printed as 1
+    ],
+)
+def test_document_constructor_applies_the_one_weight_rule(mu, nu, message):
+    q = parse("quiver { vertices: v0 v1; arrows: a: v0 -> v1; b: v1 -> v0; }").quiver
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuiverDocument(None, q, RelationSet(), mu, nu)
+    doc = QuiverDocument(None, q, RelationSet(), {"a": 2, "b": 1, "zz": 5}, {"a": 1, "b": 3, "zz": 1})
+    assert (doc.mu, doc.nu) == ({"a": 2, "b": 1}, {"a": 1, "b": 3})
 
 
 def test_spans_not_compared():

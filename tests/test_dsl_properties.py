@@ -8,10 +8,10 @@ document, and canonicalizing twice must change nothing.
 
 Documents of up to 400 vertices are also written twice, once compactly and
 once with random whitespace and comments between any two symbols, inside
-arrow declarations and weight entries too (where the reader falls back from
-whole-declaration tokens to single symbols).  Both must parse to the same
-document, and every span must be the line:column of its declaration in the
-spaced text.
+arrow declarations and weight entries too (where the reader stops matching
+whole declarations at the cursor and reads symbol by symbol).  Both must
+parse to the same document, and every span must be the line:column of its
+declaration in the spaced text.
 """
 
 import random

@@ -239,6 +239,13 @@ def test_check_invariance_accepts_kernel_rejects_others():
         check_invariance(action, (1,), trials=1, seed=0)
 
 
+def test_check_invariance_refuses_a_negative_seed():
+    q = one_loop()
+    action = weight_matrix(q, ones(q), ones(q))
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        check_invariance(action, (1,), seed=-1)
+
+
 def test_check_invariance_randomized_agreement():
     rng = np.random.default_rng(4)
     for _ in range(10):

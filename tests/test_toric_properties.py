@@ -93,3 +93,29 @@ def test_toric_stdout_is_the_c_encoder_text_of_the_dense_vectors(q, weight_seed)
         with redirect_stdout(out):
             assert main(["toric", str(path)]) == 0
     assert out.getvalue() == expected
+
+
+@settings(PROPERTY, max_examples=30)
+@given(quivers(max_vertices=30), st.integers(0, 2**32 - 1))
+@example(theta(), 5)
+def test_reverse_negates_the_reversed_coordinates_of_the_toric_lattice(q, seed):
+    # a reversed arrow with swapped weights has the negated character row, mu e_head - nu e_tail
+    mu, nu = _weights(q, seed, 3)
+    rng = np.random.default_rng([seed, 1])
+    flipped = {a.name for a in q.arrows if rng.integers(2)} or {q.arrows[0].name}
+    text = print_document(document_for(q, mu=mu, nu=nu))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "q.quiver"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["reverse", str(path), "--arrows", *sorted(flipped)]) == 0
+    before, after = (parse(t) for t in (text, out.getvalue()))
+    assert [a.name for a in after.quiver.arrows] == [a.name for a in before.quiver.arrows]
+    old, new = (invariant_monomial_basis(weight_matrix(d.quiver, *d.effective_weights())) for d in (before, after))
+    assert new.cell_dimension == old.cell_dimension
+    # both bases span saturated lattices of one rank, so the new one holds the negated old one exactly when equal
+    signs = [-1 if name in flipped else 1 for name in old.arrow_order]
+    negated = [[s * x for s, x in zip(signs, v)] for v in old.vectors]
+    both = negated + [list(v) for v in new.vectors]
+    assert DomainMatrix.from_list_sympy(len(both), q.n_arrows, both).rank() == new.cell_dimension
