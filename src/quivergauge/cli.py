@@ -239,7 +239,7 @@ def _cmd_reverse(args, doc):
     rels, dropped = _drop_relations_mentioning(doc.relations, flipped)
     mu, nu = doc.mu, doc.nu
     if mu is not None:  # a reversed arrow carries the inverse marking g_t^nu m^-1 g_h^-mu: its weights swap
-        mu, nu = ({a: (nu if a in flipped else mu)[a] for a in mu}, {a: (mu if a in flipped else nu)[a] for a in nu})
+        mu, nu = {**mu, **{a: nu[a] for a in flipped}}, {**nu, **{a: mu[a] for a in flipped}}
     out = dsl.document_for(new_q, rels, mu, nu, name=doc.name)
     note = f"# dropped {dropped} relation(s) mentioning reversed arrows\n" if dropped else ""
     return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)

@@ -25,9 +25,9 @@ Nothing here imports numpy at module level; only the ``tails`` and
 Every record of the package (``Arrow``, ``Quiver``, ``Representation``, ...)
 is a plain class on one private base, ``_Record``: it declares ``_fields``
 (plus ``_defaults``) and writes an ``__init__`` only to validate (the
-matrix stacks share ``representation._Stacked``'s).  No method is generated
-at import: a decorator would load ``inspect`` and ``exec`` source for every
-class in every process, a large share of a short CLI call.
+matrix stacks share ``_Stacked``'s).  No method is generated at import: a
+decorator that generates them would load ``inspect`` and ``exec`` source
+for every class in every process, a large share of a short CLI call.
 """
 
 from __future__ import annotations

@@ -78,14 +78,14 @@ class _Stacked(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
-        if kwargs or not 3 <= len(args) <= 3 + len(self._defaults):
-            args = self._bind(args, kwargs)
+        if len(args) != 3 or kwargs.keys() - self._defaults.keys():  # else 3 positions plus optional keywords
+            args, kwargs = self._bind(args, kwargs), {}
         quiver, spec, data = args[0], args[1], args[2]
         _setfield(self, "quiver", quiver)
         _setfield(self, self._fields[1], spec)
         group, n = (spec, spec.n) if self._defaults else (None, spec)  # only the group-valued take a tolerance
         if group is not None:
-            tol = args[3] if len(args) > 3 else TOL_MEMBERSHIP
+            tol = args[3] if len(args) > 3 else kwargs.get("membership_tol", TOL_MEMBERSHIP)
             _setfield(self, "membership_tol", tol)
         rows = quiver._arrow_row if self._id == "arrow" else quiver._vertex_row
         if isinstance(data, Mapping):
@@ -126,7 +126,7 @@ class _Stacked(_Record):
                 raise TypeError(f"{name} got {got} argument '{key}'")
             bound[key] = value
         if len(args) > len(params):  # Python's counts include ``self``
-            takes = f"from 4 to {len(params) + 1}" if cls._defaults else len(params) + 1
+            takes = f"from {len(cls._fields) + 1} to {len(params) + 1}" if cls._defaults else len(params) + 1
             raise TypeError(f"{name} takes {takes} positional arguments but {len(args) + 1} were given")
         missing = [f"'{key}'" for key in cls._fields if key not in bound]
         if missing:  # worded as Python words them: 'c', 'b' and 'c', or 'a', 'b', and 'c'
