@@ -280,8 +280,9 @@ def test_no_record_writes_a_constructor_that_only_stores_its_fields():
                 written.add(node.name)
                 assert not _stores_only(init, cls._fields), f"{path.name}:{init.lineno} {node.name}: use _Record's"
     # the shared constructor, the matrix stacks' one, and those of the records that validate or normalize their inputs
-    assert written == {"_Record", "_Stacked", "Quiver", "Word", "RelationSet", "GroupSpec"} | {
-        "WeightedToricAction", "MonomialBasis", "QuiverDocument"
+    assert written == {
+        "_Record", "_Stacked", "Quiver", "Word", "RelationSet", "GroupSpec", "WeightedToricAction", "MonomialBasis",
+        "QuiverDocument",
     }
 
 

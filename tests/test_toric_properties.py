@@ -6,7 +6,8 @@ in the kernel, be in row Hermite form, have A - rank vectors, and be
 saturated (every invariant factor 1).  The Hermite form of a saturated
 lattice is unique, so any kernel algorithm that passes gives the same output.
 The ``toric`` command's stdout is checked against the standard library's C
-JSON encoder applied to the dense vectors.
+JSON encoder applied to the dense vectors, and ``reverse`` must negate the
+reversed arrows' coordinates of the lattice.
 """
 
 import io
@@ -114,7 +115,7 @@ def test_reverse_negates_the_reversed_coordinates_of_the_toric_lattice(q, seed):
     assert [a.name for a in after.quiver.arrows] == [a.name for a in before.quiver.arrows]
     old, new = (invariant_monomial_basis(weight_matrix(d.quiver, *d.effective_weights())) for d in (before, after))
     assert new.cell_dimension == old.cell_dimension
-    # both bases span saturated lattices of one rank, so the new one holds the negated old one exactly when equal
+    # two saturated lattices of one rank are equal when their rows span one space: the stacked rank is that rank
     signs = [-1 if name in flipped else 1 for name in old.arrow_order]
     negated = [[s * x for s, x in zip(signs, v)] for v in old.vectors]
     both = negated + [list(v) for v in new.vectors]
