@@ -34,7 +34,7 @@ import re
 from bisect import bisect_right
 from typing import Mapping, NamedTuple
 
-from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _checked_weights, _Record, _setfield, validate_relations
+from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _checked_weights, _Record, validate_relations
 
 KEYWORDS = ("quiver", "vertices", "arrows", "relations", "weights")
 _IDENT = r"[A-Za-z_]\w*"
@@ -103,12 +103,7 @@ class QuiverDocument(_Record):
     ) -> None:
         if mu is not None or nu is not None:
             mu, nu = _checked_weights(quiver, mu or {}, nu or {})
-        _setfield(self, "name", name)
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "relations", relations)
-        _setfield(self, "mu", mu)
-        _setfield(self, "nu", nu)
-        _setfield(self, "spans", {} if spans is None else spans)
+        super().__init__(name, quiver, relations, mu, nu, {} if spans is None else spans)
 
     def effective_weights(self) -> tuple[dict[str, int], dict[str, int]]:
         ones = {a.name: 1 for a in self.quiver.arrows}

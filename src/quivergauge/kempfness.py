@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
+from .matrices import _checked_count, _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
 from .quiver import TOL_MEMBERSHIP, GroupSpec, _Record
 from .representation import Representation, RowView, _lie_action, act_on_stack
 
@@ -164,8 +164,7 @@ def kn_flow(
         raise ValueError(f"step0 must be positive and finite, got {step0}")
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    max_iter = _checked_count(max_iter, "max_iter")
 
     q, m = f.quiver, f.stack
     invertible = GroupSpec("GL", f.group.n)

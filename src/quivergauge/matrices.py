@@ -9,6 +9,8 @@ Every validity test is relative, so it gives the same verdict on c m as on m.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .quiver import TOL_EQ, TOL_MEMBERSHIP, GroupSpec
@@ -81,15 +83,21 @@ def random_element(group: GroupSpec, seed: int) -> np.ndarray:
     sampled in polar form k e^p: k is that U(n) sample and p = (W + W*) /
     (2 sqrt(n)) is Hermitian Gaussian from a second Ginibre draw W.  SL
     takes k in SU and the traceless part of p, so det = 1 up to rounding.
-    U and SU consume only the first draw.  A negative seed is a ValueError.
+    U and SU consume only the first draw.  A seed that is not a non-negative
+    integer is a ValueError.
     """
-    return _random_elements(group, [_checked_seed(seed)])[0]
+    return _random_elements(group, [_checked_count(seed, "seed")])[0]
 
 
-def _checked_seed(seed: int) -> int:
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def _checked_count(value, name: str, positive: bool = False) -> int:
+    """The one rule for seeds and counts: ``value`` by ``operator.index``, >= 1 if ``positive``, else >= 0."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < positive:
+        raise ValueError(f"{name} must be {'a positive' if positive else 'a non-negative'} integer, got {value!r}")
+    return count
 
 
 def _random_elements(group: GroupSpec, seeds: list[int]) -> np.ndarray:

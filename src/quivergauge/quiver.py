@@ -24,10 +24,12 @@ Nothing here imports numpy at module level; only the ``tails`` and
 
 Every record of the package (``Arrow``, ``Quiver``, ``Representation``, ...)
 is a plain class on one private base, ``_Record``: it declares ``_fields``
-(plus ``_defaults``) and writes an ``__init__`` only to validate (the
-matrix stacks share ``_Stacked``'s).  No method is generated at import: a
-decorator that generates them would load ``inspect`` and ``exec`` source
-for every class in every process, a large share of a short CLI call.
+(plus ``_defaults``), and ``_Record`` binds its arguments and stores its
+fields.  A record writes an ``__init__`` only to validate or normalize, and
+hands its fields to the base's (the matrix stacks share ``_Stacked``'s).
+No method is generated at import: a decorator that generates them would
+load ``inspect`` and ``exec`` source for every class in every process, a
+large share of a short CLI call.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ COMPACT_FAMILIES = ("U", "SU")
 MAX_WEIGHT = 10**6
 
 
-# How a record's ``__init__`` stores a field past ``_Record.__setattr__``.
-# Unlike writing to ``self.__dict__``, it keeps the instance's compact
-# attribute storage, so a record costs no more memory than before.
+# How ``_Record.__init__`` stores a field, and a constructor an attribute
+# that is not a field, past ``_Record.__setattr__``.  Unlike writing to
+# ``self.__dict__``, it keeps the instance's compact attribute storage.
 _setfield = object.__setattr__
 
 
@@ -56,9 +58,10 @@ class _Record:
 
     A subclass names its fields in ``_fields`` and the defaults of trailing
     optional ones in ``_defaults``; ``__init__`` binds arguments to them as
-    ``(field, ..., optional=default)`` would.  A subclass writes an
-    ``__init__`` only to validate or normalize, and stores each field there
-    with ``_setfield`` (assignment and deletion raise AttributeError).  ``==``
+    ``(field, ..., optional=default)`` would, and stores them.  A subclass
+    writes an ``__init__`` only to validate or normalize, and passes its
+    fields on to this one; ``_setfield`` stores only what is not a field
+    (assignment and deletion raise AttributeError).  ``==``
     (same class only) and ``hash`` compare ``_compared`` (default ``_fields``)
     by one ``operator.attrgetter`` per class, ``_key``.  A record with identity
     equality sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
@@ -83,21 +86,22 @@ class _Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The value of each field, in order, for a call with keywords or omitted fields; else TypeError."""
+        """The value of each parameter (``_fields``, then any other ``_defaults`` key) for a call; else TypeError."""
         fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments {fields} but {len(args)} were given")
-        given = dict(zip(fields, args))
+        params = fields + tuple(key for key in cls._defaults if key not in fields)
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes {len(params)} arguments {params} but {len(args)} were given")
+        given = dict(zip(params, args))
         for key in kwargs:
-            if key not in fields:
+            if key not in params:
                 raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
             if key in given:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
         bound = {**cls._defaults, **given, **kwargs}
-        for key in fields:
+        for key in params:
             if key not in bound:
                 raise TypeError(f"{name}() missing required argument {key!r}")
-        return [bound[key] for key in fields]
+        return [bound[key] for key in params]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -182,8 +186,7 @@ class Quiver(_Record):
         for a in arrows:
             if a.tail not in rows or a.head not in rows:
                 raise ValueError(f"arrow {a.name!r} references undeclared vertex")
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "arrows", arrows)
+        super().__init__(vertices, arrows)
         _setfield(self, "_vertex_row", rows)
         _setfield(self, "_arrow_row", arrow_rows)
         _setfield(self, "tail_rows", tuple(rows[a.tail] for a in arrows))
@@ -244,7 +247,7 @@ class Word(_Record):
         for name, exp in letters:
             if exp not in (1, -1):
                 raise ValueError(f"letter {name!r} has exponent {exp}; only +1/-1 allowed")
-        _setfield(self, "letters", letters)
+        super().__init__(letters)
 
     @classmethod
     def from_arrow_names(cls, names: Sequence[str]) -> "Word":
@@ -304,7 +307,7 @@ class RelationSet(_Record):
     _fields = ("relations",)
 
     def __init__(self, relations: Iterable[Word] = ()) -> None:
-        _setfield(self, "relations", tuple(relations))
+        super().__init__(tuple(relations))
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -366,8 +369,7 @@ class GroupSpec(_Record):
             raise ValueError(f"group n must be >= 1, got {n}")
         if family == "TORUS" and n != 1:
             raise ValueError(f"TORUS means GL(1), so group n must be 1, got {n}")
-        _setfield(self, "family", family)
-        _setfield(self, "n", n)
+        super().__init__(family, n)
 
     @property
     def is_compact(self) -> bool:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .matrices import TOL_EQ, TOL_MEMBERSHIP, _checked_seed, _random_elements, as_matrix, identity, in_group_rows
+from .matrices import TOL_EQ, TOL_MEMBERSHIP, _checked_count, _random_elements, as_matrix, identity, in_group_rows
 from .quiver import (
     GroupSpec,
     Quiver,
@@ -63,11 +63,12 @@ class _Stacked(_Record):
     """The one constructor and shared core of the matrix-stack records: one validated stack.
 
     A subclass declares ``_fields`` (quiver, group or n, mapping field) and,
-    in ``_defaults``, its optional ``membership_tol`` if it takes one; they
-    bind as ``__init__(self, *_fields, *_defaults)`` would, with Python's
-    TypeError messages.  ``stack`` is a read-only (k, n, n) complex array in
-    quiver order (arrows or vertices, by ``_id``), given as such or as the
-    mapping field, a read-only ``RowView`` of its rows.  Equality is identity.
+    in ``_defaults``, its optional ``membership_tol`` if it takes one.  Three
+    positions plus that keyword bind here; any other call binds through
+    ``_Record._bind``, with its TypeError messages.  ``stack`` is a read-only
+    (k, n, n) complex array in quiver order (arrows or vertices, by ``_id``),
+    given as such or as the mapping field, a read-only ``RowView`` of its
+    rows.  The fields are stored by ``_Record.__init__``.  Equality is identity.
     """
 
     _kind: ClassVar[str] = "marking"
@@ -81,11 +82,11 @@ class _Stacked(_Record):
         if len(args) != 3 or kwargs.keys() - self._defaults.keys():  # else 3 positions plus optional keywords
             args, kwargs = self._bind(args, kwargs), {}
         quiver, spec, data = args[0], args[1], args[2]
-        _setfield(self, "quiver", quiver)
-        _setfield(self, self._fields[1], spec)
         group, n = (spec, spec.n) if self._defaults else (None, spec)  # only the group-valued take a tolerance
         if group is not None:
             tol = args[3] if len(args) > 3 else kwargs.get("membership_tol", TOL_MEMBERSHIP)
+            if not tol >= 0:
+                raise ValueError(f"membership_tol must be non-negative, got {tol}")
             _setfield(self, "membership_tol", tol)
         rows = quiver._arrow_row if self._id == "arrow" else quiver._vertex_row
         if isinstance(data, Mapping):
@@ -112,28 +113,8 @@ class _Stacked(_Record):
                 k = list(rows)[np.argmin(member)]
                 raise ValueError(f"{self._kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
         stack.flags.writeable = False
+        _Record.__init__(self, quiver, spec, RowView(rows, stack))
         _setfield(self, "stack", stack)
-        _setfield(self, self._fields[2], RowView(rows, stack))
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The value of each parameter, in order, for a call with keywords or a wrong count; else TypeError."""
-        params, name = cls._fields + tuple(cls._defaults), f"{cls.__qualname__}.__init__()"
-        bound = dict(zip(params, args))
-        for key, value in kwargs.items():
-            if key in bound or key not in params:
-                got = "multiple values for" if key in bound else "an unexpected keyword"
-                raise TypeError(f"{name} got {got} argument '{key}'")
-            bound[key] = value
-        if len(args) > len(params):  # Python's counts include ``self``
-            takes = f"from {len(cls._fields) + 1} to {len(params) + 1}" if cls._defaults else len(params) + 1
-            raise TypeError(f"{name} takes {takes} positional arguments but {len(args) + 1} were given")
-        missing = [f"'{key}'" for key in cls._fields if key not in bound]
-        if missing:  # worded as Python words them: 'c', 'b' and 'c', or 'a', 'b', and 'c'
-            names = ", ".join(missing[:-1]) + "," * (len(missing) > 2) + " and " * (len(missing) > 1) + missing[-1]
-            plural = "s" * (len(missing) > 1)
-            raise TypeError(f"{name} missing {len(missing)} required positional argument{plural}: {names}")
-        return [bound.get(key, cls._defaults.get(key)) for key in params]
 
     def _row(self, key: str) -> np.ndarray:
         view = getattr(self, self._fields[2])
@@ -240,8 +221,10 @@ def trace_invariants(f: Representation, words: Iterable[Word]) -> list[complex]:
 def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word, ...]:
     """Fundamental cycles, their pairwise products, and the relation words.
 
-    Equality of traces over this menu is a necessary condition for gauge
-    equivalence and serves as the working test for closed orbits.  Only
+    Equality of traces over this menu is only a necessary condition for
+    gauge equivalence, closed orbits included: two representations with
+    equal traces here need not lie in one orbit, so this is no test of
+    orbit equality.  Only
     cycles sharing a basepoint are multiplied, so the menu is well formed
     on disconnected quivers too.
     """
@@ -391,9 +374,9 @@ def weighted_act(
 
 
 def _random_values(ids: Iterable[str], group: GroupSpec, seed: int) -> dict[str, np.ndarray]:
-    """Independent seeded group elements, drawn in sorted id order; a negative seed is a ValueError."""
+    """Independent seeded group elements, drawn in sorted id order; the seed passes ``_checked_count``."""
     keys = sorted(ids)
-    seeds = np.random.default_rng(_checked_seed(seed)).integers(2**62, size=len(keys)).tolist()
+    seeds = np.random.default_rng(_checked_count(seed, "seed")).integers(2**62, size=len(keys)).tolist()
     return dict(zip(keys, _random_elements(group, seeds)))
 
 

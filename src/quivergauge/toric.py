@@ -39,9 +39,7 @@ class WeightedToricAction(_Record):
 
     def __init__(self, quiver: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> None:
         mu, nu = _checked_weights(quiver, mu, nu)
-        _setfield(self, "quiver", quiver)
-        _setfield(self, "mu", mu)
-        _setfield(self, "nu", nu)
+        super().__init__(quiver, mu, nu)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -202,12 +200,15 @@ def invariant_monomial_basis(action: WeightedToricAction) -> MonomialBasis:
     return MonomialBasis(names, len(names) - len(pivoted), tuple(_hermite(kernel, len(names))))
 
 
+# the largest |ratio - 1| of a monomial before and after a sampled gauge that counts as invariant
+_INVARIANCE_TOL = 1e-9
+
+
 def check_invariance(
     action: WeightedToricAction,
     exponents: Sequence[int],
     trials: int = 20,
     seed: int = 0,
-    rel_tol: float = 1e-9,
 ) -> bool:
     """Numerically test invariance of a monomial under the weighted action.
 
@@ -217,16 +218,17 @@ def check_invariance(
     space; integer powers are branch-independent, which keeps this exact in
     principle and safe from overflow for large weights or exponents.
     Non-kernel exponent vectors are rejected with overwhelming probability
-    per trial.
+    per trial.  ``trials`` must be at least 1.
     """
     q = action.quiver
     if len(exponents) != q.n_arrows:
         raise ValueError("exponent vector length must match the arrow count")
     import numpy as np
 
-    from .matrices import _checked_seed
+    from .matrices import _checked_count
 
-    rng = np.random.default_rng(_checked_seed(seed))
+    trials = _checked_count(trials, "trials", positive=True)
+    rng = np.random.default_rng(_checked_count(seed, "seed"))
 
     for _ in range(trials):
         gauge = {}
@@ -243,6 +245,6 @@ def check_invariance(
             )
         if abs(log_ratio.real) > 50.0:
             return False
-        if abs(np.exp(log_ratio) - 1.0) > rel_tol:
+        if abs(np.exp(log_ratio) - 1.0) > _INVARIANCE_TOL:
             return False
     return True

@@ -343,6 +343,8 @@ def test_kn_flow_validation():
         kn_flow(g, step0=0.0)
     with pytest.raises(ValueError):
         kn_flow(g, max_iter=-1)
+    with pytest.raises(ValueError, match="^max_iter must be a non-negative integer, got 2.5$"):
+        kn_flow(g, max_iter=2.5)  # would run 3 steps
 
 
 def test_kn_flow_one_arrow_balances_singular_values():

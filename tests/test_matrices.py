@@ -86,6 +86,9 @@ def test_random_element_membership_and_determinism():
 def test_random_element_refuses_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         mg.random_element(GL3, -1)
+    for seed in (1.5, None, "1"):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            mg.random_element(GL3, seed)
 
 
 def test_random_element_closure():

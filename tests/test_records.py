@@ -287,6 +287,27 @@ BAD_BINDINGS = {
         lambda: MonotoneReport(True, None, None, None),
         r"MonotoneReport\(\) takes 3 arguments .* but 4 were given",
     ),
+    # the matrix stacks bind the same way: ``_fields``, then ``membership_tol`` where the class takes one
+    "stack-surplus": (
+        lambda: Representation(LOOP, GL1, {"l": [[2.0]]}, 0.0, 0.0),
+        r"Representation\(\) takes 4 arguments \('quiver', 'group', 'markings', 'membership_tol'\) but 5 were given",
+    ),
+    "stack-missing": (
+        lambda: Representation(LOOP, GL1, membership_tol=0.0),
+        r"Representation\(\) missing required argument 'markings'",
+    ),
+    "stack-unknown": (
+        lambda: Representation(LOOP, GL1, {"l": [[2.0]]}, tol=0.0),
+        r"Representation\(\) got an unexpected keyword argument 'tol'",
+    ),
+    "stack-repeated": (
+        lambda: Representation(LOOP, GL1, {"l": [[2.0]]}, group=GL1),
+        r"Representation\(\) got multiple values for argument 'group'",
+    ),
+    "stack-without-a-tolerance": (
+        lambda: AdditiveRep(LOOP, 1, {"l": [[2.0]]}, membership_tol=0.0),
+        r"AdditiveRep\(\) got an unexpected keyword argument 'membership_tol'",
+    ),
 }
 
 

@@ -89,6 +89,12 @@ def test_random_samplers_refuse_a_negative_seed():
     for sample in (random_representation, random_gauge):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             sample(theta(), GL3, -1)
+        for seed in (1.5, None, "1"):  # the count rule takes integers only
+            with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+                sample(theta(), GL3, seed)
+    assert random_representation(theta(), GL3, np.int64(2)).stack.tobytes() == (
+        random_representation(theta(), GL3, 2).stack.tobytes()
+    )
 
 
 def test_loop_action_is_conjugation():

@@ -260,6 +260,9 @@ def test_stack_constructors_and_empty_quiver():
         Representation(two, GroupSpec("GL", 2), stack[:1])
     with pytest.raises(ValueError, match="marking at 'b' is not in GL"):
         Representation(two, GroupSpec("GL", 2), stack)
+    for tol, shown in ((-1.0, "-1.0"), (float("nan"), "nan")):  # neither may skip the group test
+        with pytest.raises(ValueError, match=f"^membership_tol must be non-negative, got {shown}$"):
+            Representation(two, GroupSpec("GL", 2), stack, membership_tol=tol)
     with pytest.raises(ValueError, match="gauge value at 'v1'"):
         GaugeElement(two, GroupSpec("GL", 2), {"v0": np.eye(2), "v1": np.diag([1.0, 0.0])})
     with pytest.raises(ValueError, match="unknown vertex id"):

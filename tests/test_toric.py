@@ -244,6 +244,15 @@ def test_check_invariance_refuses_a_negative_seed():
     action = weight_matrix(q, ones(q), ones(q))
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         check_invariance(action, (1,), seed=-1)
+    for seed in (1.5, None, "1"):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            check_invariance(action, (1,), seed=seed)
+    # no trial would accept the non-invariant monomial of one arrow v0 -> v1 unchecked
+    action = weight_matrix(one_arrow(), ones(one_arrow()), ones(one_arrow()))
+    assert not check_invariance(action, (1,), trials=1)
+    for trials in (0, -3, 2.5):
+        with pytest.raises(ValueError, match=f"^trials must be a positive integer, got {trials}$"):
+            check_invariance(action, (1,), trials=trials)
 
 
 def test_check_invariance_randomized_agreement():
