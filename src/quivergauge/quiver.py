@@ -26,7 +26,8 @@ Every record of the package (``Arrow``, ``Quiver``, ``Representation``, ...)
 is a plain class on one private base, ``_Record``: it declares ``_fields``
 (plus ``_defaults``), and ``_Record`` binds its arguments and stores its
 fields.  A record writes an ``__init__`` only to validate or normalize, and
-hands its fields to the base's (the matrix stacks share ``_Stacked``'s).
+hands its fields to the base's; the matrix stacks share ``_Stacked``'s,
+which binds through the base but stores its fields itself.
 No method is generated at import: a decorator that generates them would
 load ``inspect`` and ``exec`` source for every class in every process, a
 large share of a short CLI call.
@@ -47,8 +48,8 @@ COMPACT_FAMILIES = ("U", "SU")
 MAX_WEIGHT = 10**6
 
 
-# How ``_Record.__init__`` stores a field, and a constructor an attribute
-# that is not a field, past ``_Record.__setattr__``.  Unlike writing to
+# How ``_Record.__init__`` stores a field, and a constructor what the base
+# does not store, past ``_Record.__setattr__``.  Unlike writing to
 # ``self.__dict__``, it keeps the instance's compact attribute storage.
 _setfield = object.__setattr__
 
@@ -60,8 +61,9 @@ class _Record:
     optional ones in ``_defaults``; ``__init__`` binds arguments to them as
     ``(field, ..., optional=default)`` would, and stores them.  A subclass
     writes an ``__init__`` only to validate or normalize, and passes its
-    fields on to this one; ``_setfield`` stores only what is not a field
-    (assignment and deletion raise AttributeError).  ``==``
+    fields on to this one; ``_setfield`` stores what is not a field, and the
+    fields of ``_Stacked`` and ``toric.MonomialBasis`` (assignment and
+    deletion raise AttributeError).  ``==``
     (same class only) and ``hash`` compare ``_compared`` (default ``_fields``)
     by one ``operator.attrgetter`` per class, ``_key``.  A record with identity
     equality sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.

@@ -68,7 +68,9 @@ class _Stacked(_Record):
     ``_Record._bind``, with its TypeError messages.  ``stack`` is a read-only
     (k, n, n) complex array in quiver order (arrows or vertices, by ``_id``),
     given as such or as the mapping field, a read-only ``RowView`` of its
-    rows.  The fields are stored by ``_Record.__init__``.  Equality is identity.
+    rows.  Equality is identity.  The fields are stored here rather than
+    through ``_Record.__init__``, which would cost one more call per stack,
+    and every pushforward builds one.
     """
 
     _kind: ClassVar[str] = "marking"
@@ -82,6 +84,8 @@ class _Stacked(_Record):
         if len(args) != 3 or kwargs.keys() - self._defaults.keys():  # else 3 positions plus optional keywords
             args, kwargs = self._bind(args, kwargs), {}
         quiver, spec, data = args[0], args[1], args[2]
+        _setfield(self, "quiver", quiver)
+        _setfield(self, self._fields[1], spec)
         group, n = (spec, spec.n) if self._defaults else (None, spec)  # only the group-valued take a tolerance
         if group is not None:
             tol = args[3] if len(args) > 3 else kwargs.get("membership_tol", TOL_MEMBERSHIP)
@@ -113,8 +117,8 @@ class _Stacked(_Record):
                 k = list(rows)[np.argmin(member)]
                 raise ValueError(f"{self._kind} at {k!r} is not in {group.family}({group.n}) at tol {tol}")
         stack.flags.writeable = False
-        _Record.__init__(self, quiver, spec, RowView(rows, stack))
         _setfield(self, "stack", stack)
+        _setfield(self, self._fields[2], RowView(rows, stack))
 
     def _row(self, key: str) -> np.ndarray:
         view = getattr(self, self._fields[2])
@@ -222,11 +226,10 @@ def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word
     """Fundamental cycles, their pairwise products, and the relation words.
 
     Equality of traces over this menu is only a necessary condition for
-    gauge equivalence, closed orbits included: two representations with
-    equal traces here need not lie in one orbit, so this is no test of
-    orbit equality.  Only
-    cycles sharing a basepoint are multiplied, so the menu is well formed
-    on disconnected quivers too.
+    gauge equivalence, closed orbits included: the menu is finite, so equal
+    traces on it do not show that two representations lie in one orbit.
+    Only cycles sharing a basepoint are multiplied, so the menu is well
+    formed on disconnected quivers too.
     """
     cycles, _ = fundamental_cycles(q)
     menu = list(cycles)
