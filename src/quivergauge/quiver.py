@@ -27,10 +27,10 @@ is a plain class on one private base, ``_Record``: it declares ``_fields``
 (plus ``_defaults``), and ``_Record`` binds its arguments and stores its
 fields.  A record writes an ``__init__`` only to validate or normalize, and
 hands its fields to the base's; the matrix stacks share ``_Stacked``'s,
-which binds through the base but stores its fields itself.
-No method is generated at import: a decorator that generates them would
-load ``inspect`` and ``exec`` source for every class in every process, a
-large share of a short CLI call.
+which binds through the base but stores its fields itself.  No method is
+generated at import: a decorator that generates them would load
+``inspect`` and ``exec`` source for every class in every process, a large
+share of a short CLI call.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class _Record:
     writes an ``__init__`` only to validate or normalize, and passes its
     fields on to this one; ``_setfield`` stores what is not a field, and the
     fields of ``_Stacked`` and ``toric.MonomialBasis`` (assignment and
-    deletion raise AttributeError).  ``==``
-    (same class only) and ``hash`` compare ``_compared`` (default ``_fields``)
-    by one ``operator.attrgetter`` per class, ``_key``.  A record with identity
-    equality sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    deletion raise AttributeError).  ``==`` (same class only) and ``hash``
+    compare ``_compared`` (default ``_fields``) by one ``operator.attrgetter``
+    per class, ``_key``.  A record with identity equality sets
+    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
