@@ -18,7 +18,16 @@ quiver's vertex and arrow counts ``V`` and ``A``, and the group size ``n``
 Text commands (info, reduce, collapse, pinch, clip, reverse, certificate,
 check-relations) print text and take ``--json``; the others always print
 the module JSON encodings.  ``--seed`` belongs to sample; ``--tol`` to
-kn-flow, rescale and check-relations.
+kn-flow, rescale and check-relations.  A negative ``--seed`` or
+``--max-iter`` is a usage error.
+
+The parser declares only the invoked subcommand: when the first argument
+other than ``--stats`` names a command, ``_build_parser`` declares that one
+alone, and each command's options are data in its declaration, so the
+others cost nothing.  Top-level help, a missing or unknown command name and
+any other argument ahead of the name get the parser with every subcommand,
+whose help and errors list them all.  A subcommand's help and errors are
+the same either way.
 
 Every handler imports its library function when it runs; at module level
 this module imports only what argument parsing and document reading need
@@ -96,6 +105,14 @@ def _group(args) -> GroupSpec:
         return GroupSpec(args.group, args.n)
     except ValueError as exc:
         raise _UsageError(f"argument --n: {exc}") from None
+
+
+def _count(args, dest: str) -> int:
+    """An integer option that must not be negative (``--seed``, ``--max-iter``): a negative one is a usage error."""
+    value = getattr(args, dest)
+    if value < 0:
+        raise _UsageError(f"argument --{dest.replace('_', '-')}: must be a non-negative integer, got {value}")
+    return value
 
 
 def _load(path: str, decode, quiver):
@@ -248,9 +265,8 @@ def _cmd_reverse(args, doc):
 def _cmd_sample(args, doc):
     from .representation import random_representation
 
-    if args.seed < 0:
-        raise _UsageError(f"argument --seed: must be a non-negative integer, got {args.seed}")
-    return serialize.representation_to_json(random_representation(doc.quiver, _group(args), args.seed)), None
+    seed = _count(args, "seed")
+    return serialize.representation_to_json(random_representation(doc.quiver, _group(args), seed)), None
 
 
 def _cmd_act(args, doc):
@@ -274,7 +290,7 @@ def _cmd_kn_residual(args, doc):
 def _cmd_kn_flow(args, doc):
     from .kempfness import kn_flow
 
-    report = kn_flow(args.rep, step0=args.step, max_iter=args.max_iter, tol=args.tol)
+    report = kn_flow(args.rep, step0=args.step, max_iter=_count(args, "max_iter"), tol=args.tol)
     return serialize.flow_report_to_json(report), None
 
 
@@ -317,14 +333,22 @@ def _cmd_check_relations(args, doc):
     return payload, f"{len(doc.relations)} relation(s) {verdict} within {args.tol}\n"
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser(command: str | None = None) -> _ArgumentParser:
+    """The CLI parser: only the subcommand ``command`` declared, or every one when ``command`` names none."""
     parser = _ArgumentParser(prog="quivergauge", description="Compute with group-valued quiver representations.")
     parser.add_argument("--stats", action="store_true", help="write phase timings and sizes to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
     rep = {"rep": serialize.representation_from_json}
+    size = ("--n", {"type": int, "default": 2})
 
-    def add(name, handler, help_text, text=False, tol=None, payloads=None):
-        """A subcommand; ``payloads`` maps each payload flag's dest to its decoder."""
+    def add(name, handler, help_text, *options, text=False, tol=None, payloads=None):
+        """A subcommand, unless another one is asked for.
+
+        ``options`` are its own ``(flag, keywords)`` pairs; ``payloads`` maps
+        each payload flag's dest to its decoder.
+        """
+        if command is not None and name != command:
+            return
         payloads = payloads or {}
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quiver_file", help="quiver document file")
@@ -335,67 +359,61 @@ def _build_parser() -> _ArgumentParser:
             p.add_argument("--tol", type=float, default=tol, help="numeric tolerance (default %(default)g)")
         for dest in payloads:
             p.add_argument("--" + dest.replace("_", "-"), required=True, help="JSON payload file")
-        return p
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
 
-    p = add("info", _cmd_info, "topological invariants, vertex classes, moduli dimension", text=True)
-    p.add_argument("--group", choices=GROUP_FAMILIES)
-    p.add_argument("--n", type=int, default=2)
-
+    add(
+        "info", _cmd_info, "topological invariants, vertex classes, moduli dimension",
+        ("--group", {"choices": GROUP_FAMILIES}), size, text=True,
+    )
     add("reduce", _cmd_reduce, "collapse the spanning tree down to a rose", text=True)
-
-    p = add("collapse", _cmd_collapse, "collapse one non-loop arrow", text=True)
-    p.add_argument("--arrow", required=True)
-
-    p = add("pinch", _cmd_pinch, "identify two vertices", text=True)
-    p.add_argument("--v1", required=True)
-    p.add_argument("--v2", required=True)
-
-    p = add("clip", _cmd_clip, "remove one arrow", text=True)
-    p.add_argument("--arrow", required=True)
-
-    p = add("reverse", _cmd_reverse, "reverse the listed arrows", text=True)
-    p.add_argument("--arrows", nargs="+", required=True)
-
-    p = add("sample", _cmd_sample, "random representation")
-    p.add_argument("--group", choices=GROUP_FAMILIES, default="GL")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-
+    add("collapse", _cmd_collapse, "collapse one non-loop arrow", ("--arrow", {"required": True}), text=True)
+    add(
+        "pinch", _cmd_pinch, "identify two vertices",
+        ("--v1", {"required": True}), ("--v2", {"required": True}), text=True,
+    )
+    add("clip", _cmd_clip, "remove one arrow", ("--arrow", {"required": True}), text=True)
+    add(
+        "reverse", _cmd_reverse, "reverse the listed arrows",
+        ("--arrows", {"nargs": "+", "required": True}), text=True,
+    )
+    add(
+        "sample", _cmd_sample, "random representation",
+        ("--group", {"choices": GROUP_FAMILIES, "default": "GL"}), size,
+        ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
+    )
     add(
         "act", _cmd_act, "apply a gauge element to a representation",
         payloads={**rep, "gauge": serialize.gauge_from_json},
     )
-
-    p = add("retract", _cmd_retract, "polar retraction of every marking", payloads=rep)
-    p.add_argument("--t", type=float, required=True)
-
-    add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual", payloads=rep)
-
-    p = add("kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow", tol=1e-8, payloads=rep)
-    p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--max-iter", type=int, default=1000)
-
-    p = add(
-        "witness", _cmd_witness, "sink/source degeneration witness", payloads={"rep": _additive_from_json}
+    add(
+        "retract", _cmd_retract, "polar retraction of every marking",
+        ("--t", {"type": float, "required": True}), payloads=rep,
     )
-    p.add_argument("--vertex", required=True)
-
+    add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual", payloads=rep)
+    add(
+        "kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow",
+        ("--step", {"type": float, "default": 0.25}), ("--max-iter", {"type": int, "default": 1000}),
+        tol=1e-8, payloads=rep,
+    )
+    add(
+        "witness", _cmd_witness, "sink/source degeneration witness",
+        ("--vertex", {"required": True}), payloads={"rep": _additive_from_json},
+    )
     add("certificate", _cmd_certificate, "orbit-closure certificate for the quiver", text=True)
-
     add(
         "rescale", _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9,
         payloads={
             "gauge": serialize.gauge_from_json, "x": _additive_from_json, "x_prime": _additive_from_json
         },
     )
-
     add("toric", _cmd_toric, "invariant monomial basis of the weighted scalar action")
-
     add(
         "check-relations", _cmd_check_relations, "evaluate the relation words on a representation",
         text=True, tol=TOL_EQ, payloads=rep,
     )
-
+    if not sub.choices:  # not a command name: the full parser lists them all in its error
+        return _build_parser()
     return parser
 
 
@@ -411,7 +429,10 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            args = _build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            # the first argument other than --stats: the command name, when the call is well formed
+            command = next((arg for arg in argv if arg != "--stats"), None)
+            args = _build_parser(command).parse_args(argv)
             start = time.perf_counter()
             doc = dsl.parse(_read_file(args.quiver_file))
             for dest, decode in args.payloads.items():

@@ -88,12 +88,18 @@ class KNResidual(_Record):
 def _moments(q, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-vertex moment stack of markings ``m`` on ``q``, and its trace-free projection."""
     n = m.shape[-1]
+    size = q.n_vertices * n * n
     adjoint = m.conj().swapaxes(1, 2)
-    # tail and head terms interleave in arrow order; add.at also sums the
-    # repeated rows of parallel arrows and loops
-    terms = np.stack((adjoint @ m, -(m @ adjoint)), axis=1).reshape(-1, n, n)
-    moments = np.zeros((q.n_vertices, n, n), dtype=complex)
-    np.add.at(moments, np.stack((q.tails, q.heads), axis=1).ravel(), terms)
+    # tail and head terms interleave in arrow order; bincount adds the terms
+    # that share a flat index (row * n^2 + entry) in that order, as add.at
+    # did, so parallel arrows and loops add up and outputs stay bit-identical
+    terms = np.stack((adjoint @ m, -(m @ adjoint)), axis=1).reshape(-1, n * n)
+    rows = np.stack((q.tails, q.heads), axis=1).reshape(-1, 1)
+    flat = (rows * (n * n) + np.arange(n * n)).ravel()
+    moments = np.empty(size, dtype=complex)
+    moments.real = np.bincount(flat, terms.real.ravel(), size)
+    moments.imag = np.bincount(flat, terms.imag.ravel(), size)
+    moments = moments.reshape(-1, n, n)
     trace = np.trace(moments, axis1=1, axis2=2)
     return moments, moments - (trace / n)[:, None, None] * np.eye(n, dtype=complex)
 

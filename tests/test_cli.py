@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and byte-determinism of JSON output."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from quivergauge import GroupSpec, invariant_monomial_basis, parse, random_gauge, serialize, weight_matrix
-from quivergauge.cli import main
+from quivergauge.cli import _build_parser, _UsageError, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -394,10 +395,18 @@ def test_exit_code_usage_for_a_group_size_the_family_refuses(capsys, argv, refus
     assert err.startswith("error: ") and refused in err
 
 
-def test_exit_code_usage_for_a_negative_seed(capsys):
-    code, out, err = run(capsys, "sample", fx("theta.quiver"), "--seed", "-1")
+@pytest.mark.parametrize(
+    "command, quiver, flag",
+    [("sample", "theta.quiver", "--seed"), ("kn-flow", "one_loop.quiver", "--max-iter")],
+    ids=["seed", "max-iter"],
+)
+def test_exit_code_usage_for_a_negative_seed(capsys, tmp_path, command, quiver, flag):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"group": {"family": "GL", "n": 2}, "markings": {"l0": IDENTITY_2}}))
+    payload = ["--rep", str(rep_file)] if command == "kn-flow" else []
+    code, out, err = run(capsys, command, fx(quiver), *payload, flag, "-1")
     assert (code, out) == (1, "")
-    assert err == "error: argument --seed: must be a non-negative integer, got -1\n"
+    assert err == f"error: argument {flag}: must be a non-negative integer, got -1\n"
 
 
 def test_exit_code_parse_diagnostics(capsys, tmp_path):
@@ -457,6 +466,40 @@ def test_help_exits_zero(capsys):
     assert "handler(args" not in out and len(out.splitlines()) < 40
     listed = {line.split()[0] for line in out.splitlines() if line[:4] == "    " and line[4] != " "}
     assert listed == set(COMMANDS)
+
+
+def test_an_unknown_command_lists_every_command(capsys):
+    listed = ", ".join(f"'{name}'" for name in COMMANDS)
+    for argv in (["no-such-command", "x"], ["--stats", "no-such-command"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.endswith(f"invalid choice: 'no-such-command' (choose from {listed})\n"), argv
+
+
+def _subparser(parser, command):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
+# the required options of each command, so that an unknown flag is the only error
+REQUIRED = {
+    "collapse": ["--arrow", "a"], "pinch": ["--v1", "u", "--v2", "v"], "clip": ["--arrow", "a"],
+    "reverse": ["--arrows", "a"], "act": ["--rep", "r", "--gauge", "g"], "retract": ["--rep", "r", "--t", "1"],
+    "kn-residual": ["--rep", "r"], "kn-flow": ["--rep", "r"], "witness": ["--rep", "r", "--vertex", "v"],
+    "rescale": ["--gauge", "g", "--x", "x", "--x-prime", "y"], "check-relations": ["--rep", "r"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_parser_of_one_command_matches_the_full_parser(command):
+    alone, full = _subparser(_build_parser(command), command), _subparser(_build_parser(), command)
+    assert alone.format_help() == full.format_help()
+    errors = []
+    for parser in (alone, full):
+        with pytest.raises(_UsageError) as caught:
+            parser.parse_args(["x", *REQUIRED.get(command, []), "--no-such-flag"])
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == f"quivergauge {command}: unrecognized arguments: --no-such-flag"
 
 
 def test_structural_json_deterministic(capsys):

@@ -21,6 +21,7 @@ CASES = {
     "numeric": (0, ["sample", THETA, "--group", "SL", "--n", "3", "--seed", "5"]),
     "usage": (1, ["info", str(FIXTURES / "no_such.quiver")]),
     "bad-option": (1, ["toric", THETA, "--json"]),
+    "unknown-command": (1, ["no-such-command", THETA]),
     "parse": (2, ["info", str(FIXTURES / "comet.reduce.json")]),
     "precondition": (3, ["collapse", str(FIXTURES / "one_loop.quiver"), "--arrow", "l0"]),
     "help": (0, ["--help"]),
