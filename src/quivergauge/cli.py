@@ -21,13 +21,21 @@ the module JSON encodings.  ``--seed`` belongs to sample; ``--tol`` to
 kn-flow, rescale and check-relations.  A negative ``--seed`` or
 ``--max-iter`` is a usage error.
 
-The parser declares only the invoked subcommand: when the first argument
-other than ``--stats`` names a command, ``_build_parser`` declares that one
-alone, and each command's options are data in its declaration, so the
-others cost nothing.  Top-level help, a missing or unknown command name and
-any other argument ahead of the name get the parser with every subcommand,
-whose help and errors list them all.  A subcommand's help and errors are
-the same either way.
+Arguments are read from one table of subcommand declarations,
+``_COMMANDS``, in one of two ways.  A plain call (an optional leading
+``--stats``, the command name, one document path, and the command's own
+flags written in full: ``--flag value``, a switch, or ``--arrows`` with its
+list) is read by ``_read_args``, which converts and checks each value as
+argparse would and returns the same arguments.  Every other call goes to
+argparse: help, an abbreviated, unknown or misplaced flag,
+``--flag=value``, ``--``, a path or value starting with ``-``, a value that
+does not convert, a missing or extra argument.  Help, usage and error
+messages and exit codes are therefore argparse's own, and ``argparse``,
+``gettext`` and ``locale`` are imported only on that path.  There
+``_build_parser`` declares only the invoked subcommand when the first
+argument other than ``--stats`` names one; top-level help, a missing or
+unknown command name and any other argument ahead of the name get the
+parser with every subcommand, whose help and errors list them all.
 
 Every handler imports its library function when it runs; at module level
 this module imports only what argument parsing and document reading need
@@ -56,12 +64,12 @@ quivergauge.cli``): it calls ``main`` and ends the process with
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 from . import dsl, serialize
 from .quiver import GROUP_FAMILIES, TOL_EQ, GroupSpec, RelationSet
@@ -75,11 +83,6 @@ class _UsageError(Exception):
 
 class _InputError(Exception):
     """Malformed input file (non-DSL): reported like parse diagnostics."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _read_file(path: str) -> str:
@@ -333,87 +336,142 @@ def _cmd_check_relations(args, doc):
     return payload, f"{len(doc.relations)} relation(s) {verdict} within {args.tol}\n"
 
 
-def _build_parser(command: str | None = None) -> _ArgumentParser:
-    """The CLI parser: only the subcommand ``command`` declared, or every one when ``command`` names none."""
+def _command(handler, help_text, *options, text=False, tol=None, payloads=None):
+    """One subcommand's declaration: ``(help_text, options, defaults)``.
+
+    ``options`` lists every flag as a ``(flag, keywords)`` pair in the order
+    the help shows them: ``--json`` when ``text``, ``--tol`` with default
+    ``tol``, one required flag per payload, then the command's own.
+    ``payloads`` maps each payload flag's dest to its decoder; ``defaults``
+    are the values every call carries beside its arguments.
+    """
+    payloads = payloads or {}
+    declared = [("--json", {"action": "store_true", "help": "emit JSON output"})] if text else []
+    if tol is not None:
+        declared.append(("--tol", {"type": float, "default": tol, "help": "numeric tolerance (default %(default)g)"}))
+    declared += [("--" + dest.replace("_", "-"), {"required": True, "help": "JSON payload file"}) for dest in payloads]
+    return help_text, (*declared, *options), {"handler": handler, "json": False, "payloads": payloads}
+
+
+_REP = {"rep": serialize.representation_from_json}
+_SIZE = ("--n", {"type": int, "default": 2})
+_COMMANDS = {
+    "info": _command(
+        _cmd_info, "topological invariants, vertex classes, moduli dimension",
+        ("--group", {"choices": GROUP_FAMILIES}), _SIZE, text=True,
+    ),
+    "reduce": _command(_cmd_reduce, "collapse the spanning tree down to a rose", text=True),
+    "collapse": _command(_cmd_collapse, "collapse one non-loop arrow", ("--arrow", {"required": True}), text=True),
+    "pinch": _command(
+        _cmd_pinch, "identify two vertices", ("--v1", {"required": True}), ("--v2", {"required": True}), text=True,
+    ),
+    "clip": _command(_cmd_clip, "remove one arrow", ("--arrow", {"required": True}), text=True),
+    "reverse": _command(
+        _cmd_reverse, "reverse the listed arrows", ("--arrows", {"nargs": "+", "required": True}), text=True,
+    ),
+    "sample": _command(
+        _cmd_sample, "random representation",
+        ("--group", {"choices": GROUP_FAMILIES, "default": "GL"}), _SIZE,
+        ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
+    ),
+    "act": _command(
+        _cmd_act, "apply a gauge element to a representation", payloads={**_REP, "gauge": serialize.gauge_from_json},
+    ),
+    "retract": _command(
+        _cmd_retract, "polar retraction of every marking", ("--t", {"type": float, "required": True}), payloads=_REP,
+    ),
+    "kn-residual": _command(_cmd_kn_residual, "per-vertex moment matrices and aggregate residual", payloads=_REP),
+    "kn-flow": _command(
+        _cmd_kn_flow, "norm-minimizing gauge flow",
+        ("--step", {"type": float, "default": 0.25}), ("--max-iter", {"type": int, "default": 1000}),
+        tol=1e-8, payloads=_REP,
+    ),
+    "witness": _command(
+        _cmd_witness, "sink/source degeneration witness",
+        ("--vertex", {"required": True}), payloads={"rep": _additive_from_json},
+    ),
+    "certificate": _command(_cmd_certificate, "orbit-closure certificate for the quiver", text=True),
+    "rescale": _command(
+        _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9,
+        payloads={"gauge": serialize.gauge_from_json, "x": _additive_from_json, "x_prime": _additive_from_json},
+    ),
+    "toric": _command(_cmd_toric, "invariant monomial basis of the weighted scalar action"),
+    "check-relations": _command(
+        _cmd_check_relations, "evaluate the relation words on a representation", text=True, tol=TOL_EQ, payloads=_REP,
+    ),
+}
+
+
+def _read_args(argv):
+    """The arguments of a plain call, as argparse would parse them, or None for any other call.
+
+    A plain call is an optional leading ``--stats``, a command name, one
+    document path and the command's own flags, each written out in full:
+    ``--flag value``, a ``store_true`` flag alone, or a list flag with one
+    or more values.  Values convert with the declared ``type`` and must be
+    among the ``choices``; a repeated flag keeps its last value.  Anything
+    else (help, an unknown, abbreviated or misplaced flag, ``--flag=value``,
+    ``--``, an argument starting with ``-`` where a path or value belongs,
+    a value that does not convert, a missing or extra argument) returns
+    None, and argparse reads the call.
+    """
+    stats = argv[:1] == ["--stats"]
+    command, *rest = argv[stats:] or [None]
+    if command not in _COMMANDS:
+        return None
+    _, options, defaults = _COMMANDS[command]
+    declared = dict(options)
+    given, paths, i = {}, [], 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if not arg.startswith("-"):
+            paths.append(arg)
+            continue
+        keywords = declared.get(arg)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[arg] = True
+            continue
+        many, start = keywords.get("nargs") == "+", i
+        while i < len(rest) and not rest[i].startswith("-") and (many or i == start):
+            i += 1
+        try:
+            values = [keywords.get("type", str)(value) for value in rest[start:i]]
+        except (TypeError, ValueError):
+            return None
+        if not values or any(value not in keywords.get("choices", values) for value in values):
+            return None
+        given[arg] = values if many else values[0]
+    if len(paths) != 1 or any(keywords.get("required") and flag not in given for flag, keywords in options):
+        return None
+    args = {"stats": stats, "command": command, "quiver_file": paths[0], **defaults}
+    for flag, keywords in options:
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**args)
+
+
+def _build_parser(command: str | None = None):
+    """The argparse parser: only the subcommand ``command`` declared, or every one when ``command`` names none."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.prog}: {message}")
+
     parser = _ArgumentParser(prog="quivergauge", description="Compute with group-valued quiver representations.")
     parser.add_argument("--stats", action="store_true", help="write phase timings and sizes to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-    rep = {"rep": serialize.representation_from_json}
-    size = ("--n", {"type": int, "default": 2})
-
-    def add(name, handler, help_text, *options, text=False, tol=None, payloads=None):
-        """A subcommand, unless another one is asked for.
-
-        ``options`` are its own ``(flag, keywords)`` pairs; ``payloads`` maps
-        each payload flag's dest to its decoder.
-        """
-        if command is not None and name != command:
-            return
-        payloads = payloads or {}
+    for name, (help_text, options, defaults) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quiver_file", help="quiver document file")
-        p.set_defaults(handler=handler, json=False, payloads=payloads)
-        if text:
-            p.add_argument("--json", action="store_true", help="emit JSON output")
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol, help="numeric tolerance (default %(default)g)")
-        for dest in payloads:
-            p.add_argument("--" + dest.replace("_", "-"), required=True, help="JSON payload file")
+        p.set_defaults(**defaults)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
-
-    add(
-        "info", _cmd_info, "topological invariants, vertex classes, moduli dimension",
-        ("--group", {"choices": GROUP_FAMILIES}), size, text=True,
-    )
-    add("reduce", _cmd_reduce, "collapse the spanning tree down to a rose", text=True)
-    add("collapse", _cmd_collapse, "collapse one non-loop arrow", ("--arrow", {"required": True}), text=True)
-    add(
-        "pinch", _cmd_pinch, "identify two vertices",
-        ("--v1", {"required": True}), ("--v2", {"required": True}), text=True,
-    )
-    add("clip", _cmd_clip, "remove one arrow", ("--arrow", {"required": True}), text=True)
-    add(
-        "reverse", _cmd_reverse, "reverse the listed arrows",
-        ("--arrows", {"nargs": "+", "required": True}), text=True,
-    )
-    add(
-        "sample", _cmd_sample, "random representation",
-        ("--group", {"choices": GROUP_FAMILIES, "default": "GL"}), size,
-        ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
-    )
-    add(
-        "act", _cmd_act, "apply a gauge element to a representation",
-        payloads={**rep, "gauge": serialize.gauge_from_json},
-    )
-    add(
-        "retract", _cmd_retract, "polar retraction of every marking",
-        ("--t", {"type": float, "required": True}), payloads=rep,
-    )
-    add("kn-residual", _cmd_kn_residual, "per-vertex moment matrices and aggregate residual", payloads=rep)
-    add(
-        "kn-flow", _cmd_kn_flow, "norm-minimizing gauge flow",
-        ("--step", {"type": float, "default": 0.25}), ("--max-iter", {"type": int, "default": 1000}),
-        tol=1e-8, payloads=rep,
-    )
-    add(
-        "witness", _cmd_witness, "sink/source degeneration witness",
-        ("--vertex", {"required": True}), payloads={"rep": _additive_from_json},
-    )
-    add("certificate", _cmd_certificate, "orbit-closure certificate for the quiver", text=True)
-    add(
-        "rescale", _cmd_rescale, "rescale an equal-determinant gauge to unit determinant", tol=1e-9,
-        payloads={
-            "gauge": serialize.gauge_from_json, "x": _additive_from_json, "x_prime": _additive_from_json
-        },
-    )
-    add("toric", _cmd_toric, "invariant monomial basis of the weighted scalar action")
-    add(
-        "check-relations", _cmd_check_relations, "evaluate the relation words on a representation",
-        text=True, tol=TOL_EQ, payloads=rep,
-    )
-    if not sub.choices:  # not a command name: the full parser lists them all in its error
-        return _build_parser()
     return parser
 
 
@@ -430,9 +488,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             argv = sys.argv[1:] if argv is None else argv
-            # the first argument other than --stats: the command name, when the call is well formed
-            command = next((arg for arg in argv if arg != "--stats"), None)
-            args = _build_parser(command).parse_args(argv)
+            args = _read_args(argv)
+            if args is None:  # help, a usage error or a form the reader leaves to argparse
+                # the first argument other than --stats: the command name, when the call is well formed
+                command = next((arg for arg in argv if arg != "--stats"), None)
+                args = _build_parser(command).parse_args(argv)
             start = time.perf_counter()
             doc = dsl.parse(_read_file(args.quiver_file))
             for dest, decode in args.payloads.items():

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import _checked_count, _invertible, as_matrix, as_stack, hermitian_exp, in_group_rows
+from .matrices import _checked_count, _exp_from_eigh, _hermitian_eigh, _invertible, as_matrix, as_stack, in_group_rows
 from .quiver import TOL_MEMBERSHIP, GroupSpec, _Record
 from .representation import Representation, RowView, _lie_action, act_on_stack
 
@@ -181,13 +181,17 @@ def kn_flow(
     iterations = 0
 
     while residuals[-1] > tol and iterations < max_iter:
-        direction = 0.5 * (projected + projected.conj().swapaxes(1, 2))
+        try:
+            # one decomposition serves every trial: exp(trial * direction) has eigenvalues trial * vals
+            vals, vecs = _hermitian_eigh(0.5 * (projected + projected.conj().swapaxes(1, 2)))
+        except (ValueError, np.linalg.LinAlgError):
+            break  # no trial could be exponentiated: the flow ends as when every trial fails
         trial = eps
         for _ in range(_MAX_BACKTRACKS + 1):
             try:
                 # an overflowing trial is a failure below, not a warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    moved = act_on_stack(hermitian_exp(trial * direction), m, q.tails, q.heads)
+                    moved = act_on_stack(_exp_from_eigh(trial * vals, vecs), m, q.tails, q.heads)
                     moved_norm = float(np.vdot(moved, moved).real)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
                 moved_norm = math.nan

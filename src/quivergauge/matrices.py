@@ -136,9 +136,18 @@ def hermitian_exp(h) -> np.ndarray:
     Each matrix must satisfy ||h - h*|| <= TOL_EQ ||h|| (Frobenius), a test
     relative to its own norm; a (k, n, n) stack goes through one batched eigh.
     """
+    return _exp_from_eigh(*_hermitian_eigh(h))
+
+
+def _hermitian_eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian matrix (or stack), after ``hermitian_exp``'s relative check."""
     a = as_stack(h)
     skew = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
     if np.any(skew > TOL_EQ * np.linalg.norm(a, axis=(-2, -1))):
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(a)
+    return np.linalg.eigh(a)
+
+
+def _exp_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix (or stack) with eigenpairs ``(vals, vecs)``, exponentiated: vecs e^vals vecs*."""
     return (vecs * np.exp(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

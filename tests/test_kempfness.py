@@ -28,6 +28,7 @@ from conftest import (
     SL3,
     SU2,
     U2,
+    cycle_plus_extras,
     one_arrow,
     one_loop,
     random_connected_quiver,
@@ -383,3 +384,80 @@ def test_kn_flow_refuses_steps_that_leave_gl():
     assert report.norm_history[-1] > 1e9
     assert not report.converged
     assert mg.in_group_rows(report.final.stack, GL3).all()
+
+
+def _flow_exponentiating_every_trial(f, step0, max_iter, tol):
+    """The reference for ``kn_flow``'s loop: each backtracking trial exponentiates its own direction.
+
+    Returns the iteration count, the residual history and the final stack.
+    """
+    from quivergauge.kempfness import _MAX_BACKTRACKS, _MAX_STEP, _moments
+    from quivergauge.representation import act_on_stack
+
+    q, m = f.quiver, f.stack
+    invertible = GroupSpec("GL", f.group.n)
+    projected = _moments(q, m)[1]
+    norms, residuals = [orbit_norm(f)], [float(np.linalg.norm(projected))]
+    eps, iterations = float(step0), 0
+    while residuals[-1] > tol and iterations < max_iter:
+        direction = 0.5 * (projected + projected.conj().swapaxes(1, 2))
+        trial = eps
+        for _ in range(_MAX_BACKTRACKS + 1):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    moved = act_on_stack(mg.hermitian_exp(trial * direction), m, q.tails, q.heads)
+                    moved_norm = float(np.vdot(moved, moved).real)
+            except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+                moved_norm = np.nan
+            if np.isfinite(moved_norm) and moved_norm < norms[-1] and mg.in_group_rows(moved, invertible).all():
+                break
+            trial /= 2.0
+        else:
+            break
+        m, eps = moved, min(trial * 2.0, _MAX_STEP)
+        projected = _moments(q, m)[1]
+        norms.append(moved_norm)
+        residuals.append(float(np.linalg.norm(projected)))
+        iterations += 1
+    return iterations, tuple(residuals), m
+
+
+FLOW_CASES = {
+    "jordan": (jordan_loop_rep, 1e-4, 10_000),
+    "cycle-20-60": (lambda: random_representation(cycle_plus_extras(20, 60, 1), GL3, 1), 1e-8, 60),
+    "huge-markings": (lambda: Representation(theta(), GL3, 1e4 * random_representation(theta(), GL3, 0).stack), 1e-8, 5),
+}
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_kn_flow_shares_one_decomposition_across_its_trials(case):
+    # trials are step0 times powers of two, so at step0 = 0.25 the shared eigenpairs scale exactly
+    make, tol, max_iter = FLOW_CASES[case]
+    f = make()
+    for step0, rel in ((0.25, 0.0), (0.3, 1e-12)):
+        report = kn_flow(f, step0=step0, max_iter=max_iter, tol=tol)
+        iterations, residuals, stack = _flow_exponentiating_every_trial(f, step0, max_iter, tol)
+        assert report.iterations == iterations > 0
+        if rel == 0.0:
+            assert report.residual_history == residuals
+            assert np.array_equal(report.final.stack, stack)
+        else:
+            # rounding differs from the first step on; measured against the starting residual and the stack's scale
+            assert np.max(np.abs(np.subtract(report.residual_history, residuals))) <= rel * residuals[0]
+            assert np.max(np.abs(report.final.stack - stack)) <= rel * np.max(np.abs(stack))
+
+
+def test_kn_flow_ends_when_a_direction_cannot_be_decomposed(monkeypatch):
+    # as when all 61 trials fail: no step is taken and the input comes back
+    import quivergauge.kempfness as kempfness
+
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(kempfness, "_hermitian_eigh", fail)
+    monkeypatch.setattr(mg, "hermitian_exp", fail)
+    f = jordan_loop_rep()
+    report = kn_flow(f, max_iter=5, tol=1e-8)
+    assert (report.iterations, report.residual_history) == _flow_exponentiating_every_trial(f, 0.25, 5, 1e-8)[:2]
+    assert report.iterations == 0 and not report.converged
+    assert np.array_equal(report.final.stack, f.stack)

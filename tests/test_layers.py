@@ -59,8 +59,10 @@ STRUCTURAL = {
 }
 
 # Runs the CLI in this process, then reports which of the WATCHED modules
-# got loaded, the exit code and the quivergauge modules loaded.
-WATCHED = ("numpy", "dataclasses", "inspect")
+# got loaded, the exit code and the quivergauge modules loaded.  A plain
+# call is read without argparse, so it loads neither argparse nor the
+# gettext and locale modules that argparse's help strings pull in.
+WATCHED = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
 PROBE = f"""
 import sys
 from quivergauge.cli import main
@@ -87,7 +89,7 @@ def probe(argv) -> tuple[dict[str, bool], str, list[str]]:
 def test_structural_command_does_not_load_numpy(argv):
     watched, code, loaded = probe(argv)
     assert code == "0"
-    assert watched == {"numpy": False, "dataclasses": False, "inspect": False}
+    assert not any(watched.values()), watched
     assert not {"matrices", "representation", "kempfness", "additive"} & set(loaded), loaded
 
 
@@ -113,6 +115,7 @@ def test_numeric_command_does_not_load_rewrites(command, theta_rep):
     payload = [] if command == "sample" else ["--rep", theta_rep]
     watched, code, loaded = probe([command, THETA, *payload, *NUMERIC[command]])
     assert (watched["numpy"], watched["dataclasses"], code) == (True, False, "0")
+    assert not any(watched[m] for m in ("argparse", "gettext", "locale")), watched
     assert {"representation", "matrices"} <= set(loaded)
     assert "rewrites" not in loaded, loaded
 
@@ -121,6 +124,17 @@ def test_importing_the_cli_does_not_load_numpy():
     done = python("-c", "import sys, quivergauge.cli; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_importing_the_cli_does_not_load_argparse():
+    done = python("-c", "import sys, quivergauge.cli; print([m for m in sys.modules if m in ('argparse', 'gettext', 'locale')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_help_still_goes_through_argparse():
+    watched, code, _ = probe(["info", THETA, "--help"])
+    assert (watched["argparse"], code) == (True, "0")
 
 
 def test_importing_the_package_loads_no_submodule():

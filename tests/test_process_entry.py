@@ -26,6 +26,13 @@ CASES = {
     "precondition": (3, ["collapse", str(FIXTURES / "one_loop.quiver"), "--arrow", "l0"]),
     "help": (0, ["--help"]),
     "command-help": (0, ["kn-flow", "--help"]),
+    # forms the plain-call reader hands to argparse
+    "abbreviated-flag": (0, ["info", THETA, "--gr", "GL", "--n", "2"]),
+    "equals-form": (0, ["sample", THETA, "--n=3", "--seed", "5"]),
+    "negative-value": (1, ["sample", THETA, "--seed", "-1"]),
+    "stats-after-command": (1, ["info", THETA, "--json", "--stats"]),
+    # a list flag the reader takes
+    "list-flag": (0, ["reverse", THETA, "--arrows", "a0", "a2"]),
 }
 
 
