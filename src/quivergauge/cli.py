@@ -31,11 +31,8 @@ argparse: help, an abbreviated, unknown or misplaced flag,
 ``--flag=value``, ``--``, a path or value starting with ``-``, a value that
 does not convert, a missing or extra argument.  Help, usage and error
 messages and exit codes are therefore argparse's own, and ``argparse``,
-``gettext`` and ``locale`` are imported only on that path.  There
-``_build_parser`` declares only the invoked subcommand when the first
-argument other than ``--stats`` names one; top-level help, a missing or
-unknown command name and any other argument ahead of the name get the
-parser with every subcommand, whose help and errors list them all.
+``gettext`` and ``locale`` are imported only on that path, where
+``_build_parser`` declares every subcommand in one parser.
 
 Every handler imports its library function when it runs; at module level
 this module imports only what argument parsing and document reading need
@@ -72,7 +69,7 @@ import warnings
 from types import SimpleNamespace
 
 from . import dsl, serialize
-from .quiver import GROUP_FAMILIES, TOL_EQ, GroupSpec, RelationSet
+from .quiver import COMPACT_FAMILIES, GROUP_FAMILIES, TOL_EQ, GroupSpec, RelationSet
 
 MAX_MATRIX_SIZE = 16
 
@@ -358,7 +355,8 @@ _SIZE = ("--n", {"type": int, "default": 2})
 _COMMANDS = {
     "info": _command(
         _cmd_info, "topological invariants, vertex classes, moduli dimension",
-        ("--group", {"choices": GROUP_FAMILIES}), _SIZE, text=True,
+        # the dimension formula covers the non-compact families only
+        ("--group", {"choices": tuple(f for f in GROUP_FAMILIES if f not in COMPACT_FAMILIES)}), _SIZE, text=True,
     ),
     "reduce": _command(_cmd_reduce, "collapse the spanning tree down to a rose", text=True),
     "collapse": _command(_cmd_collapse, "collapse one non-loop arrow", ("--arrow", {"required": True}), text=True),
@@ -453,8 +451,8 @@ def _read_args(argv):
     return SimpleNamespace(**args)
 
 
-def _build_parser(command: str | None = None):
-    """The argparse parser: only the subcommand ``command`` declared, or every one when ``command`` names none."""
+def _build_parser():
+    """The argparse parser, with every subcommand of ``_COMMANDS`` declared."""
     import argparse
 
     class _ArgumentParser(argparse.ArgumentParser):
@@ -465,8 +463,6 @@ def _build_parser(command: str | None = None):
     parser.add_argument("--stats", action="store_true", help="write phase timings and sizes to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
     for name, (help_text, options, defaults) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("quiver_file", help="quiver document file")
         p.set_defaults(**defaults)
@@ -490,9 +486,7 @@ def main(argv=None) -> int:
             argv = sys.argv[1:] if argv is None else argv
             args = _read_args(argv)
             if args is None:  # help, a usage error or a form the reader leaves to argparse
-                # the first argument other than --stats: the command name, when the call is well formed
-                command = next((arg for arg in argv if arg != "--stats"), None)
-                args = _build_parser(command).parse_args(argv)
+                args = _build_parser().parse_args(argv)
             start = time.perf_counter()
             doc = dsl.parse(_read_file(args.quiver_file))
             for dest, decode in args.payloads.items():

@@ -19,10 +19,9 @@ from quivergauge.cli import _COMMANDS, _build_parser, _read_args, _UsageError
 
 def argparse_vars(argv) -> dict | None:
     """What ``main``'s argparse path makes of ``argv``: its ``vars()``, or None for help or a usage error."""
-    command = next((arg for arg in argv if arg != "--stats"), None)
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return vars(_build_parser(command).parse_args(argv))
+            return vars(_build_parser().parse_args(argv))
     except (_UsageError, SystemExit):
         return None
 

@@ -1,4 +1,4 @@
-"""Every narrative script in demos/ runs to completion against the source tree."""
+"""Every narrative script in demos/, and the benchmark harness's own suite, run against the source tree."""
 
 import os
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,3 +25,9 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_the_benchmark_harness_tests_pass():
+    # their own session: perfbench/tests has a conftest module of its own, which clashes with this one
+    result = python("-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests", cwd=ROOT)
+    assert result.returncode == 0, result.stdout + result.stderr

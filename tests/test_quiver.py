@@ -1,5 +1,7 @@
 """Quiver structure, topological invariants, and classification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,10 @@ from quivergauge import (
     is_strongly_connected,
     is_super_cyclic,
     moduli_dimension,
+    parse,
+    pushforward_collapse,
+    random_representation,
+    reduce_to_rose,
     strongly_connected_components,
     validate_relations,
     word_endpoints,
@@ -155,6 +161,42 @@ def test_moduli_dimension():
         moduli_dimension(disconnected, GroupSpec("GL", 2))
     with pytest.raises(ValueError):
         moduli_dimension(rose(2), GroupSpec("U", 2))
+
+
+FIXTURE_QUIVERS = {
+    path.stem: parse(path.read_text(encoding="utf-8")).quiver
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.quiver"))
+}
+GROUPS = [("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3), ("TORUS", 1)]
+
+
+def _oracle_cases():
+    for name, q in FIXTURE_QUIVERS.items():
+        for family, n in GROUPS:
+            marks = ()
+            if betti_number(q) == 1 and family != "TORUS":
+                # Florentino-Lawton: one loop gives dimension rank G (n for GL, n - 1 for SL)
+                reason = "b1 = 1 dimension (ROADMAP item 2, which waits on item 1's perfbench check)"
+                marks = pytest.mark.xfail(strict=True, reason=reason)
+            yield pytest.param(q, GroupSpec(family, n), marks=marks, id=f"{name}-{family}{n}")
+
+
+@pytest.mark.parametrize("q, group", _oracle_cases())
+def test_moduli_dimension_matches_the_orbit_dimension_on_the_rose(q, group):
+    """r dim G minus the rank of u -> (u X_i - X_i u)_i at a generic point X of the rose.
+
+    The identity lies in the kernel, so the rank over gl_n equals the rank
+    over sl_n; the largest rank over two samples is the generic one.
+    """
+    rose_q, _, trace = reduce_to_rose(q)
+    n, loops, eye = group.n, rose_q.n_arrows, np.eye(group.n)
+    rank = 0
+    for seed in (1, 2) if loops else ():
+        xs = pushforward_collapse(random_representation(q, group, seed), trace).stack
+        s = np.linalg.svd(np.vstack([np.kron(eye, x.T) - np.kron(x, eye) for x in xs]), compute_uv=False)
+        rank = max(rank, int((s > 1e-9 * s[0]).sum()))
+    dim_g = n * n - (group.family == "SL")
+    assert moduli_dimension(q, group) == loops * dim_g - rank
 
 
 def test_group_spec_metadata():

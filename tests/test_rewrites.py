@@ -185,10 +185,19 @@ def test_reduce_to_rose_disconnected_error():
 
 
 def test_reduce_to_rose_rejects_an_invalid_relation_set():
-    q, _ = triangle()
-    for words, message in (([("a1", "a0")], "does not close up"), ([("zz",)], "unknown arrow 'zz'")):
-        with pytest.raises(ValueError, match=f"invalid relation set: .*{message}"):
-            reduce_to_rose(q, RelationSet(tuple(Word.from_arrow_names(w) for w in words)))
+    # both rewrites check the set they are given, before translating it away
+    cycle = Quiver(("u", "v"), (("a", "u", "v"), ("b", "v", "u")))
+    probes = (
+        (triangle()[0], "a0", [("a1", "a0")], "does not close up"),
+        (triangle()[0], "a0", [("zz",)], "unknown arrow 'zz'"),
+        (cycle, "a", [("a",)], "word does not close up"),
+        (cycle, "a", [("b", "b")], "consecutive letters do not compose"),
+    )
+    for q, arrow, words, message in probes:
+        rels = RelationSet(tuple(Word.from_arrow_names(w) for w in words))
+        for rewrite in (lambda: reduce_to_rose(q, rels), lambda: collapse(q, rels, arrow)):
+            with pytest.raises(ValueError, match=f"invalid relation set: .*{message}"):
+                rewrite()
 
 
 def test_random_relation_translation_stays_valid():
@@ -213,6 +222,11 @@ def test_random_relation_translation_stays_valid():
         rose_q, translated, _ = reduce_to_rose(q, rels)
         assert validate_relations(rose_q, translated) == ()
         assert len(translated.relations) == len(words)
+        for a in q.arrows:
+            if not a.is_loop:
+                merged, translated, _ = collapse(q, rels, a.name)
+                assert validate_relations(merged, translated) == ()
+                assert len(translated.relations) == len(words)
 
 
 def test_reverse_arrows():
