@@ -24,8 +24,6 @@ class AdditiveRep(_Stacked):
     _fields = ("quiver", "n", "markings")
     _defaults = {}  # no ``membership_tol``: any matrix is a marking
 
-    matrix = _Stacked._row
-
 
 def embed_additive(f: Representation) -> AdditiveRep:
     """Reinterpret a GL/SL representation as an additive one.

@@ -119,7 +119,7 @@ def _load(path: str, decode, quiver):
     """Decode a JSON payload file; errors name it: _InputError for bad JSON or types, ValueError for bad values."""
     try:
         data = json.loads(_read_file(path))
-    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an int past the digit limit, or too deep a nesting
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         if not isinstance(data, dict):
@@ -142,14 +142,17 @@ def _additive_from_json(data, quiver):
     return serialize.additive_from_json(data, quiver)
 
 
-def _document_payload(doc: dsl.QuiverDocument, extra: dict) -> dict:
-    payload = {
-        "quiver": serialize.quiver_to_json(doc.quiver),
-        "relations": serialize.relations_to_json(doc.relations),
-    }
-    if doc.mu is not None:
-        payload["weights"] = {a: [doc.mu[a], doc.nu[a]] for a in doc.mu}
-    return {**payload, **extra}
+def _rewritten(doc, quiver, relations, extra: dict, note: str = "", weights=None):
+    """The payload (the document, then ``extra``) and text (``note``, then the document) of a rewrite's output.
+
+    The document is ``quiver`` and ``relations`` under ``doc``'s name, with ``weights`` (mu, nu) or ``doc``'s.
+    """
+    mu, nu = weights or (doc.mu, doc.nu)
+    out = dsl.document_for(quiver, relations, mu, nu, name=doc.name)
+    payload = {"quiver": serialize.quiver_to_json(out.quiver), "relations": serialize.relations_to_json(out.relations)}
+    if out.mu is not None:
+        payload["weights"] = {a: [out.mu[a], out.nu[a]] for a in out.mu}
+    return {**payload, **extra}, note + dsl.print_document(out)
 
 
 def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple[RelationSet, int]:
@@ -227,16 +230,14 @@ def _cmd_collapse(args, doc):
     from .rewrites import collapse
 
     new_q, new_rels, step = collapse(doc.quiver, doc.relations, args.arrow)
-    out = dsl.document_for(new_q, new_rels, doc.mu, doc.nu, name=doc.name)
-    return _document_payload(out, {"step": serialize.step_to_json(step)}), dsl.print_document(out)
+    return _rewritten(doc, new_q, new_rels, {"step": serialize.step_to_json(step)})
 
 
 def _cmd_pinch(args, doc):
     from .rewrites import pinch
 
     new_q, vmap = pinch(doc.quiver, args.v1, args.v2)
-    out = dsl.document_for(new_q, doc.relations, doc.mu, doc.nu, name=doc.name)
-    return _document_payload(out, {"vertex_map": vmap}), dsl.print_document(out)
+    return _rewritten(doc, new_q, doc.relations, {"vertex_map": vmap})
 
 
 def _cmd_clip(args, doc):
@@ -244,9 +245,8 @@ def _cmd_clip(args, doc):
 
     new_q = clip(doc.quiver, args.arrow)
     rels, dropped = _drop_relations_mentioning(doc.relations, {args.arrow})
-    out = dsl.document_for(new_q, rels, doc.mu, doc.nu, name=doc.name)
     note = f"# dropped {dropped} relation(s) mentioning {args.arrow}\n" if dropped else ""
-    return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)
+    return _rewritten(doc, new_q, rels, {"dropped_relations": dropped}, note)
 
 
 def _cmd_reverse(args, doc):
@@ -257,9 +257,8 @@ def _cmd_reverse(args, doc):
     mu, nu = doc.mu, doc.nu
     if mu is not None:  # a reversed arrow carries the inverse marking g_t^nu m^-1 g_h^-mu: its weights swap
         mu, nu = {**mu, **{a: nu[a] for a in flipped}}, {**nu, **{a: mu[a] for a in flipped}}
-    out = dsl.document_for(new_q, rels, mu, nu, name=doc.name)
     note = f"# dropped {dropped} relation(s) mentioning reversed arrows\n" if dropped else ""
-    return _document_payload(out, {"dropped_relations": dropped}), note + dsl.print_document(out)
+    return _rewritten(doc, new_q, rels, {"dropped_relations": dropped}, note, (mu, nu))
 
 
 def _cmd_sample(args, doc):

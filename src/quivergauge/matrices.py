@@ -9,11 +9,9 @@ Every validity test is relative, so it gives the same verdict on c m as on m.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .quiver import TOL_EQ, TOL_MEMBERSHIP, GroupSpec
+from .quiver import TOL_EQ, TOL_MEMBERSHIP, GroupSpec, _integer
 
 
 def as_stack(m, n: int | None = None) -> np.ndarray:
@@ -90,12 +88,9 @@ def random_element(group: GroupSpec, seed: int) -> np.ndarray:
 
 
 def _checked_count(value, name: str, positive: bool = False) -> int:
-    """The one rule for seeds and counts: ``value`` by ``operator.index``, >= 1 if ``positive``, else >= 0."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = -1
-    if count < positive:
+    """The one rule for seeds and counts: ``value`` by ``_integer``, >= 1 if ``positive``, else >= 0."""
+    count = _integer(value)
+    if count is None or count < positive:
         raise ValueError(f"{name} must be {'a positive' if positive else 'a non-negative'} integer, got {value!r}")
     return count
 

@@ -54,6 +54,14 @@ MAX_WEIGHT = 10**6
 _setfield = object.__setattr__
 
 
+def _integer(value) -> int | None:
+    """The one integer rule: ``value`` as an int if ``operator.index`` takes it (not 1.7, not "1"), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 class _Record:
     """Immutable record: constructor, ``repr``, ``==`` and ``hash`` from the field names in ``_fields``.
 
@@ -130,8 +138,8 @@ class _Record:
 def _checked_weights(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) -> tuple[dict, dict]:
     """The weights of the arrows of ``q`` as two int maps (mu, nu): the one weight rule.
 
-    Every arrow needs both weights, each an integer (anything
-    ``operator.index`` takes) with 0 <= w <= MAX_WEIGHT; else ValueError.
+    Every arrow needs both weights, each an integer (by ``_integer``) with
+    0 <= w <= MAX_WEIGHT; else ValueError.
     The toric action and ``weighted_act`` both take their weights from here.
     """
     checked = {}, {}
@@ -139,11 +147,8 @@ def _checked_weights(q: Quiver, mu: Mapping[str, int], nu: Mapping[str, int]) ->
         for label, w, out in zip(("mu", "nu"), (mu, nu), checked):
             if a.name not in w:
                 raise ValueError(f"missing {label} weight for arrow {a.name!r}")
-            try:
-                out[a.name] = value = operator.index(w[a.name])
-            except TypeError:
-                raise ValueError("weights must be non-negative integers") from None
-            if value < 0:
+            out[a.name] = value = _integer(w[a.name])
+            if value is None or value < 0:
                 raise ValueError("weights must be non-negative integers")
             if value > MAX_WEIGHT:
                 raise ValueError(f"{label} weight for {a.name!r} exceeds the cap {MAX_WEIGHT}")
@@ -245,11 +250,11 @@ class Word(_Record):
     _fields = ("letters",)
 
     def __init__(self, letters: Iterable[tuple[str, int]]) -> None:
-        letters = tuple((str(n), int(e)) for n, e in letters)
-        for name, exp in letters:
-            if exp not in (1, -1):
-                raise ValueError(f"letter {name!r} has exponent {exp}; only +1/-1 allowed")
-        super().__init__(letters)
+        letters = [(str(n), e, _integer(e)) for n, e in letters]  # 1.7 and "1" are refused, not truncated
+        for name, exp, sign in letters:
+            if sign not in (1, -1):
+                raise ValueError(f"letter {name!r} has exponent {exp!r}; only +1/-1 allowed")
+        super().__init__(tuple([(name, sign) for name, _, sign in letters]))
 
     @classmethod
     def from_arrow_names(cls, names: Sequence[str]) -> "Word":
@@ -281,6 +286,17 @@ def letter_endpoints(q: Quiver, letter: tuple[str, int]) -> tuple[str, str]:
     return (a.tail, a.head) if exp == 1 else (a.head, a.tail)
 
 
+def _walk(q: Quiver, w: Word) -> tuple[list[tuple[str, str]], int | None]:
+    """The (tail, head) of each letter of ``w``, and the first i whose letters i and i + 1 do not compose, else None."""
+    ends = [letter_endpoints(q, l) for l in w.letters]
+    for i in range(len(ends) - 1):
+        # letters are stored last-applied first: the later letter in the
+        # list is applied earlier, so its head must meet the next tail
+        if ends[i][0] != ends[i + 1][1]:
+            return ends, i
+    return ends, None
+
+
 def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
     """(tail, head) of a composable word, None for the empty word.
 
@@ -288,14 +304,9 @@ def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
     """
     if not w.letters:
         return None
-    ends = [letter_endpoints(q, l) for l in w.letters]
-    for i in range(len(ends) - 1):
-        # letters are stored last-applied first: the later letter in the
-        # list is applied earlier, so its head must meet the next tail
-        if ends[i][0] != ends[i + 1][1]:
-            raise ValueError(
-                f"word {w.display()!r} breaks between positions {i} and {i + 1}"
-            )
+    ends, i = _walk(q, w)
+    if i is not None:
+        raise ValueError(f"word {w.display()!r} breaks between positions {i} and {i + 1}")
     return ends[-1][0], ends[0][1]
 
 
@@ -332,16 +343,21 @@ def validate_relations(q: Quiver, rels: RelationSet) -> tuple[RelationViolation,
                 bad = RelationViolation(wi, li, "relations must be positively oriented")
                 break
         if bad is None and w.letters:
-            ends = [letter_endpoints(q, l) for l in w.letters]
-            for i in range(len(ends) - 1):
-                if ends[i][0] != ends[i + 1][1]:
-                    bad = RelationViolation(wi, i, "consecutive letters do not compose")
-                    break
-            if bad is None and ends[-1][0] != ends[0][1]:
+            ends, i = _walk(q, w)
+            if i is not None:
+                bad = RelationViolation(wi, i, "consecutive letters do not compose")
+            elif ends[-1][0] != ends[0][1]:
                 bad = RelationViolation(wi, None, "word does not close up")
         if bad is not None:
             violations.append(bad)
     return tuple(violations)
+
+
+def _check_relations(q: Quiver, rels: RelationSet) -> None:
+    """The one relation-set check of the library: ValueError naming the first violation of ``validate_relations``."""
+    bad = validate_relations(q, rels)
+    if bad:
+        raise ValueError(f"invalid relation set: {bad[0].message}")
 
 
 # default tolerances of the group membership test and of matrix equality
@@ -363,10 +379,9 @@ class GroupSpec(_Record):
         if family not in GROUP_FAMILIES:
             families = ", ".join(GROUP_FAMILIES)
             raise ValueError(f"group family must be a string among {families}, got {family!r}")
-        try:
-            n = operator.index(n)  # as the weight rule: ints and numpy integers, stored as int
-        except TypeError:
-            raise ValueError(f"group n must be an integer, got {n!r}") from None
+        n, given = _integer(n), n  # ints and numpy integers, stored as int
+        if n is None:
+            raise ValueError(f"group n must be an integer, got {given!r}")
         if n < 1:
             raise ValueError(f"group n must be >= 1, got {n}")
         if family == "TORUS" and n != 1:

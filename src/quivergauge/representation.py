@@ -21,13 +21,13 @@ from .quiver import (
     RelationSet,
     Word,
     _bfs,
+    _check_relations,
     _checked_weights,
     _forest,
     _incidence,
     _Record,
     _setfield,
     fundamental_cycles,
-    validate_relations,
     word_endpoints,
 )
 
@@ -120,12 +120,6 @@ class _Stacked(_Record):
         _setfield(self, "stack", stack)
         _setfield(self, self._fields[2], RowView(rows, stack))
 
-    def _row(self, key: str) -> np.ndarray:
-        view = getattr(self, self._fields[2])
-        if key not in view:
-            raise ValueError(f"unknown {self._id} id {key!r}")
-        return view[key]
-
 
 class Representation(_Stacked):
     """Map from arrows to group matrices, all of one GroupSpec.
@@ -137,8 +131,6 @@ class Representation(_Stacked):
 
     _fields = ("quiver", "group", "markings")
 
-    matrix = _Stacked._row
-
 
 class GaugeElement(_Stacked):
     """Map from vertices to group matrices; multiplies vertex-wise."""
@@ -146,8 +138,6 @@ class GaugeElement(_Stacked):
     _kind: ClassVar[str] = "gauge value"
     _id: ClassVar[str] = "vertex"
     _fields = ("quiver", "group", "values")
-
-    value = _Stacked._row
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """Vertex-wise product self * other."""
@@ -189,7 +179,7 @@ def evaluate_word(f: Representation, w: Word) -> np.ndarray:
     word_endpoints(f.quiver, w)
     out = identity(f.group.n)
     for name, exp in w.letters:
-        m = f.matrix(name)
+        m = f.markings[name]  # every letter is an arrow: ``word_endpoints`` looked each one up
         out = out @ (m if exp == 1 else np.linalg.inv(m))
     return out
 
@@ -198,9 +188,7 @@ def satisfies_relations(f: Representation, rels: RelationSet, tol: float = TOL_E
     """True when every relation word evaluates to I within ``tol``."""
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    bad = validate_relations(f.quiver, rels)
-    if bad:
-        raise ValueError(f"invalid relation set: {bad[0].message}")
+    _check_relations(f.quiver, rels)
     eye = identity(f.group.n)
     return all(
         np.linalg.norm(evaluate_word(f, w) - eye) <= tol for w in rels.relations

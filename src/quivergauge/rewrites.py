@@ -3,10 +3,11 @@
 Collapsing a non-loop arrow merges its endpoints (the survivor is the
 lexicographically smaller id) and deletes the arrow; relation words are
 translated by dropping every occurrence of the collapsed arrow.  A relation
-set is validated once, where it enters ``collapse`` or ``reduce_to_rose``:
-dropping collapsed letters from a positive cycle leaves a positive cycle on
-the collapsed quiver, so translation keeps a valid set valid (the tests pin
-this on random quivers).  A ReductionTrace records the collapse sequence so
+set is validated once, where it enters ``collapse`` or ``reduce_to_rose``,
+by the relation-set check in ``quiver`` that ``satisfies_relations`` runs
+too: dropping collapsed letters from a positive cycle leaves a positive
+cycle on the collapsed quiver, so translation keeps a valid set valid (the
+tests pin this on random quivers).  A ReductionTrace records the collapse sequence so
 representations can be carried along afterwards.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .quiver import Arrow, Quiver, RelationSet, Word, _forest, _Record, validate_relations
+from .quiver import Arrow, Quiver, RelationSet, Word, _check_relations, _forest, _Record
 
 
 class CollapseStep(_Record):
@@ -114,12 +115,6 @@ def clip(q: Quiver, arrow: str) -> Quiver:
     """Remove one arrow; vertices are untouched."""
     q.arrow(arrow)
     return Quiver(q.vertices, tuple(a for a in q.arrows if a.name != arrow))
-
-
-def _check_relations(q: Quiver, rels: RelationSet) -> None:
-    bad = validate_relations(q, rels)
-    if bad:
-        raise ValueError(f"invalid relation set: {bad[0].message}")
 
 
 def _translate_relations(rels: RelationSet, removed: set[str]) -> RelationSet:

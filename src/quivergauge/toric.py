@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .quiver import Quiver, _checked_weights, _Record, _setfield
+from .quiver import Quiver, _checked_weights, _integer, _Record, _setfield
 
 Sparse = dict[int, int]
 
@@ -218,11 +218,15 @@ def check_invariance(
     space; integer powers are branch-independent, which keeps this exact in
     principle and safe from overflow for large weights or exponents.
     Non-kernel exponent vectors are rejected with overwhelming probability
-    per trial.  ``trials`` must be at least 1.
+    per trial.  ``trials`` must be at least 1, and every exponent an integer
+    (by ``quiver._integer``).
     """
     q = action.quiver
     if len(exponents) != q.n_arrows:
         raise ValueError("exponent vector length must match the arrow count")
+    powers = [_integer(e) for e in exponents]
+    if None in powers:
+        raise ValueError(f"exponents must be integers, got {exponents[powers.index(None)]!r}")
     import numpy as np
 
     from .matrices import _checked_count
@@ -238,8 +242,8 @@ def check_invariance(
             gauge[v] = complex(modulus * np.exp(1j * phase))
         log_gauge = {v: np.log(gauge[v]) for v in q.vertices}
         log_ratio = 0j
-        for a, e in zip(q.arrows, exponents):
-            log_ratio += int(e) * (
+        for a, e in zip(q.arrows, powers):
+            log_ratio += e * (
                 action.mu[a.name] * log_gauge[a.head]
                 - action.nu[a.name] * log_gauge[a.tail]
             )

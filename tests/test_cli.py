@@ -529,6 +529,14 @@ def test_malformed_payload_files_exit_2_and_name_the_file(capsys, tmp_path):
         assert str(path) in err and "Traceback" not in err
 
 
+def test_a_payload_nested_past_the_parser_depth_is_invalid_json(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "kn-residual", fx("theta.quiver"), "--rep", str(deep))
+    assert (code, out) == (2, "") and err.startswith(f"error: {deep}: invalid JSON: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [

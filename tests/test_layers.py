@@ -181,17 +181,20 @@ USERS = [
 ]
 
 
-def _reads(path: Path) -> list[tuple[str, frozenset]]:
-    """Each name a file reads, as a variable or an attribute, with the definitions that enclose the read."""
+def _reads(path: Path) -> list[tuple[str, frozenset, bool]]:
+    """Each name a file reads, as a variable or an attribute, with the definitions that enclose the read.
+
+    The flag is True for an attribute read.
+    """
     out = []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, inside))
+            out.append((node.id, inside, False))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, inside))
+            out.append((node.attr, inside, True))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -231,15 +234,21 @@ def _unused() -> frozenset[str]:
 
     A read inside the name's own definition, or inside the definition of an
     unused name, is no use; strings and docstrings are never reads.  Reads
-    match by name only, so a member counts as used when any object's
-    attribute of that name is read.
+    match by name only: a ``Class.member`` counts as used when any object's
+    attribute of that name is read, and an exported name or ``serialize``
+    function when a variable or an attribute of that name is.
     """
     reads = [read for path in USERS for read in _reads(path)]
     unused: set[str] = set()
     while True:
         names = {name.rpartition(".")[2] for name in unused}
-        used = {name for name, inside in reads if not inside & (names | {name})}
-        found = {name for name in {*quivergauge.__all__, *_members()} if name.rpartition(".")[2] not in used}
+        used = {(name, attr) for name, inside, attr in reads if not inside & (names | {name})}
+        found = set()
+        for name in {*quivergauge.__all__, *_members()}:
+            owner, _, last = name.rpartition(".")
+            kinds = (True,) if owner not in ("", "serialize") else (True, False)  # a Class.member only as an attribute
+            if not any((last, attr) in used for attr in kinds):
+                found.add(name)
         if found == unused:
             return frozenset(unused)
         unused = found

@@ -260,6 +260,15 @@ def test_word_conventions():
         Word((("a0", 2),))
 
 
+def test_word_exponents_are_integers_by_operator_index():
+    # neither truncated (1.7 -> 1) nor converted ("1" -> 1); the message shows the value as given
+    for exp, shown in ((1.7, "1.7"), ("1", "'1'"), (2, "2"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^letter 'a0' has exponent {shown}; only \+1/-1 allowed$"):
+            Word((("a0", exp),))
+    w = Word((("a0", np.int64(-1)), ("a1", 1)))
+    assert w.letters == (("a0", -1), ("a1", 1)) and type(w.letters[0][1]) is int
+
+
 def test_connected_components_order():
     q = Quiver(
         ("b0", "a0", "c0"),
@@ -339,3 +348,26 @@ def test_directed_path_is_a_shortest_path_or_none(q, data):
                 assert q.arrow(name).tail == at
                 at = q.arrow(name).head
             assert at == v
+
+
+@PROPERTY
+@given(quivers(max_vertices=12), st.data())
+def test_word_endpoints_breaks_exactly_where_validate_relations_finds_no_composition(q, data):
+    arrows = st.sampled_from(q.arrows)
+    for _ in range(10):
+        letters = [data.draw(arrows)]
+        for _ in range(data.draw(st.integers(0, 6))):
+            # stored order: the next letter is applied first, so its head meets the last letter's tail
+            into = [a for a in q.arrows if a.head == letters[-1].tail]
+            letters.append(data.draw(st.sampled_from(into)) if into and data.draw(st.booleans()) else data.draw(arrows))
+        w = Word.from_arrow_names([a.name for a in letters])
+        (violation,) = validate_relations(q, RelationSet((w,))) or (None,)
+        try:
+            ends = word_endpoints(q, w)
+        except ValueError as exc:
+            i = violation.letter_index
+            assert violation.message == "consecutive letters do not compose"
+            assert str(exc) == f"word {w.display()!r} breaks between positions {i} and {i + 1}"
+            continue
+        assert (violation is None) == (ends[0] == ends[1])
+        assert violation is None or violation.message == "word does not close up"

@@ -245,8 +245,8 @@ def test_constructors_keep_their_keywords_and_defaults():
     rep = Representation(quiver=LOOP, group=GL1, markings={"l": [[2.0]]})
     assert rep.membership_tol == 1e-9
     gauge = GaugeElement(quiver=LOOP, group=GL1, values=np.ones((1, 1, 1)), membership_tol=0.0)
-    assert gauge.membership_tol == 0.0 and gauge.value("v")[0, 0] == 1
-    assert AdditiveRep(quiver=LOOP, n=1, markings=np.zeros((1, 1, 1))).matrix("l")[0, 0] == 0
+    assert gauge.membership_tol == 0.0 and gauge.values["v"][0, 0] == 1
+    assert AdditiveRep(quiver=LOOP, n=1, markings=np.zeros((1, 1, 1))).markings["l"][0, 0] == 0
     step = CollapseStep(arrow="a", tail="x", head="y", merged="x")
     assert ReductionTrace(source=LOOP, steps=(step,), final=LOOP, final_relations=RelationSet()).steps == (step,)
     action = WeightedToricAction(quiver=LOOP, mu={"l": 2}, nu={"l": 1})

@@ -253,9 +253,9 @@ def test_stack_constructors_and_empty_quiver():
     two = Quiver(("v0", "v1"), (("b", "v1", "v0"), ("a", "v0", "v1")))
     stack = np.array([2.0 * np.eye(2), 3.0 * np.eye(2)])
     f = Representation(two, GroupSpec("GL", 2), stack)
-    assert np.array_equal(f.matrix("b"), stack[0]) and np.array_equal(f.matrix("a"), stack[1])
+    assert np.array_equal(f.markings["b"], stack[0]) and np.array_equal(f.markings["a"], stack[1])
     stack[0] = 0.0  # the representation keeps its own copy
-    assert np.array_equal(f.matrix("b"), 2.0 * np.eye(2))
+    assert np.array_equal(f.markings["b"], 2.0 * np.eye(2))
     with pytest.raises(ValueError, match=r"expected a \(2, 2, 2\) stack"):
         Representation(two, GroupSpec("GL", 2), stack[:1])
     with pytest.raises(ValueError, match="marking at 'b' is not in GL"):
@@ -265,5 +265,3 @@ def test_stack_constructors_and_empty_quiver():
             Representation(two, GroupSpec("GL", 2), stack, membership_tol=tol)
     with pytest.raises(ValueError, match="gauge value at 'v1'"):
         GaugeElement(two, GroupSpec("GL", 2), {"v0": np.eye(2), "v1": np.diag([1.0, 0.0])})
-    with pytest.raises(ValueError, match="unknown vertex id"):
-        GaugeElement(two, GroupSpec("GL", 2), np.array([np.eye(2)] * 2)).value("zz")

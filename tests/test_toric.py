@@ -1,5 +1,7 @@
 """Weight matrices and the exact invariant-monomial lattice."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -253,6 +255,15 @@ def test_check_invariance_refuses_a_negative_seed():
     for trials in (0, -3, 2.5):
         with pytest.raises(ValueError, match=f"^trials must be a positive integer, got {trials}$"):
             check_invariance(action, (1,), trials=trials)
+
+
+def test_check_invariance_refuses_a_non_integer_exponent():
+    # int(0.5) is 0, so a truncating check would call the monomial of one arrow v0 -> v1 invariant
+    action = weight_matrix(one_arrow(), ones(one_arrow()), ones(one_arrow()))
+    for exponent in (0.5, "1", None):
+        with pytest.raises(ValueError, match=f"^exponents must be integers, got {re.escape(repr(exponent))}$"):
+            check_invariance(action, (exponent,))
+    assert check_invariance(action, (np.int64(0),), trials=1)
 
 
 def test_check_invariance_randomized_agreement():
