@@ -142,17 +142,18 @@ def _additive_from_json(data, quiver):
     return serialize.additive_from_json(data, quiver)
 
 
-def _rewritten(doc, quiver, relations, extra: dict, note: str = "", weights=None):
+def _rewritten(args, doc, quiver, relations, extra: dict, note: str = "", weights=None):
     """The payload (the document, then ``extra``) and text (``note``, then the document) of a rewrite's output.
 
     The document is ``quiver`` and ``relations`` under ``doc``'s name, with ``weights`` (mu, nu) or ``doc``'s.
+    Under ``--json`` the text is None, as the payload is printed.
     """
     mu, nu = weights or (doc.mu, doc.nu)
     out = dsl.document_for(quiver, relations, mu, nu, name=doc.name)
     payload = {"quiver": serialize.quiver_to_json(out.quiver), "relations": serialize.relations_to_json(out.relations)}
     if out.mu is not None:
         payload["weights"] = {a: [out.mu[a], out.nu[a]] for a in out.mu}
-    return {**payload, **extra}, note + dsl.print_document(out)
+    return {**payload, **extra}, None if args.json else note + dsl.print_document(out)
 
 
 def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple[RelationSet, int]:
@@ -230,14 +231,14 @@ def _cmd_collapse(args, doc):
     from .rewrites import collapse
 
     new_q, new_rels, step = collapse(doc.quiver, doc.relations, args.arrow)
-    return _rewritten(doc, new_q, new_rels, {"step": serialize.step_to_json(step)})
+    return _rewritten(args, doc, new_q, new_rels, {"step": serialize.step_to_json(step)})
 
 
 def _cmd_pinch(args, doc):
     from .rewrites import pinch
 
     new_q, vmap = pinch(doc.quiver, args.v1, args.v2)
-    return _rewritten(doc, new_q, doc.relations, {"vertex_map": vmap})
+    return _rewritten(args, doc, new_q, doc.relations, {"vertex_map": vmap})
 
 
 def _cmd_clip(args, doc):
@@ -246,7 +247,7 @@ def _cmd_clip(args, doc):
     new_q = clip(doc.quiver, args.arrow)
     rels, dropped = _drop_relations_mentioning(doc.relations, {args.arrow})
     note = f"# dropped {dropped} relation(s) mentioning {args.arrow}\n" if dropped else ""
-    return _rewritten(doc, new_q, rels, {"dropped_relations": dropped}, note)
+    return _rewritten(args, doc, new_q, rels, {"dropped_relations": dropped}, note)
 
 
 def _cmd_reverse(args, doc):
@@ -258,7 +259,7 @@ def _cmd_reverse(args, doc):
     if mu is not None:  # a reversed arrow carries the inverse marking g_t^nu m^-1 g_h^-mu: its weights swap
         mu, nu = {**mu, **{a: nu[a] for a in flipped}}, {**nu, **{a: mu[a] for a in flipped}}
     note = f"# dropped {dropped} relation(s) mentioning reversed arrows\n" if dropped else ""
-    return _rewritten(doc, new_q, rels, {"dropped_relations": dropped}, note, (mu, nu))
+    return _rewritten(args, doc, new_q, rels, {"dropped_relations": dropped}, note, (mu, nu))
 
 
 def _cmd_sample(args, doc):

@@ -25,13 +25,15 @@ run of whole arrow declarations or weight entries with at most spaces
 inside, one match each, and stops before one that uses a keyword or a
 weight over the cap; the symbol-by-symbol ``expect`` chain, the only source
 of syntax diagnostics, reads on from there.  A ``Span`` is made from an
-offset (by bisecting the line starts) only where one is stored or reported.
+offset (by bisecting the line starts) only where a diagnostic is reported,
+and the line-start table only for the first one.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .quiver import MAX_WEIGHT, Quiver, RelationSet, Word, _checked_weights, _Record, validate_relations
@@ -81,16 +83,15 @@ class ParseError(ValueError):
 
 
 class QuiverDocument(_Record):
-    """Parsed quiver with relations, optional weights, and source spans.
+    """Parsed quiver with relations and optional weights.
 
     ``mu``/``nu`` are None when the document has no weights section, else
     they pass ``_checked_weights`` (every arrow needs both; others are
-    dropped); ``effective_weights`` fills the default (1, 1).  Spans do not
-    take part in equality, so parsing the canonical printout reproduces it.
+    dropped); ``effective_weights`` fills the default (1, 1).  A document
+    keeps no source positions, so parsing its canonical printout reproduces it.
     """
 
-    _fields = ("name", "quiver", "relations", "mu", "nu", "spans")
-    _compared = _fields[:5]
+    _fields = ("name", "quiver", "relations", "mu", "nu")
 
     def __init__(
         self,
@@ -99,11 +100,10 @@ class QuiverDocument(_Record):
         relations: RelationSet,
         mu: Mapping[str, int] | None,
         nu: Mapping[str, int] | None,
-        spans: Mapping[str, Span] | None = None,
     ) -> None:
         if mu is not None or nu is not None:
             mu, nu = _checked_weights(quiver, mu or {}, nu or {})
-        super().__init__(name, quiver, relations, mu, nu, {} if spans is None else spans)
+        super().__init__(name, quiver, relations, mu, nu)
 
     def effective_weights(self) -> tuple[dict[str, int], dict[str, int]]:
         ones = {a.name: 1 for a in self.quiver.arrows}
@@ -115,19 +115,19 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
         self.diagnostics: list[Diagnostic] = []
         bad = _LEXICAL_RE.match(text).end()
         if bad < len(text):
             raise self.fail(bad, f"unexpected character {text[bad]!r}")
         self.read(0)
 
-    def span(self, offset: int) -> Span:
-        line = bisect_right(self.line_starts, offset)
-        return Span(line, offset - self.line_starts[line - 1] + 1)
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return [0, *(m.end() for m in re.finditer("\n", self.text))]
 
     def report(self, offset: int, message: str) -> None:
-        self.diagnostics.append(Diagnostic(self.span(offset), message))
+        line = bisect_right(self.line_starts, offset)
+        self.diagnostics.append(Diagnostic(Span(line, offset - self.line_starts[line - 1] + 1), message))
 
     def fail(self, offset: int, message: str) -> ParseError:
         self.report(offset, message)
@@ -208,7 +208,7 @@ class _Parser:
 def parse(text: str) -> QuiverDocument:
     """Parse document text; raises ParseError with spanned diagnostics."""
     parser = _Parser(text)
-    report, span, diagnostics = parser.report, parser.span, parser.diagnostics
+    report, diagnostics = parser.report, parser.diagnostics
 
     parser.expect("ident", "quiver")
     name = parser.advance()[1] if parser.at_ident() else None
@@ -282,14 +282,12 @@ def parse(text: str) -> QuiverDocument:
         raise parser.fail(offset, f"unexpected trailing input {trailing!r}")
 
     # semantic checks, batched so several problems surface at once
-    spans: dict[str, Span] = {}
     vertex_ids: set[str] = set()
     for vid, offset in vertices:
         if vid in vertex_ids:
             report(offset, f"duplicate vertex id {vid!r}")
         else:
             vertex_ids.add(vid)
-            spans[f"vertex:{vid}"] = span(offset)
     arrow_ids: set[str] = set()
     arrow_triples: list[tuple[str, str, str]] = []
     for aid, tail, head, offset in arrows:
@@ -297,7 +295,6 @@ def parse(text: str) -> QuiverDocument:
             report(offset, f"duplicate arrow id {aid!r}")
             continue
         arrow_ids.add(aid)
-        spans[f"arrow:{aid}"] = span(offset)
         undeclared = [v for v in (tail, head) if v not in vertex_ids]
         for v in undeclared:
             report(offset, f"arrow {aid!r} uses undeclared vertex {v!r}")
@@ -319,8 +316,6 @@ def parse(text: str) -> QuiverDocument:
         raise ParseError(diagnostics)
     ordered_words = sorted(relation_words, key=lambda t: t[0])
     relations = RelationSet(tuple(Word.from_arrow_names(l) for l, _ in ordered_words))
-    for index, (_, offset) in enumerate(ordered_words):
-        spans[f"relation:{index}"] = span(offset)
     for violation in validate_relations(quiver, relations):
         report(ordered_words[violation.word_index][1], f"relation is not a cycle: {violation.message}")
 
@@ -335,7 +330,6 @@ def parse(text: str) -> QuiverDocument:
             elif m < 0 or n < 0:
                 report(offset, "weights must be non-negative")
             else:
-                spans[f"weight:{aid}"] = span(offset)
                 mu[aid], nu[aid] = m, n
         for a in quiver.arrows:
             mu.setdefault(a.name, 1)
@@ -343,7 +337,7 @@ def parse(text: str) -> QuiverDocument:
     if diagnostics:
         raise ParseError(diagnostics)
 
-    return QuiverDocument(name, quiver, relations, mu, nu, spans)
+    return QuiverDocument(name, quiver, relations, mu, nu)
 
 
 def _check_ident(value: str, what: str) -> str:

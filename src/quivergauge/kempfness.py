@@ -73,16 +73,16 @@ class KNResidual(_Record):
 
     ``per_vertex`` holds, for each vertex, the sum of marking* marking over
     outgoing arrows minus marking marking* over incoming arrows (loops
-    contribute both).  ``projected`` removes the trace part: the compact
-    gauge directions are traceless in their orthogonal presentation, and
-    the pure-trace directions are determinant rescalings under which the
-    orbit norm has no minimum on degree-unbalanced quivers.  ``aggregate``
-    is the square root of the summed squared Frobenius norms of the
-    projections; zero aggregate is the minimal-norm (critical point)
-    condition, and unitary-valued representations always satisfy it.
+    contribute both).  ``aggregate`` is the square root of the summed
+    squared Frobenius norms of their trace-free projections.  The trace
+    part is left out because the compact gauge directions are traceless in
+    their orthogonal presentation, and the pure-trace directions are
+    determinant rescalings under which the orbit norm has no minimum on
+    degree-unbalanced quivers.  Zero aggregate is the minimal-norm (critical
+    point) condition, and unitary-valued representations always satisfy it.
     """
 
-    _fields = ("per_vertex", "projected", "aggregate")
+    _fields = ("per_vertex", "aggregate")
 
 
 def _moments(q, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +108,7 @@ def kn_moment(f: Representation) -> KNResidual:
     """Moment matrices of a representation under the unitary gauge group."""
     moments, projected = _moments(f.quiver, f.stack)
     rows = f.quiver._vertex_row
-    return KNResidual(RowView(rows, moments), RowView(rows, projected), float(np.linalg.norm(projected)))
+    return KNResidual(RowView(rows, moments), float(np.linalg.norm(projected)))
 
 
 def orbit_norm(f: Representation) -> float:

@@ -72,20 +72,18 @@ class _Record:
     fields on to this one; ``_setfield`` stores what is not a field, and the
     fields of ``_Stacked`` and ``toric.MonomialBasis`` (assignment and
     deletion raise AttributeError).  ``==`` (same class only) and ``hash``
-    compare ``_compared`` (default ``_fields``) by one ``operator.attrgetter``
-    per class, ``_key``.  A record with identity equality sets
-    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    compare ``_fields`` by one ``operator.attrgetter`` per class, ``_key``.
+    A record with identity equality sets ``__eq__ = object.__eq__`` and
+    ``__hash__ = object.__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: Mapping[str, object] = {}
-    _compared: tuple[str, ...] | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        compared = cls._compared or cls._fields
-        if compared:
-            cls._key = operator.attrgetter(*compared)  # a plain callable: not bound as a method
+        if cls._fields:
+            cls._key = operator.attrgetter(*cls._fields)  # a plain callable: not bound as a method
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -597,11 +595,12 @@ class SpanningForest(_Record):
 
     ``parent`` maps each non-root vertex to (parent vertex, arrow id,
     forward) where ``forward`` is True when the arrow points parent to
-    child.  ``tree_arrows`` lists tree arrow ids in BFS discovery order,
-    and ``parent`` is filled in that same order.
+    child; the roots (the smallest vertex id of each component) are the
+    vertices it leaves out.  ``tree_arrows`` lists tree arrow ids in BFS
+    discovery order, and ``parent`` is filled in that same order.
     """
 
-    _fields = ("roots", "parent", "tree_arrows")
+    _fields = ("parent", "tree_arrows")
 
 
 def spanning_forest(q: Quiver) -> SpanningForest:
@@ -610,12 +609,10 @@ def spanning_forest(q: Quiver) -> SpanningForest:
     Neighbor exploration is by lexicographic arrow id, so parallel arrows
     are broken deterministically.  Loops never enter the incidence lists.
     """
-    roots, links = _forest(q)
+    _, links = _forest(q)
     vertices, arrows = q.vertices, q.arrows
     parent = {vertices[c]: (vertices[p], arrows[i].name, fw) for c, p, i, fw in links}
-    return SpanningForest(
-        tuple(vertices[r] for r in roots), parent, tuple(arrows[i].name for _, _, i, _ in links)
-    )
+    return SpanningForest(parent, tuple(arrows[i].name for _, _, i, _ in links))
 
 
 def tree_path_letters(forest: SpanningForest, v: str) -> list[tuple[str, int]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quivergauge import GroupSpec, invariant_monomial_basis, parse, random_gauge, serialize, weight_matrix
+from quivergauge import GroupSpec, dsl, invariant_monomial_basis, parse, random_gauge, serialize, weight_matrix
 from quivergauge.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -103,6 +103,28 @@ def test_rewrite_commands_roundtrip(capsys):
     code, out, _ = run(capsys, "reverse", fx("one_arrow.quiver"), "--arrows", "a0")
     assert code == 0
     assert parse(out).quiver.arrow("a0").tail == "v1"
+
+
+# Each rewrite command on double_arrow_weighted.quiver, with its own options.
+REWRITES = {
+    "collapse": ["--arrow", "a0"],
+    "pinch": ["--v1", "v0", "--v2", "v1"],
+    "clip": ["--arrow", "a1"],
+    "reverse": ["--arrows", "a0"],
+}
+
+
+@pytest.mark.parametrize("command", REWRITES)
+def test_rewrites_under_json_render_no_text(capsys, monkeypatch, command):
+    argv = [command, fx("double_arrow_weighted.quiver"), *REWRITES[command], "--json"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and "weights" in json.loads(expected)
+
+    def refuse(doc):
+        raise AssertionError("the text document is rendered under --json")
+
+    monkeypatch.setattr(dsl, "print_document", refuse)
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_clip_drops_relations_with_note(capsys):

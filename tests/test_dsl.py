@@ -215,13 +215,6 @@ def test_document_constructor_applies_the_one_weight_rule(mu, nu, message):
         QuiverDocument(None, q, RelationSet(), mu, nu)
 
 
-def test_spans_not_compared():
-    doc = parse("quiver { vertices: v0; arrows: l: v0 -> v0; }")
-    other = parse("quiver {\n\n vertices: v0; arrows: l: v0 -> v0; }")
-    assert doc == other
-    assert doc.spans != other.spans
-
-
 def test_malformed_inputs_always_diagnose():
     junk = [
         "",
@@ -319,13 +312,12 @@ def fixture_mutations(count: int = 500, seed: int = 0):
 
 
 def reader_outcome(text: str) -> str:
-    """Each diagnostic as ``line:column: message``, or ``ok``, the spans and the canonical text."""
+    """Each diagnostic as ``line:column: message``, or ``ok`` and the canonical text."""
     try:
         doc = parse(text)
     except ParseError as err:
         return "".join(f"{d}\n" for d in err.diagnostics)
-    spans = " ".join(f"{key}={span}" for key, span in doc.spans.items())
-    return f"ok\nspans: {spans}\n{print_document(doc)}"
+    return f"ok\n{print_document(doc)}"
 
 
 def reader_outcomes() -> str:

@@ -10,17 +10,18 @@ Documents of up to 400 vertices are also written twice, once compactly and
 once with random whitespace and comments between any two symbols, inside
 arrow declarations and weight entries too (where the reader stops matching
 whole declarations at the cursor and reads symbol by symbol).  Both must
-parse to the same document, and every span must be the line:column of its
-declaration in the spaced text.
+parse to the same document, and an arrow whose tail is made undeclared must
+be reported at the line:column of its declaration in the spaced text.
 """
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivergauge import Quiver, QuiverDocument, canonicalize, document_for, parse, print_document
-from quivergauge.dsl import Span
+from quivergauge.dsl import Diagnostic, ParseError, Span
 from quivergauge.quiver import MAX_WEIGHT
 
 from conftest import PROPERTY
@@ -115,7 +116,7 @@ def test_print_parse_round_trip_and_idempotent_canonical_form(source):
     text, doc = source
     printed = print_document(doc)
     # with no arrow, weights and no weights are the same document
-    unweighted = QuiverDocument(doc.name, doc.quiver, doc.relations, None, None, doc.spans)
+    unweighted = QuiverDocument(doc.name, doc.quiver, doc.relations, None, None)
     assert parse(printed) == (doc if doc.quiver.arrows else unweighted)
     if text is not None:
         assert canonicalize(text) == printed
@@ -126,8 +127,8 @@ def test_print_parse_round_trip_and_idempotent_canonical_form(source):
 GAPS = ("  ", "\t", "\n", "\n  ", " # note: a -> b; c(1,2)\n", "#\n", "\r\n")
 
 
-def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, Span]]:
-    """(spaced text, compact text, expected spans) of a random document.
+def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, tuple[Span, int, str]]]:
+    """(spaced text, compact text, arrows) of a random document.
 
     A spanning tree, up to as many extra arrows again, a loop, relations on
     the loop, and weights on a random subset of the arrows.  The compact
@@ -135,6 +136,8 @@ def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, Spa
     spaced text puts a random gap between a third of all symbol pairs.
     Sizes and seeds come from hypothesis and the text from ``random``, so
     documents of hundreds of declarations stay within hypothesis' data budget.
+    ``arrows`` maps each arrow id to the span of its declaration in the
+    spaced text, and the offset there and id of its tail.
     """
     rng = random.Random(seed)
     vertices = [f"v{i}" for i in range(n_vertices)]
@@ -151,52 +154,46 @@ def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, Spa
 
     spaced: list[str] = []
     compact: list[str] = []
-    offsets: dict[str, int] = {}
+    located: dict[str, tuple[int, int, str]] = {}
     size = 0
     previous = ""
 
-    def put(symbol: str) -> int:
-        """Append one symbol after a gap; return its offset in the spaced text."""
+    def put(*symbols: str) -> int:
+        """Append each symbol after a gap; return the first one's offset in the spaced text."""
         nonlocal size, previous
-        word = symbol[0].isalnum() or symbol[0] == "_"
-        minimal = " " if word and (previous[-1:].isalnum() or previous[-1:] == "_") else ""
-        gap = rng.choice(GAPS) if rng.random() < 1 / 3 else minimal
-        spaced.append(gap + symbol)
-        compact.append(minimal + symbol)
-        size += len(gap)
-        offset = size
-        size += len(symbol)
-        previous = symbol
-        return offset
+        offsets = []
+        for symbol in symbols:
+            word = symbol[0].isalnum() or symbol[0] == "_"
+            minimal = " " if word and (previous[-1:].isalnum() or previous[-1:] == "_") else ""
+            gap = rng.choice(GAPS) if rng.random() < 1 / 3 else minimal
+            spaced.append(gap + symbol)
+            compact.append(minimal + symbol)
+            size += len(gap)
+            offsets.append(size)
+            size += len(symbol)
+            previous = symbol
+        return offsets[0]
 
-    def declare(key: str, symbols: list[str]) -> None:
-        offsets[key] = put(symbols[0])
-        for symbol in symbols[1:]:
-            put(symbol)
-
-    for symbol in ("quiver", "Q", "{"):
-        put(symbol)
+    put("quiver", "Q", "{")
     sections = ["vertices", "arrows"] + ["relations"] * bool(words) + ["weights"] * bool(weights)
     rng.shuffle(sections)
     for section in sections:
-        put(section)
-        put(":")
+        put(section, ":")
         if section == "vertices":
-            for v in vertices:
-                declare(f"vertex:{v}", [v])
-            put(";")
+            put(*vertices, ";")
         elif section == "arrows":
             for name, t, h in arrows:
-                declare(f"arrow:{name}", [name, ":", t, "->", h, ";"])
+                start = put(name, ":")
+                located[name] = (start, put(t, "->", h, ";"), t)
         elif section == "relations":
             for i, word in enumerate(words):
                 if i:
                     put(",")
-                declare(f"relation:{i}", list(word))
+                put(*word)
             put(";")
         else:
             for name, m, n in weights:
-                declare(f"weight:{name}", [name, "(", str(m), ",", str(n), ")"])
+                put(name, "(", str(m), ",", str(n), ")")
             put(";")
     put("}")
     text = "".join(spaced)
@@ -204,15 +201,20 @@ def spaced_document(n_vertices: int, seed: int) -> tuple[str, str, dict[str, Spa
     def span(offset: int) -> Span:
         return Span(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
-    return text, "".join(compact), {key: span(offset) for key, offset in offsets.items()}
+    return text, "".join(compact), {name: (span(start), *tail) for name, (start, *tail) in located.items()}
 
 
 @settings(PROPERTY, max_examples=30)
 @given(st.builds(spaced_document, st.integers(1, 400), st.integers(0, 2**32 - 1)))
 @example(spaced_document(400, 0))
 @example(spaced_document(400, 1))
-def test_spaced_and_compact_texts_read_alike_with_exact_spans(generated):
-    text, compact, spans = generated
-    doc = parse(text)
-    assert doc == parse(compact)
-    assert dict(doc.spans) == spans
+def test_spaced_and_compact_texts_read_alike_and_diagnose_at_exact_spans(generated):
+    text, compact, arrows = generated
+    assert parse(text) == parse(compact)
+    # one arrow's tail made undeclared: reported at the arrow, whether read whole or symbol by symbol
+    name = random.Random(text).choice(sorted(arrows))
+    span, tail_offset, tail = arrows[name]
+    broken = text[:tail_offset] + "nowhere" + text[tail_offset + len(tail) :]
+    with pytest.raises(ParseError) as caught:
+        parse(broken)
+    assert caught.value.diagnostics == (Diagnostic(span, f"arrow {name!r} uses undeclared vertex 'nowhere'"),)

@@ -3,9 +3,9 @@
 No module imports ``dataclasses``, and no structural command loads it or
 ``inspect``.
 
-Every exported name, every public method and property of an exported class,
-and every public function of ``serialize`` also has a user besides the unit
-tests.
+Every exported name, every public method, property and record field of an
+exported class, and every public function of ``serialize`` also has a user
+besides the unit tests.
 """
 
 import ast
@@ -20,6 +20,7 @@ import pytest
 
 import quivergauge
 from conftest import python
+from quivergauge.quiver import _Record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -203,12 +204,13 @@ def _reads(path: Path) -> list[tuple[str, frozenset, bool]]:
 
 
 def _members() -> set[str]:
-    """Public methods and properties of exported classes, as ``Class.name``, and public functions of serialize.
+    """Public methods, properties and record fields of exported classes, as ``Class.name``, and public functions of serialize.
 
-    The functions are named ``serialize.name``.  A class's members include those of its bases in the package.  A member
-    that a base outside the package defines is an override of that base's
-    hook, which the base calls (as argparse calls ``ArgumentParser.error``),
-    so it is left out.
+    The functions are named ``serialize.name``, and a record's fields are
+    its ``_fields``.  A class's members include those of its bases in the
+    package.  A member that a base outside the package defines is an
+    override of that base's hook, which the base calls (as argparse calls
+    ``ArgumentParser.error``), so it is left out.
     """
     members = set()
     for name in quivergauge.__all__:
@@ -221,6 +223,8 @@ def _members() -> set[str]:
                 routine = inspect.isfunction(value) or isinstance(value, (property, cached_property, classmethod, staticmethod))
                 if routine and not attr.startswith("_") and not any(hasattr(b, attr) for b in outside):
                     members.add(f"{name}.{attr}")
+        if issubclass(cls, _Record):
+            members.update(f"{name}.{field}" for field in cls._fields)
     serialize = import_module("quivergauge.serialize")
     for name, value in vars(serialize).items():
         if inspect.isfunction(value) and value.__module__ == serialize.__name__ and not name.startswith("_"):
@@ -290,8 +294,6 @@ def test_no_record_writes_a_constructor_that_only_stores_its_fields():
     for body in ("_setfield(self, 'b', b)\n    _setfield(self, 'a', a)", "super().__init__(a, b)"):
         redundant = ast.parse(f"def __init__(self, a, b):\n    {body}").body[0]
         assert _stores_only(redundant, ("a", "b")) and not _stores_only(redundant, ("b", "a"))
-    from quivergauge.quiver import _Record
-
     written = set()
     for path in ROOT.glob("src/quivergauge/*.py"):
         module = import_module(f"quivergauge.{path.stem}")

@@ -96,7 +96,7 @@ REPRS = {
     "RelationViolation": "RelationViolation(word_index=0, letter_index=0, message=\"unknown arrow 'k'\")",
     "RelationSet": "RelationSet(relations=(Word(letters=(('l', 1), ('l', 1))),))",
     "GroupSpec": "GroupSpec(family='SL', n=3)",
-    "SpanningForest": "SpanningForest(roots=('x',), parent={'y': ('x', 'a', True)}, tree_arrows=('a',))",
+    "SpanningForest": "SpanningForest(parent={'y': ('x', 'a', True)}, tree_arrows=('a',))",
     "MonotoneReport": (
         "MonotoneReport(ok=False, violating_arrow='b', witness_cycle=Word(letters=(('a', 1), ('b', 1))))"
     ),
@@ -107,10 +107,7 @@ REPRS = {
     ),
     "QuiverDocument": (
         f"QuiverDocument(name='T', quiver={TWO_CYCLE_TEXT}, relations=RelationSet(relations=(Word(letters=(("
-        "'b', 1), ('a', 1))),)), mu={'a': 2, 'b': 1}, nu={'a': 1, 'b': 1}, spans={'vertex:x': Span(line=1, column=22), "
-        "'vertex:y': Span(line=1, column=24), 'arrow:a': Span(line=1, column=35), 'arrow:b': Span(line=1, "
-        "column=46), 'relation:0': Span(line=1, column=68), 'weight:a': Span(line=1, column=82), 'weight:b': "
-        "Span(line=1, column=90)})"
+        "'b', 1), ('a', 1))),)), mu={'a': 2, 'b': 1}, nu={'a': 1, 'b': 1})"
     ),
     "CollapseStep": "CollapseStep(arrow='a', tail='x', head='y', merged='x')",
     "ReductionTrace": (
@@ -125,7 +122,7 @@ REPRS = {
     "GaugeElement": (
         f"GaugeElement(quiver={LOOP_TEXT}, group=GroupSpec(family='GL', n=1), values={{'v': array([[0.+1.j]])}})"
     ),
-    "KNResidual": "KNResidual(per_vertex={'v': array([[0.+0.j]])}, projected={'v': array([[0.+0.j]])}, aggregate=0.0)",
+    "KNResidual": "KNResidual(per_vertex={'v': array([[0.+0.j]])}, aggregate=0.0)",
     "FlowReport": (
         "FlowReport(iterations=0, residual_history=(0.0,), norm_history=(4.0,), "
         f"final=Representation(quiver={LOOP_TEXT}, group=GroupSpec(family='GL', n=1), "
@@ -162,7 +159,7 @@ DIFFERENT = {
     "QuiverDocument": lambda: parse(TEXT.replace("b(1, 1)", "b(1, 2)")),
     "CollapseStep": lambda: CollapseStep("a", "x", "y", "y"),
     "ReductionTrace": lambda: ReductionTrace(LOOP, (), LOOP, RelationSet()),
-    "KNResidual": lambda: KNResidual({}, {}, 0.0),
+    "KNResidual": lambda: KNResidual({}, 0.0),
     "FlowReport": lambda: FlowReport(0, (0.0,), (4.0,), FLOW.final, False),
     "WeightedToricAction": lambda: weight_matrix(LOOP, {"l": 2}, {"l": 2}),
     "MonomialBasis": lambda: MonomialBasis(("a", "b"), 1, ({0: 1, 1: 2},)),
@@ -199,13 +196,6 @@ def test_uncompared_fields_do_not_take_part_in_equality():
     q, fresh = BUILD["Quiver"](), BUILD["Quiver"]()
     assert q.tails.tolist() == [0, 1] and q.heads.tolist() == [1, 0]
     assert q == fresh and hash(q) == hash(fresh)
-    # a document's spans
-    doc = parse(TEXT)
-    moved = parse("\n\n" + TEXT)
-    assert doc.spans != moved.spans
-    assert doc == moved
-    unweighted = parse(TEXT.replace(" weights: a(2, 1) b(1, 1);", ""))
-    assert hash(unweighted) == hash(parse("\n" + TEXT.replace(" weights: a(2, 1) b(1, 1);", "")))
     # a basis compares its dense vectors, not the stored sparse rows
     assert MonomialBasis(("a",), 1, ({0: 0},)) == MonomialBasis(("a",), 1, ({},))
     assert hash(MonomialBasis(("a",), 1, ({0: 0},))) == hash(MonomialBasis(("a",), 1, ({},)))
@@ -240,8 +230,7 @@ def test_constructors_keep_their_keywords_and_defaults():
     assert OrbitCertificate(verdict="v") == OrbitCertificate("v", (), None, None)
     doc = parse(TEXT)
     bare = QuiverDocument(name=doc.name, quiver=doc.quiver, relations=doc.relations, mu=doc.mu, nu=doc.nu)
-    assert bare == doc and bare.spans == {}
-    assert bare.spans is not QuiverDocument(None, LOOP, RelationSet(), None, None).spans
+    assert bare == doc
     rep = Representation(quiver=LOOP, group=GL1, markings={"l": [[2.0]]})
     assert rep.membership_tol == 1e-9
     gauge = GaugeElement(quiver=LOOP, group=GL1, values=np.ones((1, 1, 1)), membership_tol=0.0)
@@ -253,8 +242,8 @@ def test_constructors_keep_their_keywords_and_defaults():
     assert action.matrix == ((1,),)
     basis = MonomialBasis(arrow_order=("a", "b"), cell_dimension=1, nonzeros=({1: 2},))
     assert basis.vectors == ((0, 2),)
-    assert SpanningForest(roots=("v",), parent={}, tree_arrows=()) == spanning_forest(LOOP)
-    assert KNResidual(per_vertex={}, projected={}, aggregate=1.0).aggregate == 1.0
+    assert SpanningForest(parent={}, tree_arrows=()) == spanning_forest(LOOP)
+    assert KNResidual(per_vertex={}, aggregate=1.0).aggregate == 1.0
     report = FlowReport(iterations=0, residual_history=(), norm_history=(), final=rep, converged=False)
     assert report.final is rep
     witness = _witness()

@@ -241,6 +241,18 @@ def test_check_invariance_accepts_kernel_rejects_others():
         check_invariance(action, (1,), trials=1, seed=0)
 
 
+def test_check_invariance_accepts_the_basis_at_the_weight_cap():
+    # summed per-arrow float logs left about 2e-4 of rounding here; the integer character is exactly 0
+    q = Quiver(("v0", "v1"), (("a", "v0", "v1"), ("b", "v0", "v1"), ("c", "v0", "v1")))
+    weights = {"a": 1, "b": 10**6, "c": 10**6 - 1}
+    action = weight_matrix(q, weights, dict(weights))
+    basis = invariant_monomial_basis(action)
+    assert basis.vectors == ((1, 999998, -999999), (0, 999999, -1000000))
+    for vec in basis.vectors:
+        assert all(check_invariance(action, vec, seed=seed) for seed in range(5))
+    assert not check_invariance(action, (1, 999998, -999998))
+
+
 def test_check_invariance_refuses_a_negative_seed():
     q = one_loop()
     action = weight_matrix(q, ones(q), ones(q))
