@@ -27,8 +27,8 @@ _EXPORTS = {
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word
         betti_number classify_vertex closed_orbit_certificate connected_components directed_path
         ends euler_characteristic fundamental_cycles is_connected is_strongly_connected
-        is_super_cyclic moduli_dimension monotone_weights_force_constant spanning_forest
-        strongly_connected_components validate_relations vertex_classes word_endpoints""",
+        is_super_cyclic moduli_dimension monotone_weights_force_constant validate_relations
+        vertex_classes word_endpoints""",
     "rewrites": "CollapseStep ReductionTrace clip collapse pinch reduce_to_rose reverse_arrows",
     "toric": """MonomialBasis WeightedToricAction check_invariance invariant_monomial_basis
         weight_matrix""",

@@ -1,13 +1,13 @@
 """Directed multigraphs (quivers), cycle words, relation sets, and group metadata.
 
-Vertices and arrows are identified by strings.  Every ordering used by the
-algorithms (component roots, breadth-first search, tie-breaks) is by
+Vertices and arrows are identified by strings.  Every ordering that shapes a
+derived structure (component roots, breadth-first search, tie-breaks) is by
 lexicographic id, so all derived structures are deterministic and replayable.
-Every traversal (the spanning forest, connected and strongly connected
-components, directed paths, and the pushforward's tree gauge) runs on vertex
-and arrow rows over one incidence builder, ``_incidence``, and one
-breadth-first search, ``_bfs``; the tie-break and the skipping of loops live
-only there.
+Every traversal (the spanning forest and fundamental cycles, connected
+components, strong connectivity, directed paths, and the pushforward's tree
+gauge) runs on vertex and arrow rows over one incidence builder,
+``_incidence``, and one breadth-first search, ``_bfs``; the skipping of loops
+lives only there.
 
 The orbit-closure certificate is graph theory too.  At a sink or source an
 explicit one-parameter gauge degenerates every invertible representation
@@ -367,8 +367,7 @@ class GroupSpec(_Record):
     """Matrix group family and size.
 
     Families: GL, SL, U, SU, and TORUS (= GL(1), so n must be 1); ``n`` is
-    stored as int.  Dimension metadata is the complex dimension and is
-    defined only for the non-compact families.
+    stored as int.
     """
 
     _fields = ("family", "n")
@@ -389,24 +388,6 @@ class GroupSpec(_Record):
     @property
     def is_compact(self) -> bool:
         return self.family in COMPACT_FAMILIES
-
-    @property
-    def complex_dimension(self) -> int:
-        if self.family in ("GL",):
-            return self.n * self.n
-        if self.family == "SL":
-            return self.n * self.n - 1
-        if self.family == "TORUS":
-            return 1
-        raise ValueError(f"complex dimension undefined for compact family {self.family}")
-
-    @property
-    def center_dimension(self) -> int:
-        if self.family in ("GL", "TORUS"):
-            return 1
-        if self.family == "SL":
-            return 0
-        raise ValueError(f"center dimension undefined for compact family {self.family}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,61 +455,17 @@ def is_super_cyclic(q: Quiver) -> bool:
     return not ends(q)
 
 
-def strongly_connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
-    """Strongly connected components by Tarjan's algorithm (iterative).
-
-    Runs on vertex rows over the directed incidence; each component is its
-    sorted ids, and the components are sorted.
-    """
-    succ = _incidence(q, _id_order(q._arrow_row), directed=True)
-    heads = q.head_rows
-    index, lowlink, on_stack = [-1] * q.n_vertices, [0] * q.n_vertices, [False] * q.n_vertices
-    stack: list[int] = []
-    counter = 0
-    sccs: list[tuple[str, ...]] = []
-
-    for root in _id_order(q._vertex_row):
-        if index[root] >= 0:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = heads[succ[v][i]]
-                if index[w] < 0:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(q.vertices[w])
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-    return tuple(sorted(sccs))
-
-
 def is_strongly_connected(q: Quiver) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return len(strongly_connected_components(q)) == 1
+    """True iff every ordered vertex pair is joined by a directed path.
+
+    That holds exactly when row 0 reaches every vertex along the arrows and
+    against them: one ``_bfs`` each way.
+    """
+    arrows, others = range(q.n_arrows), q.n_vertices - 1
+    return all(
+        len(_bfs(q, _incidence(q, arrows, end), [0], [False] * q.n_vertices)) == others
+        for end in (q.tail_rows, q.head_rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +473,22 @@ def is_strongly_connected(q: Quiver) -> bool:
 
 
 def _id_order(rows: Mapping[str, int]) -> list[int]:
-    """The rows of an id-to-row map in id order: every traversal breaks ties by lexicographic id."""
+    """The rows of an id-to-row map in id order: the forest and directed paths break ties by lexicographic id."""
     return [rows[k] for k in sorted(rows)]
 
 
-def _incidence(q: Quiver, arrow_rows: Iterable[int], directed: bool) -> list[list[int]]:
-    """Per vertex row, the given arrow rows in order: at the tail only if ``directed``, else at both ends.
+def _incidence(q: Quiver, arrow_rows: Iterable[int], *ends: tuple[int, ...]) -> list[list[int]]:
+    """Per vertex row, the given arrow rows in order, listed at the vertex each of ``ends`` names.
 
-    Loops are skipped; they change neither a BFS nor a strongly connected component.
+    ``ends`` are ``q.tail_rows`` (search along the arrows), ``q.head_rows``
+    (against them) or both (undirected).  Loops are skipped; they change no BFS.
     """
     incident: list[list[int]] = [[] for _ in q.vertices]
     tails, heads = q.tail_rows, q.head_rows
     for i in arrow_rows:
         if tails[i] != heads[i]:
-            incident[tails[i]].append(i)
-            if not directed:
-                incident[heads[i]].append(i)
+            for end in ends:
+                incident[end[i]].append(i)
     return incident
 
 
@@ -578,8 +515,8 @@ def _bfs(q: Quiver, incident: list[list[int]], roots: Sequence[int], seen: list[
 
 
 def _forest(q: Quiver) -> tuple[list[int], list[tuple]]:
-    """Root rows and BFS links of the spanning forest (``spanning_forest`` is its names view)."""
-    incident = _incidence(q, _id_order(q._arrow_row), directed=False)
+    """Root rows and BFS links of the spanning forest; see ``SpanningForest``."""
+    incident = _incidence(q, _id_order(q._arrow_row), q.tail_rows, q.head_rows)
     seen = [False] * q.n_vertices
     roots: list[int] = []
     links: list[tuple] = []
@@ -593,37 +530,13 @@ def _forest(q: Quiver) -> tuple[list[int], list[tuple]]:
 class SpanningForest(_Record):
     """Deterministic BFS spanning forest of the underlying undirected graph.
 
-    ``parent`` maps each non-root vertex to (parent vertex, arrow id,
-    forward) where ``forward`` is True when the arrow points parent to
-    child; the roots (the smallest vertex id of each component) are the
-    vertices it leaves out.  ``tree_arrows`` lists tree arrow ids in BFS
-    discovery order, and ``parent`` is filled in that same order.
+    Each component's root is its smallest vertex id, neighbours are tried
+    in lexicographic arrow-id order (so parallel arrows break
+    deterministically), and loops never enter.  ``tree_arrows`` lists the
+    tree arrow ids in BFS discovery order.
     """
 
-    _fields = ("parent", "tree_arrows")
-
-
-def spanning_forest(q: Quiver) -> SpanningForest:
-    """BFS forest with roots at the smallest vertex id of each component.
-
-    Neighbor exploration is by lexicographic arrow id, so parallel arrows
-    are broken deterministically.  Loops never enter the incidence lists.
-    """
-    _, links = _forest(q)
-    vertices, arrows = q.vertices, q.arrows
-    parent = {vertices[c]: (vertices[p], arrows[i].name, fw) for c, p, i, fw in links}
-    return SpanningForest(parent, tuple(arrows[i].name for _, _, i, _ in links))
-
-
-def tree_path_letters(forest: SpanningForest, v: str) -> list[tuple[str, int]]:
-    """Letters of the forest path root -> v in application order."""
-    path: list[tuple[str, int]] = []
-    while v in forest.parent:
-        u, name, forward = forest.parent[v]
-        path.append((name, 1 if forward else -1))
-        v = u
-    path.reverse()
-    return path
+    _fields = ("tree_arrows",)
 
 
 def fundamental_cycles(q: Quiver) -> tuple[tuple[Word, ...], SpanningForest]:
@@ -634,18 +547,29 @@ def fundamental_cycles(q: Quiver) -> tuple[tuple[Word, ...], SpanningForest]:
     exponent -1 when walked against their direction.  The list has exactly
     betti_number(q) entries.
     """
-    forest = spanning_forest(q)
-    tree = set(forest.tree_arrows)
+    _, links = _forest(q)
+    names = [a.name for a in q.arrows]
+    up: list[tuple | None] = [None] * q.n_vertices  # per vertex row: its parent row and the letter from it
+    for child, parent, i, forward in links:
+        up[child] = parent, (names[i], 1 if forward else -1)
+
+    def from_root(v: int) -> list[tuple[str, int]]:
+        """Letters of the forest path root -> v in application order."""
+        path = []
+        while up[v] is not None:
+            v, letter = up[v]
+            path.append(letter)
+        path.reverse()
+        return path
+
+    tree = {i for _, _, i, _ in links}
     cycles = []
-    for a in q.arrows:
-        if a.name in tree:
+    for i, name in enumerate(names):
+        if i in tree:
             continue
-        to_tail = tree_path_letters(forest, a.tail)
-        to_head = tree_path_letters(forest, a.head)
-        back = [(name, -e) for name, e in reversed(to_head)]
-        application = to_tail + [(a.name, 1)] + back
-        cycles.append(Word.from_application_order(application))
-    return tuple(cycles), forest
+        back = [(n, -e) for n, e in reversed(from_root(q.head_rows[i]))]
+        cycles.append(Word.from_application_order(from_root(q.tail_rows[i]) + [(name, 1)] + back))
+    return tuple(cycles), SpanningForest(tuple(names[i] for _, _, i, _ in links))
 
 
 def moduli_dimension(q: Quiver, group: GroupSpec) -> int:
@@ -667,7 +591,10 @@ def _moduli_dimension(group: GroupSpec, betti: int, components: int) -> int:
         raise ValueError("dimension formula covers GL/SL/TORUS only")
     if betti == 0:
         return 0
-    return group.center_dimension + (betti - 1) * group.complex_dimension
+    n = group.n
+    # complex dimension of the group and of its center, by family
+    dimension, center = {"GL": (n * n, 1), "SL": (n * n - 1, 0), "TORUS": (1, 1)}[group.family]
+    return center + (betti - 1) * dimension
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +616,7 @@ def directed_path(q: Quiver, src: str, dst: str) -> list[str] | None:
     if s == d:
         return []
     seen = [False] * q.n_vertices
-    links = _bfs(q, _incidence(q, _id_order(q._arrow_row), directed=True), [s], seen)
+    links = _bfs(q, _incidence(q, _id_order(q._arrow_row), q.tail_rows), [s], seen)
     if not seen[d]:
         return None
     came = {child: (parent, i) for child, parent, i, _ in links}

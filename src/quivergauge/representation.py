@@ -210,8 +210,8 @@ def trace_invariants(f: Representation, words: Iterable[Word]) -> list[complex]:
     return out
 
 
-def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word, ...]:
-    """Fundamental cycles, their pairwise products, and the relation words.
+def standard_word_menu(q: Quiver) -> tuple[Word, ...]:
+    """Fundamental cycles and their pairwise products.
 
     Equality of traces over this menu is only a necessary condition for
     gauge equivalence, closed orbits included: the menu is finite, so equal
@@ -226,8 +226,6 @@ def standard_word_menu(q: Quiver, rels: RelationSet | None = None) -> tuple[Word
         for j in range(i, len(cycles)):
             if bases[i] == bases[j]:
                 menu.append(Word(cycles[i].letters + cycles[j].letters))
-    if rels is not None:
-        menu.extend(rels.relations)
     return tuple(menu)
 
 
@@ -287,7 +285,7 @@ def pushforward_collapse(f: Representation, trace: ReductionTrace) -> Representa
         raise ValueError("representation does not live on the trace's source quiver")
     _, anchor, collapsed, kept = trace.blocks()
     roots = [v for v, a in enumerate(anchor) if v == a]
-    links = _bfs(q, _incidence(q, collapsed, directed=False), roots, [False] * q.n_vertices)
+    links = _bfs(q, _incidence(q, collapsed, q.tail_rows, q.head_rows), roots, [False] * q.n_vertices)
     gauge = _tree_gauge(f, roots, links)
     kept = np.array(kept, dtype=np.intp)  # one index array for the three gathers
     moved = act_on_stack(gauge, f.stack[kept], q.tails[kept], q.heads[kept])

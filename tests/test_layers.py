@@ -36,8 +36,8 @@ EXPORTED = {
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word betti_number
         classify_vertex closed_orbit_certificate connected_components directed_path ends
         euler_characteristic fundamental_cycles is_connected is_strongly_connected
-        is_super_cyclic moduli_dimension monotone_weights_force_constant spanning_forest
-        strongly_connected_components validate_relations vertex_classes word_endpoints""",
+        is_super_cyclic moduli_dimension monotone_weights_force_constant validate_relations
+        vertex_classes word_endpoints""",
     "representation": """GaugeElement Representation evaluate_word gauge_act induced_gauge
         normal_form_tree_gauge pushforward_collapse random_gauge random_representation
         reverse_representation satisfies_relations standard_word_menu trace_invariants weighted_act""",

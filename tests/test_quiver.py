@@ -26,13 +26,13 @@ from quivergauge import (
     pushforward_collapse,
     random_representation,
     reduce_to_rose,
-    strongly_connected_components,
     validate_relations,
     word_endpoints,
 )
 from conftest import (
     PROPERTY,
     bridge_two_cycles,
+    long_loop,
     long_path,
     one_arrow,
     one_loop,
@@ -200,14 +200,6 @@ def test_moduli_dimension_matches_the_orbit_dimension_on_the_rose(q, group):
 
 
 def test_group_spec_metadata():
-    assert GroupSpec("GL", 3).complex_dimension == 9
-    assert GroupSpec("SL", 3).complex_dimension == 8
-    assert GroupSpec("TORUS", 1).complex_dimension == 1
-    assert GroupSpec("GL", 3).center_dimension == 1
-    assert GroupSpec("SL", 3).center_dimension == 0
-    assert GroupSpec("TORUS", 1).center_dimension == 1
-    with pytest.raises(ValueError):
-        GroupSpec("U", 2).complex_dimension
     with pytest.raises(ValueError, match=r"^group family must be a string among GL, SL, U, SU, TORUS, got 'SO'$"):
         GroupSpec("SO", 3)
     with pytest.raises(ValueError, match=r"^group n must be >= 1, got 0$"):
@@ -317,17 +309,82 @@ def _distances(q, src):
     return dist
 
 
+def _disjoint_union(p, q):
+    """``p`` and ``q`` side by side, their ids prefixed "a" and "b"; ``q``'s rows come first."""
+    parts = (("b", q), ("a", p))
+    return Quiver(
+        [tag + v for tag, r in parts for v in r.vertices],
+        [(tag + a.name, tag + a.tail, tag + a.head) for tag, r in parts for a in r.arrows],
+    )
+
+
 @PROPERTY
-@given(quivers())
-def test_strongly_connected_components_match_mutual_reachability(q):
-    reach = {v: _reachable(q, v) for v in q.vertices}
-    comps = strongly_connected_components(q)
-    assert comps == tuple(sorted(comps)) and all(list(c) == sorted(c) for c in comps)
-    assert sorted(v for c in comps for v in c) == sorted(q.vertices)
-    component = {v: i for i, c in enumerate(comps) for v in c}
-    for u in q.vertices:
-        for v in q.vertices:
-            assert (component[u] == component[v]) == (v in reach[u] and u in reach[v])
+@given(quivers(max_vertices=8), quivers(max_vertices=8))
+def test_strong_connectivity_matches_mutual_reachability(p, q):
+    for r in (p, _disjoint_union(p, q)):
+        assert is_strongly_connected(r) == all(len(_reachable(r, v)) == r.n_vertices for v in r.vertices)
+
+
+def test_strong_connectivity_of_one_vertex_and_of_disjoint_unions():
+    assert is_strongly_connected(Quiver(("v0",), ())) and is_strongly_connected(one_loop())
+    # each part is strongly connected, and a search from either part's rows misses the other
+    assert not is_strongly_connected(_disjoint_union(long_loop(3), one_loop()))
+    assert not is_strongly_connected(_disjoint_union(one_loop(), long_loop(3)))
+
+
+def _name_walk_cycles(q):
+    """Fundamental cycles and tree arrows by vertex and arrow names alone: the reference for ``fundamental_cycles``.
+
+    A BFS forest keyed by vertex id (each component rooted at its smallest
+    id, arrows tried in id order, loops skipped) gives every non-root vertex
+    its parent, arrow and direction; each non-tree arrow closes along the
+    root paths of its ends.
+    """
+    arrows = sorted(q.arrows, key=lambda a: a.name)
+    seen, parent, tree = set(), {}, []
+    for root in sorted(q.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for v in queue:
+            for a in arrows:
+                if a.is_loop or v not in (a.tail, a.head):
+                    continue
+                kid = a.head if a.tail == v else a.tail
+                if kid not in seen:
+                    seen.add(kid)
+                    queue.append(kid)
+                    parent[kid] = (v, a.name, a.tail == v)
+                    tree.append(a.name)
+
+    def tree_path_letters(v):
+        path = []
+        while v in parent:
+            v, name, forward = parent[v]
+            path.append((name, 1 if forward else -1))
+        return path[::-1]
+
+    cycles = []
+    for a in q.arrows:
+        if a.name not in tree:
+            back = [(name, -e) for name, e in reversed(tree_path_letters(a.head))]
+            cycles.append(Word.from_application_order(tree_path_letters(a.tail) + [(a.name, 1)] + back))
+    return tuple(cycles), tuple(tree)
+
+
+@PROPERTY
+@given(quivers(max_vertices=30), quivers(max_vertices=30))
+def test_fundamental_cycles_match_the_name_walk_word_for_word(p, q):
+    union = _disjoint_union(p, q)
+    for r in (p, union):
+        cycles, forest = fundamental_cycles(r)
+        assert (cycles, forest.tree_arrows) == _name_walk_cycles(r)
+    cycles, _ = fundamental_cycles(union)
+    assert len(cycles) == betti_number(union)
+    for c in cycles:  # each closes at the smallest vertex of its own component
+        tail, head = word_endpoints(union, c)
+        assert tail == head == min(next(comp for comp in connected_components(union) if tail in comp))
 
 
 @PROPERTY

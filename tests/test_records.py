@@ -32,6 +32,7 @@ from quivergauge import (
     WeightedToricAction,
     Word,
     closed_orbit_certificate,
+    fundamental_cycles,
     invariant_monomial_basis,
     kn_flow,
     kn_moment,
@@ -39,7 +40,6 @@ from quivergauge import (
     parse,
     reduce_to_rose,
     sink_source_witness,
-    spanning_forest,
     validate_relations,
     weight_matrix,
 )
@@ -66,7 +66,7 @@ BUILD = {
     "RelationViolation": lambda: validate_relations(LOOP, RelationSet((Word((("k", 1),)),)))[0],
     "RelationSet": lambda: RelationSet((Word.from_arrow_names(("l", "l")),)),
     "GroupSpec": lambda: GroupSpec("SL", 3),
-    "SpanningForest": lambda: spanning_forest(parse(TEXT).quiver),
+    "SpanningForest": lambda: fundamental_cycles(parse(TEXT).quiver)[1],
     "MonotoneReport": lambda: monotone_weights_force_constant(parse(TEXT).quiver, {"x": 0, "y": 1}),
     "OrbitCertificate": lambda: closed_orbit_certificate(parse(TEXT).quiver),
     "QuiverDocument": lambda: parse(TEXT),
@@ -96,7 +96,7 @@ REPRS = {
     "RelationViolation": "RelationViolation(word_index=0, letter_index=0, message=\"unknown arrow 'k'\")",
     "RelationSet": "RelationSet(relations=(Word(letters=(('l', 1), ('l', 1))),))",
     "GroupSpec": "GroupSpec(family='SL', n=3)",
-    "SpanningForest": "SpanningForest(parent={'y': ('x', 'a', True)}, tree_arrows=('a',))",
+    "SpanningForest": "SpanningForest(tree_arrows=('a',))",
     "MonotoneReport": (
         "MonotoneReport(ok=False, violating_arrow='b', witness_cycle=Word(letters=(('a', 1), ('b', 1))))"
     ),
@@ -144,7 +144,7 @@ REPRS = {
 
 IDENTITY_EQUAL = ("Representation", "GaugeElement", "AdditiveRep", "DegenerationWitness")
 # Hashing fails on a compared field that is a dict or mapping, as it did before.
-UNHASHABLE = ("SpanningForest", "QuiverDocument", "KNResidual", "WeightedToricAction")
+UNHASHABLE = ("QuiverDocument", "KNResidual", "WeightedToricAction")
 # The compared-equal classes, each with a builder of an instance that differs in one compared field.
 DIFFERENT = {
     "Arrow": lambda: Arrow("a", "x", "x"),
@@ -153,7 +153,7 @@ DIFFERENT = {
     "RelationViolation": lambda: validate_relations(LOOP, RelationSet((Word((("l", -1),)),)))[0],
     "RelationSet": lambda: RelationSet(),
     "GroupSpec": lambda: GroupSpec("GL", 3),
-    "SpanningForest": lambda: spanning_forest(Quiver(("x", "y"), (("b", "y", "x"),))),
+    "SpanningForest": lambda: fundamental_cycles(Quiver(("x", "y"), (("b", "y", "x"),)))[1],
     "MonotoneReport": lambda: MonotoneReport(True),
     "OrbitCertificate": lambda: OrbitCertificate("inconclusive"),
     "QuiverDocument": lambda: parse(TEXT.replace("b(1, 1)", "b(1, 2)")),
@@ -242,7 +242,7 @@ def test_constructors_keep_their_keywords_and_defaults():
     assert action.matrix == ((1,),)
     basis = MonomialBasis(arrow_order=("a", "b"), cell_dimension=1, nonzeros=({1: 2},))
     assert basis.vectors == ((0, 2),)
-    assert SpanningForest(parent={}, tree_arrows=()) == spanning_forest(LOOP)
+    assert SpanningForest(tree_arrows=()) == fundamental_cycles(LOOP)[1]
     assert KNResidual(per_vertex={}, aggregate=1.0).aggregate == 1.0
     report = FlowReport(iterations=0, residual_history=(), norm_history=(), final=rep, converged=False)
     assert report.final is rep

@@ -21,6 +21,7 @@ from quivergauge import (
     Quiver,
     Representation,
     act_additive,
+    fundamental_cycles,
     gauge_act,
     induced_gauge,
     kn_moment,
@@ -30,7 +31,6 @@ from quivergauge import (
     random_gauge,
     random_representation,
     reduce_to_rose,
-    spanning_forest,
 )
 from quivergauge.quiver import RelationSet
 from quivergauge.rewrites import ReductionTrace, collapse
@@ -217,7 +217,7 @@ def test_normal_form_on_a_deep_path():
     f = random_representation(q, group, 34)
     _, normal = normal_form_tree_gauge(f)
     eye = np.eye(3)
-    for name in spanning_forest(q).tree_arrows:
+    for name in fundamental_cycles(q)[1].tree_arrows:
         assert np.linalg.norm(normal.markings[name] - eye) <= 1e-9 * np.linalg.norm(eye)
 
 @PROPERTY
