@@ -25,8 +25,8 @@ _EXPORTS = {
     "dsl": "ParseError QuiverDocument canonicalize document_for parse print_document",
     "quiver": """ALL_INVERTIBLE_ORBITS_CLOSED ENDS_OBSTRUCT INCONCLUSIVE TOL_EQ TOL_MEMBERSHIP Arrow
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word
-        betti_number classify_vertex closed_orbit_certificate connected_components directed_path
-        ends euler_characteristic fundamental_cycles is_connected is_strongly_connected
+        betti_number classify_vertex closed_orbit_certificate directed_path ends
+        euler_characteristic fundamental_cycles is_connected is_strongly_connected
         is_super_cyclic moduli_dimension monotone_weights_force_constant validate_relations
         vertex_classes word_endpoints""",
     "rewrites": "CollapseStep ReductionTrace clip collapse pinch reduce_to_rose reverse_arrows",

@@ -163,24 +163,17 @@ def _drop_relations_mentioning(relations: RelationSet, names: set[str]) -> tuple
 
 def _cmd_info(args, doc):
     from .quiver import (
-        _ends,
-        _moduli_dimension,
-        connected_components,
-        euler_characteristic,
-        is_strongly_connected,
-        vertex_classes,
+        betti_number, ends, euler_characteristic, is_strongly_connected, moduli_dimension, vertex_classes,
     )
 
-    # one spanning forest (in connected_components) and one vertex classification
     q = doc.quiver
-    components = len(connected_components(q))
-    chi = euler_characteristic(q)
+    b1, chi = betti_number(q), euler_characteristic(q)
     classes = vertex_classes(q)
-    end_vertices = _ends(classes)
+    end_vertices = ends(q)
     payload = {
-        "betti_number": components - chi,
+        "betti_number": b1,
         "euler_characteristic": chi,
-        "components": components,
+        "components": b1 + chi,
         "vertex_classes": classes,
         "ends": list(end_vertices),
         "super_cyclic": not end_vertices,
@@ -197,7 +190,7 @@ def _cmd_info(args, doc):
     lines.append(f"strongly connected: {'yes' if payload['strongly_connected'] else 'no'}")
     if args.group:
         group = _group(args)
-        dim = _moduli_dimension(group, payload["betti_number"], components)
+        dim = moduli_dimension(q, group)
         payload["group"] = serialize.group_to_json(group)
         payload["moduli_dimension"] = dim
         payload["moduli_dimension_ignores_relations"] = bool(doc.relations)

@@ -3,9 +3,9 @@
 Vertices and arrows are identified by strings.  Every ordering that shapes a
 derived structure (component roots, breadth-first search, tie-breaks) is by
 lexicographic id, so all derived structures are deterministic and replayable.
-Every traversal (the spanning forest and fundamental cycles, connected
-components, strong connectivity, directed paths, and the pushforward's tree
-gauge) runs on vertex and arrow rows over one incidence builder,
+Every traversal (the spanning forest with its fundamental cycles and
+component count, strong connectivity, directed paths, and the pushforward's
+tree gauge) runs on vertex and arrow rows over one incidence builder,
 ``_incidence``, and one breadth-first search, ``_bfs``; the skipping of loops
 lives only there.
 
@@ -309,7 +309,7 @@ def word_endpoints(q: Quiver, w: Word) -> tuple[str, str] | None:
 
 
 class RelationViolation(_Record):
-    _fields = ("word_index", "letter_index", "message")
+    _fields = ("word_index", "message")
 
 
 class RelationSet(_Record):
@@ -328,26 +328,26 @@ def validate_relations(q: Quiver, rels: RelationSet) -> tuple[RelationViolation,
     """Check every relation word for composability and closedness.
 
     Returns an empty tuple when everything validates; otherwise one
-    violation per failing word naming the first offending letter index.
+    violation per failing word, naming the first check its letters fail.
     """
     violations: list[RelationViolation] = []
     for wi, w in enumerate(rels.relations):
         bad = None
-        for li, (name, exp) in enumerate(w.letters):
+        for name, exp in w.letters:
             if not q.has_arrow(name):
-                bad = RelationViolation(wi, li, f"unknown arrow {name!r}")
+                bad = f"unknown arrow {name!r}"
                 break
             if exp != 1:
-                bad = RelationViolation(wi, li, "relations must be positively oriented")
+                bad = "relations must be positively oriented"
                 break
         if bad is None and w.letters:
             ends, i = _walk(q, w)
             if i is not None:
-                bad = RelationViolation(wi, i, "consecutive letters do not compose")
+                bad = "consecutive letters do not compose"
             elif ends[-1][0] != ends[0][1]:
-                bad = RelationViolation(wi, None, "word does not close up")
+                bad = "word does not close up"
         if bad is not None:
-            violations.append(bad)
+            violations.append(RelationViolation(wi, bad))
     return tuple(violations)
 
 
@@ -394,22 +394,6 @@ class GroupSpec(_Record):
 # topological invariants and vertex classification
 
 
-def connected_components(q: Quiver) -> tuple[tuple[str, ...], ...]:
-    """Undirected connected components, each a tuple of vertex ids, read off the spanning forest.
-
-    Components are listed by smallest member (the forest roots); members are
-    kept in quiver vertex order.
-    """
-    roots, links = _forest(q)
-    root = list(range(q.n_vertices))
-    for child, parent, _, _ in links:
-        root[child] = root[parent]
-    comps: dict[int, list[str]] = {r: [] for r in roots}
-    for v, r in zip(q.vertices, root):
-        comps[r].append(v)
-    return tuple(tuple(c) for c in comps.values())
-
-
 def is_connected(q: Quiver) -> bool:
     return len(_forest(q)[0]) == 1
 
@@ -442,12 +426,8 @@ def classify_vertex(q: Quiver, v: str) -> str:
 
 
 def ends(q: Quiver) -> tuple[str, ...]:
-    """Vertices classified as source or sink, in vertex order."""
-    return _ends(vertex_classes(q))
-
-
-def _ends(classes: Mapping[str, str]) -> tuple[str, ...]:
-    return tuple(v for v, c in classes.items() if c in ("source", "sink"))
+    """Vertices classified as source or sink by ``vertex_classes``, in vertex order."""
+    return tuple(v for v, c in vertex_classes(q).items() if c in ("source", "sink"))
 
 
 def is_super_cyclic(q: Quiver) -> bool:
@@ -576,19 +556,15 @@ def moduli_dimension(q: Quiver, group: GroupSpec) -> int:
     """Dimension of the representation moduli for a connected quiver.
 
     Trees give a single point (dimension 0); otherwise the dimension is
-    dim center + (b1 - 1) * dim group.  Compact families are rejected:
-    only complex dimensions are tabulated.
+    dim center + (b1 - 1) * dim group.  A disconnected quiver is rejected
+    first, then the compact families: only complex dimensions are
+    tabulated.
     """
-    components = len(_forest(q)[0])
-    return _moduli_dimension(group, q.n_arrows - q.n_vertices + components, components)
-
-
-def _moduli_dimension(group: GroupSpec, betti: int, components: int) -> int:
-    """``moduli_dimension`` from the quiver's Betti number and component count."""
-    if components != 1:
+    if not is_connected(q):
         raise ValueError("dimension formula requires a connected quiver")
     if group.is_compact:
         raise ValueError("dimension formula covers GL/SL/TORUS only")
+    betti = q.n_arrows - q.n_vertices + 1
     if betti == 0:
         return 0
     n = group.n
@@ -652,6 +628,11 @@ def monotone_weights_force_constant(q: Quiver, alpha: Mapping[str, int]) -> Mono
     values = {alpha[v] for v in q.vertices}
     if len(values) <= 1:
         return MonotoneReport(ok=True)
+    return _monotone_violation(q, alpha)
+
+
+def _monotone_violation(q: Quiver, alpha: Mapping[str, int]) -> MonotoneReport:
+    """The report on a non-constant ``alpha`` that weighs every vertex of a strongly connected ``q``."""
     violating = None
     for a in sorted(q.arrows, key=lambda a: a.name):
         if alpha[a.head] < alpha[a.tail]:
@@ -708,7 +689,7 @@ def closed_orbit_certificate(q: Quiver) -> OrbitCertificate:
             marked = max(q.vertices)
             alpha = {v: (1 if v == marked else 0) for v in q.vertices}
             sample_alpha = tuple(sorted(alpha.items()))
-            violation = monotone_weights_force_constant(q, alpha)
+            violation = _monotone_violation(q, alpha)  # strongly connected, every vertex weighed, not constant
         return OrbitCertificate(
             verdict=ALL_INVERTIBLE_ORBITS_CLOSED,
             sample_alpha=sample_alpha,

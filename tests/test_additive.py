@@ -1,7 +1,10 @@
 """Additive embedding, degeneration witnesses, certificates, rescaling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from quivergauge import (
     ALL_INVERTIBLE_ORBITS_CLOSED,
@@ -26,15 +29,18 @@ from quivergauge import (
     unimodular_rescale,
     word_endpoints,
 )
+from quivergauge import quiver
 from conftest import (
     GL2,
     GL3,
+    PROPERTY,
     SL2,
     SL3,
     bridge_two_cycles,
     long_path,
     one_arrow,
     one_loop,
+    quivers,
     random_connected_quiver,
     random_quiver_with_ends,
     random_strongly_connected_quiver,
@@ -168,6 +174,22 @@ def test_certificate_coherence_randomized():
             assert is_strongly_connected(q)
         if cert.verdict == ENDS_OBSTRUCT:
             assert set(cert.ends) == set(ends(q))
+
+
+@PROPERTY
+@given(quivers(max_vertices=6).filter(lambda q: q.n_vertices >= 2 and is_strongly_connected(q)))
+def test_certificate_searches_for_strong_connectivity_once(q):
+    calls = []
+    search = quiver.is_strongly_connected
+
+    def counted(r):
+        calls.append(r)
+        return search(r)
+
+    with mock.patch.object(quiver, "is_strongly_connected", counted):
+        cert = closed_orbit_certificate(q)
+    assert calls == [q]
+    assert cert.sample_violation == monotone_weights_force_constant(q, dict(cert.sample_alpha))
 
 
 def test_monotone_weights_constant_ok():

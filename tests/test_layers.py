@@ -3,9 +3,10 @@
 No module imports ``dataclasses``, and no structural command loads it or
 ``inspect``.
 
-Every exported name, every public method, property and record field of an
-exported class, and every public function of ``serialize`` also has a user
-besides the unit tests.
+Every exported name, every public method and property of an exported
+class, every record field of a public record class, and every public
+function of ``serialize`` also has a user besides the unit tests.  The CLI
+imports only public names of the package.
 """
 
 import ast
@@ -34,7 +35,7 @@ EXPORTED = {
     "matrices": "hermitian_exp random_element",
     "quiver": """ALL_INVERTIBLE_ORBITS_CLOSED ENDS_OBSTRUCT INCONCLUSIVE TOL_EQ TOL_MEMBERSHIP Arrow
         GroupSpec MonotoneReport OrbitCertificate Quiver RelationSet SpanningForest Word betti_number
-        classify_vertex closed_orbit_certificate connected_components directed_path ends
+        classify_vertex closed_orbit_certificate directed_path ends
         euler_characteristic fundamental_cycles is_connected is_strongly_connected
         is_super_cyclic moduli_dimension monotone_weights_force_constant validate_relations
         vertex_classes word_endpoints""",
@@ -204,13 +205,14 @@ def _reads(path: Path) -> list[tuple[str, frozenset, bool]]:
 
 
 def _members() -> set[str]:
-    """Public methods, properties and record fields of exported classes, as ``Class.name``, and public functions of serialize.
+    """Public methods and properties of exported classes and fields of public records, as ``Class.name``; serialize's functions.
 
-    The functions are named ``serialize.name``, and a record's fields are
-    its ``_fields``.  A class's members include those of its bases in the
-    package.  A member that a base outside the package defines is an
-    override of that base's hook, which the base calls (as argparse calls
-    ``ArgumentParser.error``), so it is left out.
+    The functions are named ``serialize.name``.  A record's fields are its
+    ``_fields``, for every public ``_Record`` class a module of the package
+    defines, exported or not.  A class's methods and properties include
+    those of its bases in the package.  A member that a base outside the
+    package defines is an override of that base's hook, which the base calls
+    (as argparse calls ``ArgumentParser.error``), so it is left out.
     """
     members = set()
     for name in quivergauge.__all__:
@@ -223,8 +225,12 @@ def _members() -> set[str]:
                 routine = inspect.isfunction(value) or isinstance(value, (property, cached_property, classmethod, staticmethod))
                 if routine and not attr.startswith("_") and not any(hasattr(b, attr) for b in outside):
                     members.add(f"{name}.{attr}")
-        if issubclass(cls, _Record):
-            members.update(f"{name}.{field}" for field in cls._fields)
+    for path in ROOT.glob("src/quivergauge/[!_]*.py"):
+        module = import_module(f"quivergauge.{path.stem}")
+        for name, cls in vars(module).items():
+            record = isinstance(cls, type) and issubclass(cls, _Record) and cls.__module__ == module.__name__
+            if record and not name.startswith("_"):
+                members.update(f"{name}.{field}" for field in cls._fields)
     serialize = import_module("quivergauge.serialize")
     for name, value in vars(serialize).items():
         if inspect.isfunction(value) and value.__module__ == serialize.__name__ and not name.startswith("_"):
@@ -278,6 +284,18 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert not [m for m in modules if m.partition(".")[0] == "dataclasses"], f"{path.name}:{node.lineno}"
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    tree = ast.parse((ROOT / "src" / "quivergauge" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("quivergauge"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"the CLI imports private names: {private}"
 
 
 def _stores_only(init: ast.FunctionDef, fields: tuple[str, ...]) -> bool:

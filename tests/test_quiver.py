@@ -1,5 +1,8 @@
 """Quiver structure, topological invariants, and classification."""
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,8 @@ from quivergauge import (
     Word,
     betti_number,
     classify_vertex,
-    connected_components,
     directed_path,
+    document_for,
     euler_characteristic,
     fundamental_cycles,
     is_connected,
@@ -23,12 +26,14 @@ from quivergauge import (
     is_super_cyclic,
     moduli_dimension,
     parse,
+    print_document,
     pushforward_collapse,
     random_representation,
     reduce_to_rose,
     validate_relations,
     word_endpoints,
 )
+from quivergauge.cli import main
 from conftest import (
     PROPERTY,
     bridge_two_cycles,
@@ -228,14 +233,14 @@ def test_validate_relations():
     violations = validate_relations(q, bad)
     assert len(violations) == 1
     assert violations[0].word_index == 0
-    assert violations[0].letter_index == 0
+    assert violations[0].message == "consecutive letters do not compose"
     assert validate_relations(q, RelationSet()) == ()
     unknown = validate_relations(q, RelationSet((Word.from_arrow_names(("zz",)),)))
     assert unknown and "unknown" in unknown[0].message
     open_word = validate_relations(q, RelationSet((Word.from_arrow_names(("a0",)),)))
     assert open_word and "close" in open_word[0].message
     inverse = validate_relations(q, RelationSet((Word((("a2", 1), ("a1", -1), ("a0", 1))),)))
-    assert [(v.letter_index, v.message) for v in inverse] == [(1, "relations must be positively oriented")]
+    assert [(v.word_index, v.message) for v in inverse] == [(0, "relations must be positively oriented")]
 
 
 def test_word_conventions():
@@ -261,13 +266,12 @@ def test_word_exponents_are_integers_by_operator_index():
     assert w.letters == (("a0", -1), ("a1", 1)) and type(w.letters[0][1]) is int
 
 
-def test_connected_components_order():
+def test_component_count_is_betti_number_plus_euler_characteristic():
     q = Quiver(
         ("b0", "a0", "c0"),
         (("e0", "a0", "a0"),),
     )
-    comps = connected_components(q)
-    assert comps == (("a0",), ("b0",), ("c0",))
+    assert (betti_number(q), euler_characteristic(q), is_connected(q)) == (1, 2, False)
 
 
 def _reachable(q, src):
@@ -384,7 +388,37 @@ def test_fundamental_cycles_match_the_name_walk_word_for_word(p, q):
     assert len(cycles) == betti_number(union)
     for c in cycles:  # each closes at the smallest vertex of its own component
         tail, head = word_endpoints(union, c)
-        assert tail == head == min(next(comp for comp in connected_components(union) if tail in comp))
+        assert tail == head == min(v for v in union.vertices if v[0] == tail[0])
+
+
+def _union_find_components(q):
+    """The number of undirected components of ``q``, by union-find over its arrows."""
+    parent = {v: v for v in q.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a in q.arrows:
+        parent[find(a.tail)] = find(a.head)
+    return len({find(v) for v in q.vertices})
+
+
+@PROPERTY
+@given(quivers(max_vertices=30), quivers(max_vertices=30))
+def test_info_counts_match_a_union_find_count(tmp_path_factory, p, q):
+    path = tmp_path_factory.mktemp("info") / "q.quiver"
+    for r in (p, _disjoint_union(p, q)):
+        path.write_text(print_document(document_for(r)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["info", str(path), "--json"]) == 0
+        payload = json.loads(out.getvalue())
+        c = _union_find_components(r)
+        counts = (payload["components"], payload["betti_number"], payload["euler_characteristic"])
+        assert counts == (c, r.n_arrows - r.n_vertices + c, r.n_vertices - r.n_arrows)
 
 
 @PROPERTY
@@ -422,7 +456,7 @@ def test_word_endpoints_breaks_exactly_where_validate_relations_finds_no_composi
         try:
             ends = word_endpoints(q, w)
         except ValueError as exc:
-            i = violation.letter_index
+            i = next(i for i in range(len(letters) - 1) if letters[i].tail != letters[i + 1].head)
             assert violation.message == "consecutive letters do not compose"
             assert str(exc) == f"word {w.display()!r} breaks between positions {i} and {i + 1}"
             continue

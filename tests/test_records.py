@@ -93,7 +93,7 @@ REPRS = {
     "Arrow": "Arrow(name='a', tail='x', head='y')",
     "Quiver": TWO_CYCLE_TEXT,
     "Word": "Word(letters=(('b', 1), ('a', -1)))",
-    "RelationViolation": "RelationViolation(word_index=0, letter_index=0, message=\"unknown arrow 'k'\")",
+    "RelationViolation": "RelationViolation(word_index=0, message=\"unknown arrow 'k'\")",
     "RelationSet": "RelationSet(relations=(Word(letters=(('l', 1), ('l', 1))),))",
     "GroupSpec": "GroupSpec(family='SL', n=3)",
     "SpanningForest": "SpanningForest(tree_arrows=('a',))",
